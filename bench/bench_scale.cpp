@@ -4,7 +4,11 @@
 // packet-in hot path (FlowMemory recall-miss -> install) driven by the event
 // kernel via a lazily-pulled PoissonStream, and reports per point:
 //
-//   * events/s           -- kernel + install throughput during the fill
+//   * flows/s            -- flows made resident per wall-clock second of
+//                           the fill (the gated quantity)
+//   * kernel events/s    -- workload events the kernel carried per
+//                           wall-clock second of the fill (equal to flows/s
+//                           in exact mode, far lower in hybrid mode)
 //   * install latency    -- wall-clock packet-in -> flow-install, sampled
 //                           every 64th event (p50/p95/p99)
 //   * lookup / idle ns   -- flows_for_service() and the per-(service,
@@ -12,26 +16,19 @@
 //   * peak RSS           -- VmHWM, measured in a forked child per point so
 //                           points don't inherit each other's high-water mark
 //
-// Two honesty checks against the pre-change implementation are included:
-// a 100k-flow microbench of flows_for_service()/idle-check against the old
-// std::map + linear-scan structure, and a 1M-flow RSS comparison against the
-// old memory shape (string-bearing map entries plus the per-event closures
-// the old replay path pre-scheduled).
-//
 // Results are written to BENCH_scale.json (one JSON object per point, flat
 // and line-oriented, so the --baseline regression gate can parse it without
-// a JSON library). `--baseline <file>` exits non-zero when any point's
-// events/s drops more than 20% below the baseline (the CI gate).
+// a JSON library). `--baseline <file>` exits non-zero when the geometric
+// mean of flows/s over the shared points drops more than 20% below the
+// baseline (the CI gate), and when a baseline point lacks a key field.
 //
 // The sweep has a shard dimension (--shards, default "1,2,8"): shards=1 is
-// the serial kernel exactly as before (the legacy baseline rows), shards=N>1
-// runs the sharded control plane -- N edge domains each owning a FlowMemory
-// partition and its own Poisson pump, plus a central controller domain
-// receiving periodic digests over the conservative lookahead link -- under
-// ShardedSimulation. Shard counts > 1 sweep on the wheel backend only (the
-// heap rows exist to compare queue backends, not kernels). JSON points carry
-// a "shards" field; baselines written before the field existed parse as
-// shards=1.
+// the serial kernel, shards=N>1 runs the sharded control plane -- N edge
+// domains each owning a FlowMemory partition and its own Poisson pump, plus
+// a central controller domain receiving periodic digests over the
+// conservative lookahead link -- under ShardedSimulation. Shard counts > 1
+// sweep on the wheel backend only (the heap rows exist to compare queue
+// backends, not kernels).
 //
 // The sweep has a fidelity dimension (--fidelity, default "both"): exact
 // rows drive every flow through the per-packet path as before; hybrid rows
@@ -39,39 +36,36 @@
 // exact cold start, the rest arrive as per-epoch aggregate batches admitted
 // via FlowMemory::admit_fluid -- so the kernel carries O(services) events
 // per epoch instead of one per flow. Hybrid rows extend the sweep to 10M and
-// 100M resident flows (serial kernel only; skipped under --quick) and the
-// "events/s" column reads as flows per wall-clock second in both modes, so
-// the hybrid/exact ratio is the control-plane speedup. When both fidelities
-// sweep the 1M x 8 wheel point, the run fails unless hybrid is >= 10x exact.
+// 100M resident flows (serial kernel only; skipped under --quick). Flows/s
+// is the common unit of both modes, so the hybrid/exact ratio is the
+// control-plane speedup. When both fidelities sweep the 1M x 8 wheel point,
+// the run fails unless hybrid is >= 10x exact.
 //
 // The sharded rows have a sync dimension (--sync, default "channel"): the
-// coordinator that drives the domains -- the global barrier, the locked
-// channel-clock protocol, or the lock-free channel plane (DESIGN §8). Points
-// record the mode as "sync_mode" plus the per-run lane accounting -- total
-// lane busy/blocked wall time, the null-message count, and the lock-free
-// plane's wakeup/park/suppression/demand counters -- so the shard-scaling
-// table can attribute (lack of) speedup to synchronization stalls vs lock
-// contention. Baselines written before the sync dimension existed were all
-// measured on the barrier design and parse as sync_mode=barrier; serial rows
-// carry the same label so they keep gating across the change.
+// coordinator that drives the domains -- the global barrier or the lock-free
+// channel plane (DESIGN §8). Points record the mode as "sync_mode" plus the
+// per-run lane accounting -- total lane busy/blocked wall time, the
+// null-message count, and the channel plane's wakeup/park/suppression/demand
+// counters -- so the shard-scaling table can attribute (lack of) speedup to
+// synchronization stalls vs lock contention. Serial rows never run a
+// coordinator and record sync_mode=barrier.
 //
-// Lock-free channel rows additionally sweep a grain dimension (--grain, a
-// CSV of fractions of each channel's lookahead; default "0.25"): the
-// null-message suppression threshold of DESIGN §8.7. Grain changes
-// scheduling pressure only, never results, so every grain row produces the
-// same simulation outcome; the sweep exists to price suppression (nulls and
-// wakeups per point). Rows of other coordinators record grain=0, and
-// baselines written before the grain dimension existed parse as grain=0.
+// Channel rows additionally sweep a grain dimension (--grain, a CSV of
+// non-negative values; default "0.25"): the null-message suppression switch
+// of DESIGN §8.7 (0 = incremental climb, positive = suppression plus the
+// quiescence lift). Grain changes scheduling pressure only, never results,
+// so every grain row produces the same simulation outcome; the sweep exists
+// to price suppression (nulls and wakeups per point). Rows of the other
+// coordinator, and serial rows, record grain=0.
 //
-// Flags: --quick (skip the 1M row and the RSS comparison: CI),
+// Flags: --quick (skip the 1M row and the 10M/100M hybrid points: CI),
 //        --backend heap|wheel|both (event-queue backend to sweep; default
 //        wheel, `both` additionally prints a heap-vs-wheel table),
 //        --shards <csv> (shard counts to sweep, default 1,2,8),
 //        --fidelity exact|hybrid|both (default both),
-//        --sync channel|channel-locked|barrier|both|all (coordinator for
-//        sharded rows; default channel; both = barrier + channel),
-//        --grain <csv> (lookahead fractions for lock-free channel rows,
-//        default 0.25),
+//        --sync channel|barrier|both (coordinator for sharded rows; default
+//        channel),
+//        --grain <csv> (suppression grains for channel rows, default 0.25),
 //        --out <file>, --baseline <file>.
 #include <algorithm>
 #include <chrono>
@@ -86,6 +80,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -193,30 +188,24 @@ struct SweepPoint {
     std::size_t shards = 1;  ///< 1 = serial kernel, > 1 = sharded control plane
     sdn::Fidelity fidelity = sdn::Fidelity::kExact;
     sim::SyncMode sync = sim::SyncMode::kChannel;  ///< sharded points only
-    double grain = 0.25;  ///< horizon grain fraction (lock-free channel only)
+    double grain = 0.25;  ///< horizon grain (channel coordinator only)
 };
 
 const char* backend_str(sim::QueueBackend backend) {
     return backend == sim::QueueBackend::kHeap ? "heap" : "wheel";
 }
 
-/// Label recorded in JSON and used as the baseline key. Serial points carry
-/// "barrier": they never run a coordinator, and baselines written before the
-/// sync dimension existed (all of them measured on the barrier design) parse
-/// with the same default, so the serial rows keep gating across the change.
+/// Label recorded in JSON and used as the baseline key. Serial points never
+/// run a coordinator and carry "barrier".
 const char* sync_str(const SweepPoint& point) {
-    if (point.shards <= 1) return "barrier";
-    switch (point.sync) {
-        case sim::SyncMode::kBarrier: return "barrier";
-        case sim::SyncMode::kChannelLocked: return "channel-locked";
-        case sim::SyncMode::kChannel: return "channel";
+    if (point.shards <= 1 || point.sync == sim::SyncMode::kBarrier) {
+        return "barrier";
     }
-    return "barrier";
+    return "channel";
 }
 
-/// Grain recorded in JSON and used in the baseline key. Only the lock-free
-/// channel coordinator reads Options::horizon_grain, so every other row
-/// carries 0 -- which also matches how pre-grain baselines parse.
+/// Grain recorded in JSON and used in the baseline key. Only the channel
+/// coordinator reads Options::horizon_grain, so every other row carries 0.
 double grain_label(const SweepPoint& point) {
     if (point.shards <= 1 || point.sync != sim::SyncMode::kChannel) return 0.0;
     return point.grain;
@@ -224,7 +213,8 @@ double grain_label(const SweepPoint& point) {
 
 /// POD result shipped from the forked child back over the pipe.
 struct PointResult {
-    double events_per_s = 0;
+    double flows_per_s = 0;          ///< flows made resident per fill second
+    double kernel_events_per_s = 0;  ///< kernel_events per fill second
     double install_p50_ns = 0;
     double install_p95_ns = 0;
     double install_p99_ns = 0;
@@ -332,7 +322,7 @@ PointResult run_point_once(const SweepPoint& point) {
         const std::uint32_t cluster = event.client % kClusters;
         // Only sampled events pay for the clock reads: an unconditional
         // Clock::now() per event is ~40 ns of pure instrumentation overhead
-        // on this VM, a sizeable bias in the events/s headline.
+        // on this VM, a sizeable bias in the flows/s headline.
         const bool sampled = (installed % 64) == 0;
         const auto start = sampled ? Clock::now() : Clock::time_point{};
         const auto hit = memory.recall(client_ip, addresses[event.service]);
@@ -360,7 +350,9 @@ PointResult run_point_once(const SweepPoint& point) {
     const auto fill_start = Clock::now();
     sim.run_while([&] { return installed < point.flows; });
     const double fill_s = elapsed_s(fill_start);
-    result.events_per_s = static_cast<double>(point.flows) / fill_s;
+    result.flows_per_s = static_cast<double>(point.flows) / fill_s;
+    result.kernel_events = point.flows;
+    result.kernel_events_per_s = static_cast<double>(result.kernel_events) / fill_s;
     result.peak_live_flows = memory.size();
 
     std::sort(install_ns.begin(), install_ns.end());
@@ -406,7 +398,6 @@ PointResult run_point_once(const SweepPoint& point) {
     result.rss_kb = peak_rss_kb();
     result.cores_used = 1;
     result.hw_concurrency = hw_threads();
-    result.kernel_events = point.flows;
     record_cascade(sim, result);
     return result;
 }
@@ -503,7 +494,8 @@ PointResult run_point_hybrid_once(const SweepPoint& point) {
     const auto fill_start = Clock::now();
     sim.run_while([&] { return installed < point.flows; });
     const double fill_s = elapsed_s(fill_start);
-    result.events_per_s = static_cast<double>(point.flows) / fill_s;
+    result.flows_per_s = static_cast<double>(point.flows) / fill_s;
+    result.kernel_events_per_s = static_cast<double>(kernel_events) / fill_s;
     result.peak_live_flows = memory.size();
     result.kernel_events = kernel_events;
 
@@ -596,15 +588,17 @@ PointResult run_point_sharded_once(const SweepPoint& point) {
     base_stream.total_rate_per_s = static_cast<double>(point.flows) / 60.0;
     base_stream.seed = 42;
 
+    // Each shard's pump runs on the lane that owns its domain, so every
+    // piece of state a pump writes -- the install counter and the latency
+    // samples -- lives in its own Shard and is merged only after run().
     struct Shard {
         std::unique_ptr<sdn::ControlPlaneShard> plane;
         std::unique_ptr<workload::PoissonStream> stream;
         std::unique_ptr<workload::StreamPump> pump;
         std::size_t installed = 0;
+        std::vector<double> install_ns;
     };
     std::vector<Shard> shards(num_shards);
-    std::vector<double> install_ns;
-    install_ns.reserve(point.flows / 64 + 1);
 
     for (std::size_t s = 0; s < num_shards; ++s) {
         auto& shard = shards[s];
@@ -617,6 +611,7 @@ PointResult run_point_sharded_once(const SweepPoint& point) {
             base_stream, static_cast<std::uint32_t>(s),
             static_cast<std::uint32_t>(num_shards));
         shard.plane->memory().reserve(stream_options.limit);
+        shard.install_ns.reserve(stream_options.limit / 64 + 1);
         shard.stream = std::make_unique<workload::PoissonStream>(stream_options);
 
         // Disjoint per-shard client-ip blocks keep flows unique within their
@@ -626,9 +621,9 @@ PointResult run_point_sharded_once(const SweepPoint& point) {
             0xc0000000u + static_cast<std::uint32_t>(s) * 0x01000000u;
         shard.pump = std::make_unique<workload::StreamPump>(
             edges[s]->sim(), *shard.stream,
-            [&shard, ip_base, &addresses, &service_names, &cluster_names,
-             &install_ns](const workload::TraceEvent& event,
-                          const std::optional<workload::TraceEvent>& next) {
+            [&shard, ip_base, &addresses, &service_names,
+             &cluster_names](const workload::TraceEvent& event,
+                             const std::optional<workload::TraceEvent>& next) {
                 if (next) {
                     shard.plane->memory().prefetch(
                         net::Ipv4{ip_base +
@@ -644,9 +639,10 @@ PointResult run_point_sharded_once(const SweepPoint& point) {
                                        net::NodeId{event.service}, 8000,
                                        cluster_names[event.client % kClusters]);
                 if (sampled) {
-                    install_ns.push_back(std::chrono::duration<double, std::nano>(
-                                             Clock::now() - start)
-                                             .count());
+                    shard.install_ns.push_back(
+                        std::chrono::duration<double, std::nano>(Clock::now() -
+                                                                 start)
+                            .count());
                 }
                 ++shard.installed;
             });
@@ -657,9 +653,15 @@ PointResult run_point_sharded_once(const SweepPoint& point) {
     const auto fill_start = Clock::now();
     sharded.run();  // drains every pump; digest daemons ride along
     const double fill_s = elapsed_s(fill_start);
-    result.events_per_s = static_cast<double>(point.flows) / fill_s;
+    result.flows_per_s = static_cast<double>(point.flows) / fill_s;
+    result.kernel_events = point.flows;
+    result.kernel_events_per_s = static_cast<double>(result.kernel_events) / fill_s;
+    std::vector<double> install_ns;
+    install_ns.reserve(point.flows / 64 + num_shards);
     for (const auto& shard : shards) {
         result.peak_live_flows += shard.plane->memory().size();
+        install_ns.insert(install_ns.end(), shard.install_ns.begin(),
+                          shard.install_ns.end());
     }
 
     std::sort(install_ns.begin(), install_ns.end());
@@ -728,7 +730,6 @@ PointResult run_point_sharded_once(const SweepPoint& point) {
     result.cores_used = static_cast<std::uint32_t>(
         std::min<std::size_t>(num_shards + 1, hw_threads()));
     result.hw_concurrency = hw_threads();
-    result.kernel_events = point.flows;
     for (auto* edge : edges) record_cascade(edge->sim(), result);
     record_cascade(controller.sim(), result);
     return result;
@@ -751,155 +752,9 @@ PointResult run_point(const SweepPoint& point) {
     PointResult best = once();
     for (int i = 1; i < repeats; ++i) {
         const PointResult run = once();
-        if (run.events_per_s > best.events_per_s) best = run;
+        if (run.flows_per_s > best.flows_per_s) best = run;
     }
     return best;
-}
-
-// -------------------------------------------------- pre-change comparisons
-
-/// The seed FlowMemory entry: ordered map keyed by (client-ip, address) with
-/// two owning strings per flow; flows_for_service and the idle check were
-/// linear scans over every memorized flow.
-struct LegacyFlow {
-    net::Ipv4 client_ip;
-    net::ServiceAddress service_address;
-    std::string service_name;
-    net::NodeId instance_node;
-    std::uint16_t instance_port = 0;
-    std::string cluster;
-    sim::SimTime created;
-    sim::SimTime last_used;
-};
-using LegacyMap =
-    std::map<std::pair<std::uint32_t, net::ServiceAddress>, LegacyFlow>;
-
-LegacyMap build_legacy(std::size_t flows, std::uint32_t services) {
-    LegacyMap legacy;
-    for (std::size_t i = 0; i < flows; ++i) {
-        const auto service = static_cast<std::uint32_t>(i % services);
-        LegacyFlow flow;
-        flow.client_ip = net::Ipv4{0xc0000000u + static_cast<std::uint32_t>(i)};
-        flow.service_address = address_for(service);
-        flow.service_name = "svc" + std::to_string(service);
-        flow.instance_node = net::NodeId{service};
-        flow.instance_port = 8000;
-        flow.cluster = "edge" + std::to_string(i % kClusters);
-        legacy.emplace(std::pair{flow.client_ip.value(), flow.service_address},
-                       flow);
-    }
-    return legacy;
-}
-
-struct LookupComparison {
-    double legacy_lookup_ns = 0;
-    double new_lookup_ns = 0;
-    double legacy_idle_ns = 0;
-    double new_idle_ns = 0;
-};
-
-/// 100k-flow flows_for_service()/idle-check: counters vs the legacy scan.
-LookupComparison compare_lookups(std::size_t flows, std::uint32_t services) {
-    LookupComparison cmp;
-
-    sim::Simulation sim;
-    sdn::FlowMemory memory(sim, {kIdleTimeout, kScanPeriod});
-    memory.reserve(flows);
-    for (std::size_t i = 0; i < flows; ++i) {
-        const auto service = static_cast<std::uint32_t>(i % services);
-        sdn::MemorizedFlow flow;
-        flow.client_ip = net::Ipv4{0xc0000000u + static_cast<std::uint32_t>(i)};
-        flow.service_address = address_for(service);
-        flow.service_name = "svc" + std::to_string(service);
-        flow.instance_node = net::NodeId{service};
-        flow.instance_port = 8000;
-        flow.cluster = "edge" + std::to_string(i % kClusters);
-        memory.memorize(flow);
-    }
-    const LegacyMap legacy = build_legacy(flows, services);
-
-    // The lookup probe targets a populated service; the idle probe targets a
-    // (service, cluster) pair with zero live flows -- the case that matters
-    // for scale-down, and the legacy scan's worst case (it must walk every
-    // flow to conclude "idle" instead of stopping at the first match).
-    // With services=8 and 2 clusters, svc0 flows sit at indices i % 8 == 0,
-    // all even, so cluster edge1 never serves svc0.
-    const std::string probe_service = "svc0";
-    const std::string probe_cluster = "edge1";
-    volatile std::size_t sink = 0;
-
-    constexpr std::size_t kNewPasses = 1 << 16;
-    auto start = Clock::now();
-    for (std::size_t i = 0; i < kNewPasses; ++i) {
-        sink = sink + memory.flows_for_service(probe_service);
-    }
-    cmp.new_lookup_ns =
-        std::chrono::duration<double, std::nano>(Clock::now() - start).count() /
-        kNewPasses;
-    start = Clock::now();
-    for (std::size_t i = 0; i < kNewPasses; ++i) {
-        sink = sink + memory.flows_for_service(probe_service, probe_cluster);
-    }
-    cmp.new_idle_ns =
-        std::chrono::duration<double, std::nano>(Clock::now() - start).count() /
-        kNewPasses;
-
-    constexpr std::size_t kLegacyPasses = 16; // full scans: keep it bearable
-    start = Clock::now();
-    for (std::size_t i = 0; i < kLegacyPasses; ++i) {
-        std::size_t count = 0;
-        for (const auto& [key, flow] : legacy) {
-            if (flow.service_name == probe_service) ++count;
-        }
-        sink = sink + count;
-    }
-    cmp.legacy_lookup_ns =
-        std::chrono::duration<double, std::nano>(Clock::now() - start).count() /
-        kLegacyPasses;
-    start = Clock::now();
-    for (std::size_t i = 0; i < kLegacyPasses; ++i) {
-        bool any = false;
-        for (const auto& [key, flow] : legacy) {
-            if (flow.service_name == probe_service &&
-                flow.cluster == probe_cluster) {
-                any = true;
-                break; // the idle check only needs existence
-            }
-        }
-        sink = sink + (any ? 1 : 0); // probe pair is idle: full scan every pass
-    }
-    cmp.legacy_idle_ns =
-        std::chrono::duration<double, std::nano>(Clock::now() - start).count() /
-        kLegacyPasses;
-    return cmp;
-}
-
-/// Peak RSS of the pre-change shape at `flows`: the string-bearing ordered
-/// map plus what the old replay materialized up front -- the full trace and
-/// one closure per event pre-scheduled into a real event queue (capture list
-/// copied from the old TraceRunner::replay loop).
-long legacy_rss_kb(std::size_t flows, std::uint32_t services) {
-    const LegacyMap legacy = build_legacy(flows, services);
-
-    sim::Simulation sim;
-    std::vector<workload::TraceEvent> trace(flows);
-    volatile std::size_t sink = 0;
-    for (std::size_t i = 0; i < flows; ++i) {
-        const auto service = static_cast<std::uint32_t>(i % services);
-        trace[i] = workload::TraceEvent{sim::from_seconds(static_cast<double>(i)),
-                                        0, service};
-        const workload::TraceEvent event = trace[i];
-        const net::NodeId node{service};
-        const net::ServiceAddress address = address_for(service);
-        const sim::Bytes size = 120;
-        const std::string tag = "svc" + std::to_string(service);
-        sim.schedule_at(event.at, [&sink, node, event, address, size, tag] {
-            sink = sink + tag.size() + event.client + node.value +
-                   address.port + static_cast<std::size_t>(size);
-        });
-    }
-    sink = sink + legacy.size();
-    return peak_rss_kb();
 }
 
 // ----------------------------------------------------------------- output
@@ -927,8 +782,10 @@ std::string json_point(const SweepPoint& point, const PointResult& result) {
         << ", \"lane_busy_ns\": " << result.lane_busy_ns
         << ", \"lane_blocked_ns\": " << result.lane_blocked_ns
         << ", \"digests\": " << result.digests
-        << ", \"events_per_s\": "
-        << static_cast<std::uint64_t>(result.events_per_s)
+        << ", \"flows_per_s\": "
+        << static_cast<std::uint64_t>(result.flows_per_s)
+        << ", \"kernel_events_per_s\": "
+        << static_cast<std::uint64_t>(result.kernel_events_per_s)
         << ", \"install_p50_ns\": "
         << static_cast<std::uint64_t>(result.install_p50_ns)
         << ", \"install_p95_ns\": "
@@ -974,36 +831,41 @@ std::optional<std::string> extract_string(const std::string& line,
 using BaselineKey = std::tuple<std::size_t, std::uint32_t, std::string,
                                std::size_t, std::string, std::string, double>;
 
-/// events/s per (flows, services, backend, shards, fidelity, sync, grain)
-/// point parsed from a BENCH_scale.json. Points written before the backend
-/// dimension existed carry no "backend" field; those were measured on the
-/// binary heap, so they gate the heap rows of a newer run. Points written
-/// before the shard / fidelity dimensions existed parse as shards=1 / exact,
-/// points written before the sync dimension existed were all measured on
-/// the barrier coordinator, so they parse as sync_mode=barrier, and points
-/// written before the grain dimension existed parse as grain=0.
+/// flows/s per (flows, services, backend, shards, fidelity, sync, grain)
+/// point parsed from a BENCH_scale.json. Every line carrying a "flows" field
+/// is a point and must carry all seven key fields plus flows_per_s; a point
+/// missing any of them throws std::runtime_error naming the field (a
+/// baseline written by an older bench_scale must be regenerated).
 std::map<BaselineKey, double> parse_baseline(const std::string& path) {
     std::map<BaselineKey, double> baseline;
     std::ifstream in(path);
     std::string line;
+    std::size_t line_no = 0;
     while (std::getline(in, line)) {
+        ++line_no;
         const auto flows = extract_number(line, "flows");
-        const auto services = extract_number(line, "services");
-        const auto events = extract_number(line, "events_per_s");
-        const auto backend = extract_string(line, "backend");
-        const auto shards = extract_number(line, "shards");
-        const auto fidelity = extract_string(line, "fidelity");
-        const auto sync = extract_string(line, "sync_mode");
-        const auto grain = extract_number(line, "grain");
-        if (flows && services && events) {
-            baseline[{static_cast<std::size_t>(*flows),
-                      static_cast<std::uint32_t>(*services),
-                      backend.value_or("heap"),
-                      static_cast<std::size_t>(shards.value_or(1)),
-                      fidelity.value_or("exact"),
-                      sync.value_or("barrier"),
-                      grain.value_or(0.0)}] = *events;
-        }
+        if (!flows) continue;
+        const auto missing = [&](const char* key) {
+            return std::runtime_error(path + ":" + std::to_string(line_no) +
+                                      ": point has no \"" + key + "\" field");
+        };
+        const auto number = [&](const char* key) {
+            const auto value = extract_number(line, key);
+            if (!value) throw missing(key);
+            return *value;
+        };
+        const auto string = [&](const char* key) {
+            auto value = extract_string(line, key);
+            if (!value) throw missing(key);
+            return std::move(*value);
+        };
+        baseline[{static_cast<std::size_t>(*flows),
+                  static_cast<std::uint32_t>(number("services")),
+                  string("backend"),
+                  static_cast<std::size_t>(number("shards")),
+                  string("fidelity"),
+                  string("sync_mode"),
+                  number("grain")}] = number("flows_per_s");
     }
     return baseline;
 }
@@ -1079,7 +941,7 @@ int main(int argc, char** argv) {
             std::cerr << "usage: bench_scale [--quick] "
                          "[--backend heap|wheel|both] [--shards <csv>] "
                          "[--fidelity exact|hybrid|both] "
-                         "[--sync channel|channel-locked|barrier|both|all] "
+                         "[--sync channel|barrier|both] "
                          "[--grain <csv>] "
                          "[--out <file>] [--baseline <file>]\n";
             return 2;
@@ -1118,19 +980,13 @@ int main(int argc, char** argv) {
     std::vector<sim::SyncMode> syncs;
     if (sync_arg == "channel") {
         syncs = {sim::SyncMode::kChannel};
-    } else if (sync_arg == "channel-locked" || sync_arg == "locked") {
-        syncs = {sim::SyncMode::kChannelLocked};
     } else if (sync_arg == "barrier") {
         syncs = {sim::SyncMode::kBarrier};
     } else if (sync_arg == "both") {
         syncs = {sim::SyncMode::kBarrier, sim::SyncMode::kChannel};
-    } else if (sync_arg == "all") {
-        syncs = {sim::SyncMode::kBarrier, sim::SyncMode::kChannelLocked,
-                 sim::SyncMode::kChannel};
     } else {
         std::cerr << "unknown --sync '" << sync_arg
-                  << "' (expected channel, channel-locked, barrier, both, or "
-                     "all)\n";
+                  << "' (expected channel, barrier, or both)\n";
         return 2;
     }
     const auto grain_values = parse_grain_csv(grain_arg);
@@ -1142,7 +998,7 @@ int main(int argc, char** argv) {
 
     print_header("scale",
                  "control-plane scale sweep: concurrent flows x services -> "
-                 "events/s, install latency, peak RSS");
+                 "flows/s, install latency, peak RSS");
 
     const std::vector<std::size_t> base_flow_counts =
         quick ? std::vector<std::size_t>{10'000, 100'000}
@@ -1151,9 +1007,9 @@ int main(int argc, char** argv) {
 
     std::vector<std::pair<SweepPoint, PointResult>> results;
     workload::TextTable table({"fidelity", "backend", "shards", "sync",
-                               "grain", "flows", "services", "events/s",
-                               "install p50", "install p99", "lookup ns",
-                               "idle ns", "peak RSS MB"});
+                               "grain", "flows", "services", "flows/s",
+                               "kernel ev/s", "install p50", "install p99",
+                               "lookup ns", "idle ns", "peak RSS MB"});
     for (const auto fidelity : fidelities) {
         for (const auto backend : backends) {
             for (const auto shards : *shard_counts) {
@@ -1175,8 +1031,8 @@ int main(int argc, char** argv) {
                     // serial point runs once no matter how many modes sweep.
                     if (shards == 1 && sync != syncs.front()) continue;
                 for (const auto grain : *grain_values) {
-                    // Only the lock-free channel coordinator reads the grain;
-                    // every other row runs once no matter how many sweep.
+                    // Only the channel coordinator reads the grain; every
+                    // other row runs once no matter how many sweep.
                     if ((shards == 1 || sync != sim::SyncMode::kChannel) &&
                         grain != grain_values->front()) {
                         continue;
@@ -1216,7 +1072,9 @@ int main(int argc, char** argv) {
                                  ? workload::TextTable::num(grain, 2)
                                  : "-",
                              std::to_string(flows), std::to_string(services),
-                             workload::TextTable::num(result->events_per_s, 0),
+                             workload::TextTable::num(result->flows_per_s, 0),
+                             workload::TextTable::num(
+                                 result->kernel_events_per_s, 0),
                              workload::TextTable::num(result->install_p50_ns,
                                                       0) +
                                  " ns",
@@ -1242,28 +1100,28 @@ int main(int argc, char** argv) {
     // buys. The 1M x 8 wheel point carries a hard >= 10x acceptance gate.
     if (fidelities.size() == 2) {
         workload::TextTable speedup({"backend", "flows", "services",
-                                     "exact ev/s", "hybrid ev/s", "speedup",
-                                     "kernel events"});
+                                     "exact flows/s", "hybrid flows/s",
+                                     "speedup", "kernel events"});
         bool gate_failed = false;
         for (const auto& [point, result] : results) {
             if (point.fidelity != sdn::Fidelity::kHybrid || point.shards != 1) {
                 continue;
             }
-            double exact_events = 0;
+            double exact_flows = 0;
             for (const auto& [p, r] : results) {
                 if (p.fidelity == sdn::Fidelity::kExact && p.shards == 1 &&
                     p.backend == point.backend && p.flows == point.flows &&
                     p.services == point.services) {
-                    exact_events = r.events_per_s;
+                    exact_flows = r.flows_per_s;
                 }
             }
-            if (exact_events <= 0) continue;
-            const double ratio = result.events_per_s / exact_events;
+            if (exact_flows <= 0) continue;
+            const double ratio = result.flows_per_s / exact_flows;
             speedup.add_row(
                 {backend_str(point.backend), std::to_string(point.flows),
                  std::to_string(point.services),
-                 workload::TextTable::num(exact_events, 0),
-                 workload::TextTable::num(result.events_per_s, 0),
+                 workload::TextTable::num(exact_flows, 0),
+                 workload::TextTable::num(result.flows_per_s, 0),
                  workload::TextTable::num(ratio, 1) + "x",
                  std::to_string(result.kernel_events)});
             if (point.flows == 1'000'000 && point.services == 8 &&
@@ -1316,26 +1174,27 @@ int main(int argc, char** argv) {
         }
     }
 
-    // Shard-scaling view: events/s vs the serial kernel at the same point
+    // Shard-scaling view: flows/s vs the serial kernel at the same point
     // (wheel rows only; the serial wheel row is the committed baseline).
+    // Column positions are read by the CI shard-efficiency gate.
     if (shard_counts->size() > 1) {
         workload::TextTable scaling({"flows", "services", "shards", "sync",
-                                     "grain", "cores", "events/s", "vs serial",
+                                     "grain", "cores", "flows/s", "vs serial",
                                      "per-core eff", "sync rounds", "nulls",
                                      "wakeups", "parks/lane", "parked ms/lane",
                                      "busy ms", "blocked ms", "digests"});
         for (const auto flows : base_flow_counts) {
             for (const auto services : service_counts) {
-                double serial_events = 0;
+                double serial_flows = 0;
                 for (const auto& [point, result] : results) {
                     if (point.backend == sim::QueueBackend::kWheel &&
                         point.fidelity == sdn::Fidelity::kExact &&
                         point.shards == 1 && point.flows == flows &&
                         point.services == services) {
-                        serial_events = result.events_per_s;
+                        serial_flows = result.flows_per_s;
                     }
                 }
-                if (serial_events <= 0) continue;
+                if (serial_flows <= 0) continue;
                 for (const auto& [point, result] : results) {
                     if (point.backend != sim::QueueBackend::kWheel ||
                         point.fidelity != sdn::Fidelity::kExact ||
@@ -1346,7 +1205,7 @@ int main(int argc, char** argv) {
                     // perfectly scaling shard sweep holds this near 1.0, and
                     // on a single-core host the sharded rows honestly report
                     // their serialization instead of faking scale-out.
-                    const double speedup = result.events_per_s / serial_events;
+                    const double speedup = result.flows_per_s / serial_flows;
                     const double per_core =
                         speedup / static_cast<double>(result.cores_used);
                     // Lock contention per lane: how often a gate wait fell
@@ -1362,7 +1221,7 @@ int main(int argc, char** argv) {
                              ? workload::TextTable::num(point.grain, 2)
                              : "-",
                          std::to_string(result.cores_used),
-                         workload::TextTable::num(result.events_per_s, 0),
+                         workload::TextTable::num(result.flows_per_s, 0),
                          workload::TextTable::num(speedup, 2) + "x",
                          workload::TextTable::num(per_core, 2),
                          std::to_string(result.sync_rounds),
@@ -1382,18 +1241,18 @@ int main(int argc, char** argv) {
                 }
             }
         }
-        std::cout << "shard scaling, fill events/s (wheel backend, exact):\n"
+        std::cout << "shard scaling, fill flows/s (wheel backend, exact):\n"
                   << scaling.str() << "\n";
     }
 
-    // Side-by-side events/s when both backends were swept (the CI artifact).
+    // Side-by-side flows/s when both backends were swept (the CI artifact).
     if (backends.size() == 2) {
-        workload::TextTable versus(
-            {"flows", "services", "heap ev/s", "wheel ev/s", "wheel/heap"});
+        workload::TextTable versus({"flows", "services", "heap flows/s",
+                                    "wheel flows/s", "wheel/heap"});
         for (const auto flows : base_flow_counts) {
             for (const auto services : service_counts) {
-                double heap_events = 0;
-                double wheel_events = 0;
+                double heap_flows = 0;
+                double wheel_flows = 0;
                 for (const auto& [point, result] : results) {
                     if (point.flows != flows || point.services != services ||
                         point.shards != 1 ||
@@ -1401,63 +1260,20 @@ int main(int argc, char** argv) {
                         continue;
                     }
                     (point.backend == sim::QueueBackend::kHeap
-                         ? heap_events
-                         : wheel_events) = result.events_per_s;
+                         ? heap_flows
+                         : wheel_flows) = result.flows_per_s;
                 }
-                if (heap_events <= 0 || wheel_events <= 0) continue;
+                if (heap_flows <= 0 || wheel_flows <= 0) continue;
                 versus.add_row({std::to_string(flows),
                                 std::to_string(services),
-                                workload::TextTable::num(heap_events, 0),
-                                workload::TextTable::num(wheel_events, 0),
+                                workload::TextTable::num(heap_flows, 0),
+                                workload::TextTable::num(wheel_flows, 0),
                                 workload::TextTable::num(
-                                    wheel_events / heap_events, 2) + "x"});
+                                    wheel_flows / heap_flows, 2) + "x"});
             }
         }
-        std::cout << "heap vs wheel, fill events/s:\n"
+        std::cout << "heap vs wheel, fill flows/s:\n"
                   << versus.str() << "\n";
-    }
-
-    // 100k honesty check: maintained counters vs the legacy linear scan.
-    const auto comparison = compare_lookups(100'000, 8);
-    const double lookup_speedup =
-        comparison.legacy_lookup_ns / comparison.new_lookup_ns;
-    const double idle_speedup =
-        comparison.legacy_idle_ns / comparison.new_idle_ns;
-    std::cout << "100k flows, flows_for_service: legacy "
-              << workload::TextTable::num(comparison.legacy_lookup_ns, 0)
-              << " ns -> new "
-              << workload::TextTable::num(comparison.new_lookup_ns, 0)
-              << " ns (" << workload::TextTable::num(lookup_speedup, 1)
-              << "x)\n";
-    std::cout << "100k flows, idle check:        legacy "
-              << workload::TextTable::num(comparison.legacy_idle_ns, 0)
-              << " ns -> new "
-              << workload::TextTable::num(comparison.new_idle_ns, 0) << " ns ("
-              << workload::TextTable::num(idle_speedup, 1) << "x)\n";
-
-    // 1M RSS honesty check (skipped in --quick: it allocates ~0.5 GB).
-    double rss_ratio = 0;
-    long new_rss_1m = 0;
-    long old_rss_1m = 0;
-    if (!quick) {
-        for (const auto& [point, result] : results) {
-            if (point.flows == 1'000'000 && point.services == 64 &&
-                point.shards == 1 &&
-                point.fidelity == sdn::Fidelity::kExact) {
-                new_rss_1m = result.rss_kb;
-            }
-        }
-        const auto legacy = run_forked<long>(
-            [] { return legacy_rss_kb(1'000'000, 64); });
-        if (legacy && *legacy > 0 && new_rss_1m > 0) {
-            old_rss_1m = *legacy;
-            rss_ratio = static_cast<double>(new_rss_1m) /
-                        static_cast<double>(old_rss_1m);
-            std::cout << "1M-flow peak RSS: new " << new_rss_1m / 1024
-                      << " MB vs pre-change shape " << old_rss_1m / 1024
-                      << " MB (ratio "
-                      << workload::TextTable::num(rss_ratio, 2) << ")\n";
-        }
     }
 
     std::ofstream out(out_path);
@@ -1467,20 +1283,18 @@ int main(int argc, char** argv) {
         out << json_point(results[i].first, results[i].second)
             << (i + 1 < results.size() ? "," : "") << "\n";
     }
-    out << "  ],\n";
-    out << "  \"lookup_speedup_100k\": {\"flows_for_service\": "
-        << workload::TextTable::num(lookup_speedup, 1)
-        << ", \"idle_check\": " << workload::TextTable::num(idle_speedup, 1)
-        << "},\n";
-    out << "  \"rss_1m\": {\"new_kb\": " << new_rss_1m
-        << ", \"legacy_kb\": " << old_rss_1m << ", \"ratio\": "
-        << workload::TextTable::num(rss_ratio, 3) << "}\n";
-    out << "}\n";
+    out << "  ]\n}\n";
     out.close();
     std::cout << "wrote " << out_path << "\n";
 
     if (!baseline_path.empty()) {
-        const auto baseline = parse_baseline(baseline_path);
+        std::map<BaselineKey, double> baseline;
+        try {
+            baseline = parse_baseline(baseline_path);
+        } catch (const std::runtime_error& e) {
+            std::cerr << "baseline " << e.what() << "\n";
+            return 1;
+        }
         if (baseline.empty()) {
             std::cerr << "baseline " << baseline_path
                       << " missing or unparseable\n";
@@ -1499,7 +1313,7 @@ int main(int argc, char** argv) {
                                            sync_str(point),
                                            grain_label(point)});
             if (it == baseline.end() || it->second <= 0) continue;
-            const double ratio = result.events_per_s / it->second;
+            const double ratio = result.flows_per_s / it->second;
             std::cout << "  " << point.flows << "x" << point.services << " ("
                       << backend_str(point.backend) << ", shards "
                       << point.shards << ", " << sdn::to_string(point.fidelity)
@@ -1514,11 +1328,11 @@ int main(int argc, char** argv) {
         }
         const double mean_ratio =
             std::exp(log_ratio_sum / static_cast<double>(compared));
-        std::cout << "events/s vs baseline (geometric mean over " << compared
+        std::cout << "flows/s vs baseline (geometric mean over " << compared
                   << " points): " << workload::TextTable::num(mean_ratio, 2)
                   << "x\n";
         if (mean_ratio < 0.8) {
-            std::cerr << "REGRESSION: events/s dropped "
+            std::cerr << "REGRESSION: flows/s dropped "
                       << workload::TextTable::num((1 - mean_ratio) * 100, 0)
                       << "% vs baseline (gate: 20%)\n";
             return 1;

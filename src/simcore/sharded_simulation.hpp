@@ -4,21 +4,20 @@
 //
 // ## Execution model
 //
-// Three coordinators are available (Options::sync), all built on the same
+// Two coordinators are available (Options::sync), both built on the same
 // per-domain primitives and producing bit-identical runs:
 //
 //  * kBarrier — global barrier rounds. Each round computes the earliest
 //    pending work time across every domain, `next`, and executes all domains
 //    up to `next + lookahead` (the minimum channel lookahead), then delivers
 //    all cross-domain messages at the barrier. Simple, fully synchronous,
-//    kept for differential testing.
-//  * kChannelLocked — asynchronous channel clocks (Chandy-Misra-Bryant null
-//    messages) with all shared state under one mutex + condvar (the PR-8
-//    coordinator, kept for differential testing). Every domain continuously
-//    publishes a *horizon* — a lower bound on the timestamp of anything it
-//    will still execute (and therefore send + channel lookahead later). A
-//    domain's safe execution bound is the minimum EIT (earliest input time)
-//    over its in-channels,
+//    kept as the differential-testing oracle.
+//  * kChannel (default) — asynchronous channel clocks (Chandy-Misra-Bryant
+//    null messages) on a mostly lock-free synchronization plane (DESIGN
+//    §8.7). Every domain continuously publishes a *horizon* — a lower bound
+//    on the timestamp of anything it will still execute (and therefore
+//    send + channel lookahead later). A domain's safe execution bound is the
+//    minimum EIT (earliest input time) over its in-channels,
 //
 //        safe_end(d) = min over channels (s -> d) of horizon(s) + L(s, d)
 //
@@ -28,21 +27,18 @@
 //    payload are the null messages; strictly positive channel lookaheads
 //    make the horizon fixpoint climb around any channel cycle, which is the
 //    classic deadlock-freedom argument. Cross-domain messages travel in
-//    per-(src, dst, window) batches: one staging append and one wakeup per
-//    batch, not per message.
-//  * kChannel (default) — the same channel-clock protocol on a mostly
-//    lock-free synchronization plane (DESIGN §8.7). Horizons are monotone
-//    atomics published per directed channel (release) and read into EIT
-//    without any lock (acquire); message batches travel through bounded SPSC
-//    mailbox rings, one per directed channel (the producer is the lane
-//    owning src, the consumer the lane owning dst — both fixed for the run);
-//    lanes track a per-domain dirty set and spin-then-park on a per-lane
-//    Eventcount instead of a global condvar; horizon advances smaller than a
-//    per-channel grain (Options::horizon_grain × lookahead) are withheld
-//    unless a batch rode along or the downstream *demanded* the update — an
-//    EIT-blocked domain pokes exactly its laggard upstream instead of all
-//    upstreams broadcasting continuously. The sync mutex survives only on
-//    the quiescence slow path (every lane idle).
+//    per-(src, dst, window) batches: one ring push and one wakeup per batch,
+//    not per message. Horizons are monotone atomics published per directed
+//    channel (release) and read into EIT without any lock (acquire); message
+//    batches travel through bounded SPSC mailbox rings, one per directed
+//    channel (the producer is the lane owning src, the consumer the lane
+//    owning dst — both fixed for the run); lanes track a per-domain dirty
+//    set and spin-then-park on a per-lane Eventcount. With a positive
+//    Options::horizon_grain, payload-free horizon advances are withheld and
+//    a quiescence-time lift publishes the climb's fixpoint in one shot; an
+//    EIT-blocked domain pokes exactly its laggard upstream (a *demand*)
+//    instead of all upstreams broadcasting continuously. The sync mutex
+//    survives only on the quiescence slow path (every lane idle).
 //
 // ## Determinism argument
 //
@@ -84,8 +80,8 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -104,9 +100,8 @@ class Eventcount;
 
 /// Coordinator algorithm selector (Options::sync, TEDGE_SYNC).
 enum class SyncMode : std::uint8_t {
-    kBarrier,        ///< global barrier rounds (PR-5 coordinator, kept for diffing)
-    kChannelLocked,  ///< channel clocks, all state under one mutex (PR-8)
-    kChannel,        ///< channel clocks on the lock-free plane (default)
+    kBarrier,  ///< global barrier rounds (the differential-testing oracle)
+    kChannel,  ///< channel clocks on the lock-free plane (default)
 };
 
 class ShardedSimulation {
@@ -132,18 +127,18 @@ public:
         /// Worker threads (0 = one per lane, capped by the hardware). Only
         /// affects wall-clock speed, never results.
         std::size_t workers = 0;
-        /// Coordinator algorithm; results are identical under every mode.
-        /// Defaults from TEDGE_SYNC ("barrier"/"channel-locked"/"channel"),
-        /// else kChannel.
+        /// Coordinator algorithm; results are identical under both modes.
+        /// Defaults from TEDGE_SYNC ("barrier" or "channel"), else kChannel.
         SyncMode sync = default_sync();
-        /// Null-message suppression grain of the lock-free channel
-        /// coordinator, as a fraction of each directed channel's lookahead:
-        /// a horizon advance smaller than grain × L(src, dst) is withheld
-        /// unless the publishing pass executed events, flushed a batch, or
-        /// the downstream demanded it. 0 publishes every advance (the PR-8
-        /// behaviour). Changes scheduling pressure only — results are
-        /// byte-identical at any grain. Defaults from TEDGE_GRAIN (a
-        /// non-negative double), else 0.25.
+        /// Null-message suppression switch of the channel coordinator. 0
+        /// publishes every horizon advance (the incremental climb). Any
+        /// positive value withholds payload-free advances — a pass that
+        /// executed no event and flushed no batch publishes nothing — and
+        /// lets the quiescence-time lift advance every horizon to its
+        /// fixpoint in one shot; the magnitude is not read. Changes
+        /// scheduling pressure only — results are byte-identical at any
+        /// grain. Defaults from TEDGE_GRAIN (a non-negative double), else
+        /// 0.25.
         double horizon_grain = default_grain();
         /// Pin lane threads to cores (lane i -> core i mod hardware size)
         /// via pthread_setaffinity_np; cores < lanes degrades to sharing
@@ -152,8 +147,9 @@ public:
         bool pin_lanes = default_pin();
     };
 
-    /// Process-wide default sync mode: kChannel unless TEDGE_SYNC names
-    /// another coordinator ("barrier" or "channel-locked").
+    /// Process-wide default sync mode: kChannel unless TEDGE_SYNC is set.
+    /// Throws std::invalid_argument when TEDGE_SYNC is set to anything but
+    /// "barrier" or "channel".
     [[nodiscard]] static SyncMode default_sync();
     /// Process-wide default lane pinning: off unless TEDGE_PIN=1.
     [[nodiscard]] static bool default_pin();
@@ -229,26 +225,26 @@ public:
 
     /// Pure null messages so far: horizon publications that advanced a
     /// channel clock without carrying any message batch or executed event
-    /// (channel modes only; barrier mode has none). Deterministic with a
+    /// (channel mode only; barrier mode has none). Deterministic with a
     /// single worker — the liveness tests bound it.
     [[nodiscard]] std::uint64_t null_messages() const { return null_messages_; }
 
-    /// Horizon advances withheld by the suppression grain so far (lock-free
-    /// channel mode only). Deterministic with a single worker.
+    /// Horizon advances withheld by the suppression grain so far (channel
+    /// mode only). Deterministic with a single worker.
     [[nodiscard]] std::uint64_t suppressed_publications() const {
         return suppressed_publications_;
     }
 
-    /// Demand pulls issued by EIT-blocked domains so far (lock-free channel
-    /// mode only). Deterministic with a single worker.
+    /// Demand pulls issued by EIT-blocked domains so far (channel mode
+    /// only). Deterministic with a single worker.
     [[nodiscard]] std::uint64_t demand_requests() const { return demand_requests_; }
 
-    /// Lane gate wakeups so far (lock-free channel mode only): returns from
+    /// Lane gate wakeups so far (channel mode only): returns from
     /// the per-lane Eventcount, spin or park alike. Wall-clock-dependent
     /// with multiple workers.
     [[nodiscard]] std::uint64_t lane_wakeups() const { return wakeups_; }
 
-    /// Per-lane accounting of the most recent run call (channel modes;
+    /// Per-lane accounting of the most recent run call (channel mode;
     /// empty after barrier runs). The *_ns members are wall-clock quantities
     /// — reporting only, never part of simulation results.
     struct LaneStat {
@@ -300,14 +296,9 @@ private:
     std::uint64_t drive(Mode mode, SimTime deadline);
     void drive_single(Mode mode, SimTime deadline);
     void drive_barrier(Mode mode, SimTime deadline);
-    void drive_channel_locked(Mode mode, SimTime deadline);
-    void channel_lane_locked(std::size_t lane, std::size_t nlanes, Mode mode,
-                             SimTime deadline);
     void drive_channel(Mode mode, SimTime deadline);
     void channel_lane(std::size_t lane, std::size_t nlanes, Mode mode,
                       SimTime deadline);
-    [[nodiscard]] SimTime safe_end_locked(DomainId dst) const;
-    [[nodiscard]] bool quiescent_locked(Mode mode, SimTime deadline) const;
     void build_in_channels();
     void build_channel_plane();
     void drain_staged_inboxes();
@@ -329,20 +320,10 @@ private:
     std::vector<std::vector<std::pair<DomainId, SimTime>>> in_channels_;
     bool in_channels_built_ = false;
 
-    // Locked-channel-coordinator shared state, guarded by sync_mu_. Horizons
-    // and fence only ever grow; staged_ holds flushed batches until the
-    // owning lane merges them into the domain inbox (buffers keep their
-    // capacity across windows and runs — no per-round reallocation). The
-    // lock-free coordinator reuses sync_mu_ for its idle-registration slow
-    // path only.
+    // The channel coordinator's only lock: it guards idle registration and
+    // the quiescence scan (the slow path taken when every lane is idle) and
+    // the first exception a lane raises.
     std::mutex sync_mu_;
-    std::condition_variable sync_cv_;
-    std::vector<SimTime> horizon_;
-    std::vector<std::vector<Domain::Message>> staged_;
-    SimTime fence_ = SimTime::zero();
-    std::uint64_t version_ = 0;
-    std::size_t busy_lanes_ = 0;  ///< lanes currently executing unlocked
-    bool done_ = false;
     std::exception_ptr lane_error_;
 
     // ---- lock-free channel plane (SyncMode::kChannel; DESIGN §8.7) ----
@@ -359,7 +340,6 @@ private:
         DomainId src = 0;
         DomainId dst = 0;
         SimTime lookahead = SimTime::zero();
-        std::int64_t grain_ns = 0;  ///< horizon_grain × lookahead, in ns
     };
     struct alignas(64) ChannelClock {
         std::atomic<std::int64_t> horizon{0};  ///< published ns, monotone

@@ -1,15 +1,17 @@
 // Differential and liveness tests for the asynchronous channel-clock
 // coordinator: barrier-vs-channel byte identity at several shard/worker
-// combinations, per-directed-channel lookahead contracts, null-message
-// propagation past silent upstream domains, counter determinism on the
-// single-worker path, and the core-pinning option.
+// combinations, TEDGE_SYNC validation, per-directed-channel lookahead
+// contracts, null-message propagation past silent upstream domains, counter
+// determinism on the single-worker path, and the core-pinning option.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -193,9 +195,7 @@ TEST(ChannelSyncDifferentialTest, BarrierAndChannelProduceIdenticalRuns) {
         ASSERT_GT(base.messages, 0u);
         ASSERT_FALSE(base.logs.empty());
 
-        for (const SyncMode sync :
-             {SyncMode::kBarrier, SyncMode::kChannelLocked,
-              SyncMode::kChannel}) {
+        for (const SyncMode sync : {SyncMode::kBarrier, SyncMode::kChannel}) {
             for (const std::size_t shards : {1u, 2u, 8u}) {
                 for (const std::size_t workers : {1u, 4u}) {
                     ScenarioConfig config = base_config;
@@ -205,9 +205,7 @@ TEST(ChannelSyncDifferentialTest, BarrierAndChannelProduceIdenticalRuns) {
                     const RunDigest run = run_scenario(config);
                     const std::string label =
                         std::string(sync == SyncMode::kBarrier ? "barrier "
-                                    : sync == SyncMode::kChannelLocked
-                                        ? "channel-locked "
-                                        : "channel ") +
+                                                               : "channel ") +
                         std::to_string(shards) + "x" + std::to_string(workers) +
                         (explicit_channels ? " explicit" : " mesh");
                     EXPECT_EQ(run.events, base.events) << label;
@@ -280,6 +278,70 @@ TEST(ChannelSyncDifferentialTest, CountersDeterministicWithSingleWorker) {
     EXPECT_EQ(nulls_a, nulls_b);
     EXPECT_EQ(rounds_a, rounds_b);
     EXPECT_GT(rounds_a, 0u);
+}
+
+// ------------------------------------------------------ TEDGE_SYNC values
+
+/// Sets TEDGE_SYNC (nullptr unsets it) for one scope and restores the
+/// caller's value afterwards, so the rest of the suite keeps running under
+/// whichever coordinator the environment selected.
+class ScopedSyncEnv {
+public:
+    explicit ScopedSyncEnv(const char* value) {
+        if (const char* prev = std::getenv("TEDGE_SYNC")) saved_ = prev;
+        if (value != nullptr) {
+            ::setenv("TEDGE_SYNC", value, 1);
+        } else {
+            ::unsetenv("TEDGE_SYNC");
+        }
+    }
+    ~ScopedSyncEnv() {
+        if (saved_) {
+            ::setenv("TEDGE_SYNC", saved_->c_str(), 1);
+        } else {
+            ::unsetenv("TEDGE_SYNC");
+        }
+    }
+    ScopedSyncEnv(const ScopedSyncEnv&) = delete;
+    ScopedSyncEnv& operator=(const ScopedSyncEnv&) = delete;
+
+private:
+    std::optional<std::string> saved_;
+};
+
+// TEDGE_SYNC names one of the two coordinators or nothing at all. Any other
+// value -- a name this build has no coordinator for, a typo -- must fail
+// loudly instead of silently running the default, and the error must list
+// what is accepted.
+TEST(SyncModeEnvTest, AcceptsExactlyBarrierAndChannel) {
+    {
+        const ScopedSyncEnv env(nullptr);
+        EXPECT_EQ(ShardedSimulation::default_sync(), SyncMode::kChannel);
+    }
+    {
+        const ScopedSyncEnv env("barrier");
+        EXPECT_EQ(ShardedSimulation::default_sync(), SyncMode::kBarrier);
+        EXPECT_EQ(ShardedSimulation::Options{}.sync, SyncMode::kBarrier);
+    }
+    {
+        const ScopedSyncEnv env("channel");
+        EXPECT_EQ(ShardedSimulation::default_sync(), SyncMode::kChannel);
+    }
+    for (const char* bad : {"locked", "mutex", "Channel", "barrier ", ""}) {
+        const ScopedSyncEnv env(bad);
+        try {
+            static_cast<void>(ShardedSimulation::default_sync());
+            ADD_FAILURE() << "TEDGE_SYNC='" << bad << "' was accepted";
+        } catch (const std::invalid_argument& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("'barrier'"), std::string::npos) << what;
+            EXPECT_NE(what.find("'channel'"), std::string::npos) << what;
+        }
+        // Options reads the variable, so no coordinator can be built from it.
+        EXPECT_THROW(static_cast<void>(ShardedSimulation::Options{}),
+                     std::invalid_argument)
+            << bad;
+    }
 }
 
 // --------------------------------------------------- per-channel contracts

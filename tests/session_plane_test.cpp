@@ -712,8 +712,7 @@ TEST(CrossShardHandoffTest, ConservedAndIdenticalEverywhere) {
     EXPECT_GT(base.events, 0u);
     EXPECT_GT(base.messages, 0u);
 
-    for (const auto sync : {sim::SyncMode::kBarrier, sim::SyncMode::kChannelLocked,
-                            sim::SyncMode::kChannel}) {
+    for (const auto sync : {sim::SyncMode::kBarrier, sim::SyncMode::kChannel}) {
         for (const auto& [shards, workers] :
              std::vector<std::pair<std::size_t, std::size_t>>{
                  {1, 1}, {2, 1}, {2, 4}, {8, 1}, {8, 4}}) {
