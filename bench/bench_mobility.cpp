@@ -245,7 +245,6 @@ HandoffResult run_sharded_handoff(std::size_t shards, std::size_t workers,
     options.lookahead = sim::milliseconds(25);
     options.shards = shards;
     options.workers = workers;
-    options.sync = sim::SyncMode::kChannel;
     sim::ShardedSimulation sharded(options);
 
     std::vector<sim::Domain*> domains;

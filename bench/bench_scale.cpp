@@ -41,31 +41,17 @@
 // control-plane speedup. When both fidelities sweep the 1M x 8 wheel point,
 // the run fails unless hybrid is >= 10x exact.
 //
-// The sharded rows have a sync dimension (--sync, default "channel"): the
-// coordinator that drives the domains -- the global barrier or the lock-free
-// channel plane (DESIGN §8). Points record the mode as "sync_mode" plus the
-// per-run lane accounting -- total lane busy/blocked wall time, the
-// null-message count, and the channel plane's wakeup/park/suppression/demand
-// counters -- so the shard-scaling table can attribute (lack of) speedup to
-// synchronization stalls vs lock contention. Serial rows never run a
-// coordinator and record sync_mode=barrier.
-//
-// Channel rows additionally sweep a grain dimension (--grain, a CSV of
-// non-negative values; default "0.25"): the null-message suppression switch
-// of DESIGN §8.7 (0 = incremental climb, positive = suppression plus the
-// quiescence lift). Grain changes scheduling pressure only, never results,
-// so every grain row produces the same simulation outcome; the sweep exists
-// to price suppression (nulls and wakeups per point). Rows of the other
-// coordinator, and serial rows, record grain=0.
+// Sharded rows run the production channel coordinator (DESIGN §8) and
+// record its per-run lane accounting -- total lane busy/blocked wall time,
+// the null-message count, and the channel plane's wakeup/park/suppression/
+// demand counters -- so the shard-scaling table can attribute (lack of)
+// speedup to synchronization stalls vs lock contention.
 //
 // Flags: --quick (skip the 1M row and the 10M/100M hybrid points: CI),
 //        --backend heap|wheel|both (event-queue backend to sweep; default
 //        wheel, `both` additionally prints a heap-vs-wheel table),
 //        --shards <csv> (shard counts to sweep, default 1,2,8),
 //        --fidelity exact|hybrid|both (default both),
-//        --sync channel|barrier|both (coordinator for sharded rows; default
-//        channel),
-//        --grain <csv> (suppression grains for channel rows, default 0.25),
 //        --out <file>, --baseline <file>.
 #include <algorithm>
 #include <chrono>
@@ -187,28 +173,10 @@ struct SweepPoint {
     sim::QueueBackend backend = sim::QueueBackend::kWheel;
     std::size_t shards = 1;  ///< 1 = serial kernel, > 1 = sharded control plane
     sdn::Fidelity fidelity = sdn::Fidelity::kExact;
-    sim::SyncMode sync = sim::SyncMode::kChannel;  ///< sharded points only
-    double grain = 0.25;  ///< horizon grain (channel coordinator only)
 };
 
 const char* backend_str(sim::QueueBackend backend) {
     return backend == sim::QueueBackend::kHeap ? "heap" : "wheel";
-}
-
-/// Label recorded in JSON and used as the baseline key. Serial points never
-/// run a coordinator and carry "barrier".
-const char* sync_str(const SweepPoint& point) {
-    if (point.shards <= 1 || point.sync == sim::SyncMode::kBarrier) {
-        return "barrier";
-    }
-    return "channel";
-}
-
-/// Grain recorded in JSON and used in the baseline key. Only the channel
-/// coordinator reads Options::horizon_grain, so every other row carries 0.
-double grain_label(const SweepPoint& point) {
-    if (point.shards <= 1 || point.sync != sim::SyncMode::kChannel) return 0.0;
-    return point.grain;
 }
 
 /// POD result shipped from the forked child back over the pipe.
@@ -232,7 +200,7 @@ struct PointResult {
     std::uint64_t wakeups = 0;      ///< lane gate wakeups (lock-free channel)
     std::uint64_t parks = 0;        ///< gate waits that hit the condvar path
     std::uint64_t parked_ns = 0;    ///< wall time lanes spent parked
-    std::uint64_t suppressed = 0;   ///< horizon advances withheld by the grain
+    std::uint64_t suppressed = 0;   ///< payload-free horizon advances withheld
     std::uint64_t demands = 0;      ///< demand pulls by EIT-blocked domains
     std::uint64_t digests = 0;      ///< digests the controller received
     std::uint32_t cores_used = 1;      ///< worker threads the point could use
@@ -556,8 +524,6 @@ PointResult run_point_sharded_once(const SweepPoint& point) {
     kernel.seed = 42;
     kernel.backend = point.backend;
     kernel.lookahead = kAccessLatency;
-    kernel.sync = point.sync;
-    kernel.horizon_grain = point.grain;
     sim::ShardedSimulation sharded(kernel);
 
     std::vector<sim::Domain*> edges;
@@ -766,9 +732,7 @@ std::string json_point(const SweepPoint& point, const PointResult& result) {
         << ", \"backend\": \"" << backend_str(point.backend)
         << "\", \"shards\": " << point.shards
         << ", \"fidelity\": \"" << sdn::to_string(point.fidelity)
-        << "\", \"sync_mode\": \"" << sync_str(point)
-        << "\", \"grain\": " << grain_label(point)
-        << ", \"cores_used\": " << result.cores_used
+        << "\", \"cores_used\": " << result.cores_used
         << ", \"hw_concurrency\": " << result.hw_concurrency
         << ", \"kernel_events\": " << result.kernel_events
         << ", \"sync_rounds\": " << result.sync_rounds
@@ -828,14 +792,14 @@ std::optional<std::string> extract_string(const std::string& line,
     return line.substr(start, end - start);
 }
 
-using BaselineKey = std::tuple<std::size_t, std::uint32_t, std::string,
-                               std::size_t, std::string, std::string, double>;
+using BaselineKey =
+    std::tuple<std::size_t, std::uint32_t, std::string, std::size_t, std::string>;
 
-/// flows/s per (flows, services, backend, shards, fidelity, sync, grain)
-/// point parsed from a BENCH_scale.json. Every line carrying a "flows" field
-/// is a point and must carry all seven key fields plus flows_per_s; a point
-/// missing any of them throws std::runtime_error naming the field (a
-/// baseline written by an older bench_scale must be regenerated).
+/// flows/s per (flows, services, backend, shards, fidelity) point parsed from
+/// a BENCH_scale.json. Every line carrying a "flows" field is a point and
+/// must carry all five key fields plus flows_per_s; a point missing any of
+/// them throws std::runtime_error naming the field (a baseline written by an
+/// older bench_scale must be regenerated).
 std::map<BaselineKey, double> parse_baseline(const std::string& path) {
     std::map<BaselineKey, double> baseline;
     std::ifstream in(path);
@@ -863,9 +827,7 @@ std::map<BaselineKey, double> parse_baseline(const std::string& path) {
                   static_cast<std::uint32_t>(number("services")),
                   string("backend"),
                   static_cast<std::size_t>(number("shards")),
-                  string("fidelity"),
-                  string("sync_mode"),
-                  number("grain")}] = number("flows_per_s");
+                  string("fidelity")}] = number("flows_per_s");
     }
     return baseline;
 }
@@ -887,23 +849,6 @@ std::optional<std::vector<std::size_t>> parse_shards_csv(const std::string& csv)
     return shards;
 }
 
-/// "0,0.25,1" -> {0, 0.25, 1}; nullopt on anything non-numeric or negative.
-std::optional<std::vector<double>> parse_grain_csv(const std::string& csv) {
-    std::vector<double> grains;
-    std::stringstream in(csv);
-    std::string token;
-    while (std::getline(in, token, ',')) {
-        char* end = nullptr;
-        const double value = std::strtod(token.c_str(), &end);
-        if (end == token.c_str() || *end != '\0' || value < 0) {
-            return std::nullopt;
-        }
-        grains.push_back(value);
-    }
-    if (grains.empty()) return std::nullopt;
-    return grains;
-}
-
 } // namespace
 } // namespace tedge::bench
 
@@ -917,8 +862,6 @@ int main(int argc, char** argv) {
     std::string backend_arg = "wheel";
     std::string shards_arg = "1,2,8";
     std::string fidelity_arg = "both";
-    std::string sync_arg = "channel";
-    std::string grain_arg = "0.25";
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--quick") {
@@ -933,16 +876,10 @@ int main(int argc, char** argv) {
             shards_arg = argv[++i];
         } else if (arg == "--fidelity" && i + 1 < argc) {
             fidelity_arg = argv[++i];
-        } else if (arg == "--sync" && i + 1 < argc) {
-            sync_arg = argv[++i];
-        } else if (arg == "--grain" && i + 1 < argc) {
-            grain_arg = argv[++i];
         } else {
             std::cerr << "usage: bench_scale [--quick] "
                          "[--backend heap|wheel|both] [--shards <csv>] "
                          "[--fidelity exact|hybrid|both] "
-                         "[--sync channel|barrier|both] "
-                         "[--grain <csv>] "
                          "[--out <file>] [--baseline <file>]\n";
             return 2;
         }
@@ -977,24 +914,6 @@ int main(int argc, char** argv) {
                   << "' (expected exact, hybrid, or both)\n";
         return 2;
     }
-    std::vector<sim::SyncMode> syncs;
-    if (sync_arg == "channel") {
-        syncs = {sim::SyncMode::kChannel};
-    } else if (sync_arg == "barrier") {
-        syncs = {sim::SyncMode::kBarrier};
-    } else if (sync_arg == "both") {
-        syncs = {sim::SyncMode::kBarrier, sim::SyncMode::kChannel};
-    } else {
-        std::cerr << "unknown --sync '" << sync_arg
-                  << "' (expected channel, barrier, or both)\n";
-        return 2;
-    }
-    const auto grain_values = parse_grain_csv(grain_arg);
-    if (!grain_values) {
-        std::cerr << "bad --grain '" << grain_arg
-                  << "' (expected comma-separated non-negative fractions)\n";
-        return 2;
-    }
 
     print_header("scale",
                  "control-plane scale sweep: concurrent flows x services -> "
@@ -1006,10 +925,10 @@ int main(int argc, char** argv) {
     const std::vector<std::uint32_t> service_counts = {1, 8, 64};
 
     std::vector<std::pair<SweepPoint, PointResult>> results;
-    workload::TextTable table({"fidelity", "backend", "shards", "sync",
-                               "grain", "flows", "services", "flows/s",
-                               "kernel ev/s", "install p50", "install p99",
-                               "lookup ns", "idle ns", "peak RSS MB"});
+    workload::TextTable table({"fidelity", "backend", "shards", "flows",
+                               "services", "flows/s", "kernel ev/s",
+                               "install p50", "install p99", "lookup ns",
+                               "idle ns", "peak RSS MB"});
     for (const auto fidelity : fidelities) {
         for (const auto backend : backends) {
             for (const auto shards : *shard_counts) {
@@ -1026,21 +945,10 @@ int main(int argc, char** argv) {
                     flow_counts.push_back(10'000'000);
                     flow_counts.push_back(100'000'000);
                 }
-                for (const auto sync : syncs) {
-                    // The sync dimension only exists for sharded points; a
-                    // serial point runs once no matter how many modes sweep.
-                    if (shards == 1 && sync != syncs.front()) continue;
-                for (const auto grain : *grain_values) {
-                    // Only the channel coordinator reads the grain; every
-                    // other row runs once no matter how many sweep.
-                    if ((shards == 1 || sync != sim::SyncMode::kChannel) &&
-                        grain != grain_values->front()) {
-                        continue;
-                    }
                 for (const auto flows : flow_counts) {
                     for (const auto services : service_counts) {
                         const SweepPoint point{flows, services, backend, shards,
-                                               fidelity, sync, grain};
+                                               fidelity};
                         const auto result = run_forked<PointResult>(
                             [point] { return run_point(point); });
                         if (!result) {
@@ -1067,10 +975,6 @@ int main(int argc, char** argv) {
                         table.add_row(
                             {sdn::to_string(fidelity), backend_str(backend),
                              std::to_string(shards),
-                             shards > 1 ? sync_str(point) : "-",
-                             shards > 1 && sync == sim::SyncMode::kChannel
-                                 ? workload::TextTable::num(grain, 2)
-                                 : "-",
                              std::to_string(flows), std::to_string(services),
                              workload::TextTable::num(result->flows_per_s, 0),
                              workload::TextTable::num(
@@ -1087,8 +991,6 @@ int main(int argc, char** argv) {
                                  static_cast<double>(result->rss_kb) / 1024.0,
                                  1)});
                     }
-                }
-                }
                 }
             }
         }
@@ -1178,11 +1080,11 @@ int main(int argc, char** argv) {
     // (wheel rows only; the serial wheel row is the committed baseline).
     // Column positions are read by the CI shard-efficiency gate.
     if (shard_counts->size() > 1) {
-        workload::TextTable scaling({"flows", "services", "shards", "sync",
-                                     "grain", "cores", "flows/s", "vs serial",
-                                     "per-core eff", "sync rounds", "nulls",
-                                     "wakeups", "parks/lane", "parked ms/lane",
-                                     "busy ms", "blocked ms", "digests"});
+        workload::TextTable scaling({"flows", "services", "shards", "cores",
+                                     "flows/s", "vs serial", "per-core eff",
+                                     "sync rounds", "nulls", "wakeups",
+                                     "parks/lane", "parked ms/lane", "busy ms",
+                                     "blocked ms", "digests"});
         for (const auto flows : base_flow_counts) {
             for (const auto services : service_counts) {
                 double serial_flows = 0;
@@ -1216,10 +1118,6 @@ int main(int argc, char** argv) {
                     scaling.add_row(
                         {std::to_string(flows), std::to_string(services),
                          std::to_string(point.shards),
-                         point.shards > 1 ? sync_str(point) : "-",
-                         point.shards > 1 && point.sync == sim::SyncMode::kChannel
-                             ? workload::TextTable::num(point.grain, 2)
-                             : "-",
                          std::to_string(result.cores_used),
                          workload::TextTable::num(result.flows_per_s, 0),
                          workload::TextTable::num(speedup, 2) + "x",
@@ -1309,9 +1207,7 @@ int main(int argc, char** argv) {
             const auto it = baseline.find({point.flows, point.services,
                                            backend_str(point.backend),
                                            point.shards,
-                                           sdn::to_string(point.fidelity),
-                                           sync_str(point),
-                                           grain_label(point)});
+                                           sdn::to_string(point.fidelity)});
             if (it == baseline.end() || it->second <= 0) continue;
             const double ratio = result.flows_per_s / it->second;
             std::cout << "  " << point.flows << "x" << point.services << " ("

@@ -132,30 +132,31 @@ const FlowEntry* FlowTable::peek(const Packet& packet, sim::SimTime now) const {
     return best;
 }
 
-std::size_t FlowTable::remove(const FlowMatch& match) {
-    const auto before = entries_.size();
-    std::erase_if(entries_, [&](const FlowEntry& e) { return e.match == match; });
-    const std::size_t removed = before - entries_.size();
+template <typename Pred>
+std::size_t FlowTable::remove_where(Pred pred) {
+    const std::size_t removed = std::erase_if(entries_, pred);
     if (removed > 0) reindex();
     return removed;
+}
+
+std::size_t FlowTable::remove(const FlowMatch& match) {
+    return remove_where([&](const FlowEntry& e) { return e.match == match; });
 }
 
 std::size_t FlowTable::remove_by_cookie(std::uint64_t cookie) {
-    const auto before = entries_.size();
-    std::erase_if(entries_, [&](const FlowEntry& e) { return e.cookie == cookie; });
-    const std::size_t removed = before - entries_.size();
-    if (removed > 0) reindex();
-    return removed;
+    return remove_where([&](const FlowEntry& e) { return e.cookie == cookie; });
 }
 
 std::size_t FlowTable::remove_by_src_ip(Ipv4 src_ip) {
-    const auto before = entries_.size();
-    std::erase_if(entries_, [&](const FlowEntry& e) {
+    return remove_where([&](const FlowEntry& e) {
         return e.match.src_ip && *e.match.src_ip == src_ip;
     });
-    const std::size_t removed = before - entries_.size();
-    if (removed > 0) reindex();
-    return removed;
+}
+
+std::size_t FlowTable::remove_by_target(NodeId node, std::uint16_t port) {
+    return remove_where([&](const FlowEntry& e) {
+        return e.action.forward_to == node && e.action.set_dst_port == port;
+    });
 }
 
 std::size_t FlowTable::expire(sim::SimTime now) {

@@ -51,6 +51,10 @@ public:
     /// src entries are kept: they are not client state). Returns count.
     std::size_t remove_by_src_ip(Ipv4 src_ip);
 
+    /// Remove all entries whose action steers to `port` on `node` (a delete
+    /// filtered by action: the endpoint closed). Returns removed count.
+    std::size_t remove_by_target(NodeId node, std::uint16_t port);
+
     /// Expire timed-out entries; invokes the removed-callback for each.
     std::size_t expire(sim::SimTime now);
 
@@ -103,6 +107,9 @@ private:
     /// Rebuild the exact index and wildcard list from entries_ (after any
     /// structural removal; removals are control-plane-rare, lookups hot).
     void reindex();
+    /// Erase every entry satisfying `pred`, then reindex if any went.
+    template <typename Pred>
+    std::size_t remove_where(Pred pred);
     void note_expiry(const FlowEntry& e);
     void sweep_if_due(sim::SimTime now);
 

@@ -115,4 +115,9 @@ void OvsSwitch::remove_flows_by_src_ip(Ipv4 src_ip) {
                   [this, src_ip] { table_.remove_by_src_ip(src_ip); });
 }
 
+void OvsSwitch::remove_flows_by_target(NodeId node, std::uint16_t port) {
+    sim_.schedule(config_.channel_latency,
+                  [this, node, port] { table_.remove_by_target(node, port); });
+}
+
 } // namespace tedge::net

@@ -71,6 +71,10 @@ public:
     /// weight -- or serve stale rewrites if the client ever bounced back.
     void remove_flows_by_src_ip(Ipv4 src_ip);
 
+    /// Remove every flow whose action steers to `port` on `node`: the
+    /// endpoint closed, so the rewrite would only get the client refused.
+    void remove_flows_by_target(NodeId node, std::uint16_t port);
+
     [[nodiscard]] FlowTable& table() { return table_; }
     [[nodiscard]] const FlowTable& table() const { return table_; }
     [[nodiscard]] NodeId node() const { return self_; }

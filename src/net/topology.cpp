@@ -143,7 +143,8 @@ void Topology::open_port(NodeId host, std::uint16_t port, Proto proto) {
 
 void Topology::close_port(NodeId host, std::uint16_t port, Proto proto) {
     const auto it = open_ports_.find(host);
-    if (it != open_ports_.end()) it->second.erase({port, proto});
+    if (it == open_ports_.end() || it->second.erase({port, proto}) == 0) return;
+    if (port_closed_cb_) port_closed_cb_(host, port, proto);
 }
 
 bool Topology::port_open(NodeId host, std::uint16_t port, Proto proto) const {

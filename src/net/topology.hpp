@@ -86,9 +86,18 @@ public:
     // this table.
 
     void open_port(NodeId host, std::uint16_t port, Proto proto = Proto::kTcp);
+    /// Close a port; when it was open, the port-closed callback runs.
     void close_port(NodeId host, std::uint16_t port, Proto proto = Proto::kTcp);
     [[nodiscard]] bool port_open(NodeId host, std::uint16_t port,
                                  Proto proto = Proto::kTcp) const;
+
+    using PortClosedCallback =
+        std::function<void(NodeId host, std::uint16_t port, Proto proto)>;
+    /// The SDN controller's hook for evicting switch entries that steer to
+    /// a closed endpoint. Pass nullptr to clear.
+    void set_port_closed_callback(PortClosedCallback cb) {
+        port_closed_cb_ = std::move(cb);
+    }
 
 private:
     struct Edge {
@@ -105,6 +114,7 @@ private:
     std::unordered_map<std::string, NodeId> by_name_;
     std::unordered_map<Ipv4, NodeId> by_ip_;
     std::unordered_map<NodeId, std::set<std::pair<std::uint16_t, Proto>>> open_ports_;
+    PortClosedCallback port_closed_cb_;
 
     /// Bumped by every routing-relevant mutation (add_host/add_switch/
     /// add_link). The cache remembers which version it was filled at and

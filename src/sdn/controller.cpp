@@ -22,8 +22,8 @@ Controller::Controller(sim::Simulation& sim, net::Topology& topo,
                        core::DeploymentEngine& engine,
                        std::vector<orchestrator::Cluster*> clusters,
                        ControllerConfig config)
-    : sim_(sim), ingress_(ingress), engine_(engine), clusters_(clusters),
-      config_(with_fidelity(std::move(config))),
+    : sim_(sim), topo_(topo), ingress_(ingress), engine_(engine),
+      clusters_(clusters), config_(with_fidelity(std::move(config))),
       flow_memory_(sim, config_.flow_memory),
       scheduler_(SchedulerRegistry::instance().create(config_.scheduler,
                                                       config_.scheduler_params)),
@@ -48,7 +48,15 @@ Controller::Controller(sim::Simulation& sim, net::Topology& topo,
                 on_idle_service(service, cluster);
             });
     }
+    // A closed instance port must not stay a switch target: a client whose
+    // entry outlived its pod would be refused instead of re-dispatched.
+    topo_.set_port_closed_callback(
+        [this](net::NodeId host, std::uint16_t port, net::Proto) {
+            dispatcher_->on_endpoint_closed(host, port);
+        });
 }
+
+Controller::~Controller() { topo_.set_port_closed_callback(nullptr); }
 
 void Controller::start() {
     if (started_) return;

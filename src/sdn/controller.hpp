@@ -44,6 +44,10 @@ public:
                ServiceRegistry& registry, core::DeploymentEngine& engine,
                std::vector<orchestrator::Cluster*> clusters,
                ControllerConfig config = {});
+    ~Controller();
+
+    Controller(const Controller&) = delete;
+    Controller& operator=(const Controller&) = delete;
 
     /// Attach to the primary switch (registers the packet-in handler).
     /// Idempotent.
@@ -67,6 +71,7 @@ private:
     void on_idle_service(const std::string& service, const std::string& cluster);
 
     sim::Simulation& sim_;
+    net::Topology& topo_;
     net::OvsSwitch& ingress_;
     core::DeploymentEngine& engine_;
     std::vector<orchestrator::Cluster*> clusters_;

@@ -449,4 +449,8 @@ void Dispatcher::on_best_ready(const orchestrator::ServiceSpec& spec) {
     memory_.forget_service(spec.name);
 }
 
+void Dispatcher::on_endpoint_closed(net::NodeId node, std::uint16_t port) {
+    for (auto* ingress : switches_) ingress->remove_flows_by_target(node, port);
+}
+
 } // namespace tedge::sdn

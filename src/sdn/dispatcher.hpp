@@ -88,6 +88,11 @@ public:
     /// re-dispatch to the new optimal instance.
     void on_best_ready(const orchestrator::ServiceSpec& spec);
 
+    /// An instance endpoint closed (its pod or container stopped): delete,
+    /// on every attached switch, the entries steering to it, so the next
+    /// packet re-dispatches instead of being refused.
+    void on_endpoint_closed(net::NodeId node, std::uint16_t port);
+
     /// A client re-homed (SessionPlane handover callback): sweep its stale
     /// flows off the old cell's switch and run the continuity policy over
     /// each of its memorized flows -- re-steer or migrate-and-warm.

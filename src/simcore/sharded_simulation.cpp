@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -30,29 +28,6 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0,
 }
 
 } // namespace
-
-SyncMode ShardedSimulation::default_sync() {
-    const char* env = std::getenv("TEDGE_SYNC");
-    if (env == nullptr) return SyncMode::kChannel;
-    if (std::strcmp(env, "barrier") == 0) return SyncMode::kBarrier;
-    if (std::strcmp(env, "channel") == 0) return SyncMode::kChannel;
-    throw std::invalid_argument("TEDGE_SYNC must be 'barrier' or 'channel'");
-}
-
-bool ShardedSimulation::default_pin() {
-    const char* env = std::getenv("TEDGE_PIN");
-    return env != nullptr && std::strcmp(env, "1") == 0;
-}
-
-double ShardedSimulation::default_grain() {
-    const char* env = std::getenv("TEDGE_GRAIN");
-    if (env != nullptr && *env != '\0') {
-        char* end = nullptr;
-        const double v = std::strtod(env, &end);
-        if (end != env && *end == '\0' && v >= 0.0) return v;
-    }
-    return 0.25;
-}
 
 ShardedSimulation::ShardedSimulation() : ShardedSimulation(Options{}) {}
 
@@ -218,9 +193,10 @@ std::uint64_t ShardedSimulation::drive(Mode mode, SimTime deadline) {
     return events_executed() - executed_before;
 }
 
-// With a single domain the coordinator is the serial kernel plus an optional
-// self-mailbox; windowed execution buys nothing and the old (pre-channel)
-// windowing is kept verbatim so single-domain runs stay bit-identical to
+// With a single domain the coordinator is the serial kernel: every post is a
+// self-post, which Domain::post inserts at post time, so the outbox stays
+// empty. Windowed execution buys nothing and the old (pre-channel) windowing
+// is kept verbatim so single-domain runs stay bit-identical to
 // Simulation::run()/run_until().
 void ShardedSimulation::drive_single(Mode mode, SimTime deadline) {
     Domain& d = *domains_[0];
@@ -239,21 +215,6 @@ void ShardedSimulation::drive_single(Mode mode, SimTime deadline) {
         }
         d.sim().run_window(window_end, mode == Mode::kRun);
         ++rounds_;
-        if (!d.outbox_.empty()) {
-            // Self-posts normally insert at post time; this only runs for
-            // messages staged before the immediate-insert rule could apply
-            // (none today -- kept for robustness).
-            std::sort(d.outbox_.begin(), d.outbox_.end(),
-                      [](const Domain::Message& a, const Domain::Message& b) {
-                          if (a.at != b.at) return a.at < b.at;
-                          return a.seq < b.seq;
-                      });
-            for (auto& m : d.outbox_) {
-                d.sim().schedule_at(m.at, std::move(m.fn), m.daemon);
-                ++d.delivered_;
-            }
-            d.outbox_.clear();
-        }
     }
 }
 
@@ -265,7 +226,7 @@ void ShardedSimulation::drive_barrier(Mode mode, SimTime deadline) {
             workers = std::min<std::size_t>(
                 lanes, std::max(1u, std::thread::hardware_concurrency()));
         }
-        pool_ = std::make_unique<ThreadPool>(workers, options_.pin_lanes);
+        pool_ = std::make_unique<ThreadPool>(workers);
     }
     // A channel-mode run that died exceptionally can leave batches in the
     // mailbox rings, and messages posted outside any window (before the
@@ -399,10 +360,8 @@ bool ShardedSimulation::quiescent_lockfree(Mode mode, SimTime deadline) {
     // earlier event at j would have to ride a message chain from some k, each
     // hop costing at least its channel lookahead. Publishing the lifted
     // floors jumps every horizon straight past the drained gap; the heal
-    // below then wakes exactly the domains the jump made eligible. Grain 0
-    // keeps the PR-8 incremental behavior (no lift, no suppression), which is
-    // what the null-message A/B in CI measures against.
-    if (options_.horizon_grain > 0 && !edges_.empty()) {
+    // below then wakes exactly the domains the jump made eligible.
+    if (!edges_.empty()) {
         std::vector<std::int64_t> x(domains_.size());
         for (std::size_t i = 0; i < domains_.size(); ++i) {
             x[i] = domains_[i]->next_work_time().ns();
@@ -444,9 +403,10 @@ bool ShardedSimulation::quiescent_lockfree(Mode mode, SimTime deadline) {
         }
         if (owes) {
             // The plane is clean (no dirty flags, no ring content) yet this
-            // domain still owes work: a wakeup was suppressed by the grain or
-            // lost to the fence_wait_ race. Re-arm the owner -- this heal is
-            // the liveness backstop that lets suppression be aggressive.
+            // domain still owes work: a wakeup was suppressed with a null
+            // advance or lost to the fence_wait_ race. Re-arm the owner --
+            // this heal is the liveness backstop that lets suppression be
+            // aggressive.
             dirty_[i].store(1, std::memory_order_seq_cst);
             quiescent = false;
         }
@@ -462,7 +422,7 @@ bool ShardedSimulation::quiescent_lockfree(Mode mode, SimTime deadline) {
 // a fence raise it was waiting on, or a demand aimed at it); one examination
 // drains its mailboxes, runs a window to its EIT, flushes its outbox as one
 // SPSC batch per destination, and publishes its horizon per out-channel
-// subject to the suppression grain. No lock is taken anywhere on that path.
+// unless the advance is a pure null. No lock is taken anywhere on that path.
 // When a full pass finds nothing dirty the lane registers idle under
 // sync_mu_ (the only lock left) and parks on its Eventcount; the last lane
 // to idle with a clean plane runs the quiescence scan.
@@ -649,22 +609,18 @@ void ShardedSimulation::channel_lane(std::size_t lane, std::size_t nlanes,
         const SimTime h = std::min(d.next_work_time(), eit_now);
         const std::int64_t hns = h.ns();
         // A pure-null advance (nothing executed, nothing sent) is one step of
-        // the incremental EIT climb. With a positive grain those steps are
-        // withheld entirely -- demanded or not -- because the quiescence-time
-        // horizon lift computes the climb's fixpoint in one shot once the
-        // plane drains; publishing them here would keep the plane busy (each
-        // step re-dirties a consumer) and the lift would never run. Grain 0
-        // restores the incremental climb: every advance goes out, and a
-        // demanded one wakes its consumer -- then the only way a blocked
-        // consumer ever makes progress.
+        // the incremental EIT climb. Those steps are withheld entirely --
+        // demanded or not -- because the quiescence-time horizon lift
+        // computes the climb's fixpoint in one shot once the plane drains;
+        // publishing them here would keep the plane busy (each step
+        // re-dirties a consumer) and the lift would never run.
         const bool pure_null = executed == 0 && !sent_any;
-        const bool lift_covers = pure_null && options_.horizon_grain > 0;
         bool published_any = false;
         for (const auto e : out_edges_[i]) {
             ChannelClock& clk = clocks_[e];
             const std::int64_t cur = clk.horizon.load(std::memory_order_relaxed);
             const bool demanded = clk.demand.load(std::memory_order_seq_cst) != 0;
-            if (hns > cur && lift_covers) {
+            if (hns > cur && pure_null) {
                 ++stat.suppressed;
             } else if (hns > cur) {
                 clk.horizon.store(hns, std::memory_order_seq_cst);
@@ -691,7 +647,11 @@ void ShardedSimulation::channel_lane(std::size_t lane, std::size_t nlanes,
         }
         if (published_any) {
             publications_.fetch_add(1, std::memory_order_relaxed);
-            if (executed == 0 && !sent_any) ++stat.nulls;
+            // Unreachable while pure nulls take the suppression branch
+            // above; counted so that a publication path which stops
+            // withholding them shows in null_messages(), which
+            // channel_sync_test bounds at zero.
+            if (pure_null) ++stat.nulls;
         }
         // Record what this domain is fence-blocked on (max = nothing), so a
         // fence raise wakes it without a broadcast. A racing raise that
@@ -841,14 +801,13 @@ void ShardedSimulation::drive_channel(Mode mode, SimTime deadline) {
     if (nlanes <= 1) {
         // Deterministic inline path: one lane, calling thread, fixed pass
         // order -- the window, null, suppression, and demand counters are
-        // all reproducible here (the CI gates rely on it).
+        // all reproducible here (channel_sync_test bounds them).
         channel_lane(0, 1, mode, deadline);
     } else {
         std::vector<std::thread> threads;
         threads.reserve(nlanes);
         for (std::size_t t = 0; t < nlanes; ++t) {
             threads.emplace_back([this, t, nlanes, mode, deadline] {
-                if (options_.pin_lanes) pin_current_thread_to_core(t);
                 channel_lane(t, nlanes, mode, deadline);
             });
         }

@@ -4,20 +4,16 @@
 //
 // ## Execution model
 //
-// Two coordinators are available (Options::sync), both built on the same
-// per-domain primitives and producing bit-identical runs:
+// Two coordinators exist (Options::sync), both built on the same per-domain
+// primitives and producing bit-identical runs:
 //
-//  * kBarrier — global barrier rounds. Each round computes the earliest
-//    pending work time across every domain, `next`, and executes all domains
-//    up to `next + lookahead` (the minimum channel lookahead), then delivers
-//    all cross-domain messages at the barrier. Simple, fully synchronous,
-//    kept as the differential-testing oracle.
-//  * kChannel (default) — asynchronous channel clocks (Chandy-Misra-Bryant
-//    null messages) on a mostly lock-free synchronization plane (DESIGN
-//    §8.7). Every domain continuously publishes a *horizon* — a lower bound
-//    on the timestamp of anything it will still execute (and therefore
-//    send + channel lookahead later). A domain's safe execution bound is the
-//    minimum EIT (earliest input time) over its in-channels,
+//  * kChannel (default, the production coordinator) — asynchronous channel
+//    clocks (Chandy-Misra-Bryant null messages) on a mostly lock-free
+//    synchronization plane (DESIGN §8.7). Every domain continuously
+//    publishes a *horizon* — a lower bound on the timestamp of anything it
+//    will still execute (and therefore send + channel lookahead later). A
+//    domain's safe execution bound is the minimum EIT (earliest input time)
+//    over its in-channels,
 //
 //        safe_end(d) = min over channels (s -> d) of horizon(s) + L(s, d)
 //
@@ -33,12 +29,17 @@
 //    batches travel through bounded SPSC mailbox rings, one per directed
 //    channel (the producer is the lane owning src, the consumer the lane
 //    owning dst — both fixed for the run); lanes track a per-domain dirty
-//    set and spin-then-park on a per-lane Eventcount. With a positive
-//    Options::horizon_grain, payload-free horizon advances are withheld and
-//    a quiescence-time lift publishes the climb's fixpoint in one shot; an
-//    EIT-blocked domain pokes exactly its laggard upstream (a *demand*)
-//    instead of all upstreams broadcasting continuously. The sync mutex
-//    survives only on the quiescence slow path (every lane idle).
+//    set and spin-then-park on a per-lane Eventcount. Payload-free horizon
+//    advances are withheld and a quiescence-time lift publishes the climb's
+//    fixpoint in one shot; an EIT-blocked domain pokes exactly its laggard
+//    upstream (a *demand*) instead of all upstreams broadcasting
+//    continuously. The sync mutex survives only on the quiescence slow path
+//    (every lane idle).
+//  * kBarrier — global barrier rounds. Each round computes the earliest
+//    pending work time across every domain, `next`, and executes all domains
+//    up to `next + lookahead` (the minimum channel lookahead), then delivers
+//    all cross-domain messages at the barrier. Simple and fully synchronous:
+//    the differential-testing oracle, selected only by tests.
 //
 // ## Determinism argument
 //
@@ -98,7 +99,7 @@ namespace tedge::sim {
 class ThreadPool;
 class Eventcount;
 
-/// Coordinator algorithm selector (Options::sync, TEDGE_SYNC).
+/// Coordinator algorithm selector (Options::sync).
 enum class SyncMode : std::uint8_t {
     kBarrier,  ///< global barrier rounds (the differential-testing oracle)
     kChannel,  ///< channel clocks on the lock-free plane (default)
@@ -128,33 +129,9 @@ public:
         /// affects wall-clock speed, never results.
         std::size_t workers = 0;
         /// Coordinator algorithm; results are identical under both modes.
-        /// Defaults from TEDGE_SYNC ("barrier" or "channel"), else kChannel.
-        SyncMode sync = default_sync();
-        /// Null-message suppression switch of the channel coordinator. 0
-        /// publishes every horizon advance (the incremental climb). Any
-        /// positive value withholds payload-free advances — a pass that
-        /// executed no event and flushed no batch publishes nothing — and
-        /// lets the quiescence-time lift advance every horizon to its
-        /// fixpoint in one shot; the magnitude is not read. Changes
-        /// scheduling pressure only — results are byte-identical at any
-        /// grain. Defaults from TEDGE_GRAIN (a non-negative double), else
-        /// 0.25.
-        double horizon_grain = default_grain();
-        /// Pin lane threads to cores (lane i -> core i mod hardware size)
-        /// via pthread_setaffinity_np; cores < lanes degrades to sharing
-        /// cores, unsupported platforms to a no-op. Defaults from
-        /// TEDGE_PIN=1. Only affects wall-clock speed, never results.
-        bool pin_lanes = default_pin();
+        /// kBarrier exists as the differential-testing oracle.
+        SyncMode sync = SyncMode::kChannel;
     };
-
-    /// Process-wide default sync mode: kChannel unless TEDGE_SYNC is set.
-    /// Throws std::invalid_argument when TEDGE_SYNC is set to anything but
-    /// "barrier" or "channel".
-    [[nodiscard]] static SyncMode default_sync();
-    /// Process-wide default lane pinning: off unless TEDGE_PIN=1.
-    [[nodiscard]] static bool default_pin();
-    /// Process-wide default suppression grain: TEDGE_GRAIN, else 0.25.
-    [[nodiscard]] static double default_grain();
 
     ShardedSimulation();
     explicit ShardedSimulation(Options options);
@@ -225,12 +202,12 @@ public:
 
     /// Pure null messages so far: horizon publications that advanced a
     /// channel clock without carrying any message batch or executed event
-    /// (channel mode only; barrier mode has none). Deterministic with a
-    /// single worker — the liveness tests bound it.
+    /// (channel mode only; barrier mode has none). Suppression withholds
+    /// every such advance, so this stays 0 — the liveness tests bound it.
     [[nodiscard]] std::uint64_t null_messages() const { return null_messages_; }
 
-    /// Horizon advances withheld by the suppression grain so far (channel
-    /// mode only). Deterministic with a single worker.
+    /// Payload-free horizon advances withheld so far (channel mode only).
+    /// Deterministic with a single worker.
     [[nodiscard]] std::uint64_t suppressed_publications() const {
         return suppressed_publications_;
     }
@@ -255,7 +232,7 @@ public:
         std::uint64_t parked_ns = 0;   ///< wall-clock spent parked on the condvar
         std::uint64_t wakeups = 0;     ///< returns from the lane gate
         std::uint64_t nulls = 0;       ///< pure null publications by this lane
-        std::uint64_t suppressed = 0;  ///< advances withheld by the grain
+        std::uint64_t suppressed = 0;  ///< payload-free advances withheld
         std::uint64_t demands = 0;     ///< demand pulls issued by this lane
     };
     [[nodiscard]] const std::vector<LaneStat>& lane_stats() const {

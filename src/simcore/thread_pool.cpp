@@ -3,11 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace tedge::sim {
 
 void cpu_relax() noexcept {
@@ -54,31 +49,13 @@ bool Eventcount::wait(std::uint64_t ticket, std::uint64_t* parked_ns, int spin) 
     return true;
 }
 
-bool pin_current_thread_to_core(std::size_t core) {
-#ifdef __linux__
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    const std::size_t target = core % hw;
-    if (target >= CPU_SETSIZE) return false;
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(target, &set);
-    return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-    (void)core;
-    return false;
-#endif
-}
-
-ThreadPool::ThreadPool(std::size_t threads, bool pin_to_cores) {
+ThreadPool::ThreadPool(std::size_t threads) {
     if (threads == 0) {
         threads = std::max(1u, std::thread::hardware_concurrency());
     }
     workers_.reserve(threads);
     for (std::size_t i = 0; i < threads; ++i) {
-        workers_.emplace_back([this, i, pin_to_cores] {
-            if (pin_to_cores) pin_current_thread_to_core(i);
-            worker_loop();
-        });
+        workers_.emplace_back([this] { worker_loop(); });
     }
 }
 

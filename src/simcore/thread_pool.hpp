@@ -1,8 +1,8 @@
 // Work-stealing-free, queue-based thread pool used to run independent
 // simulation replicas in parallel (one Simulation per task; the kernel itself
 // is single-threaded and deterministic, so parallelism lives *across* runs).
-// Also home to the low-level waiting primitives the sharded coordinator's
-// lanes use: core pinning and the spin-then-park Eventcount.
+// Also home to the low-level waiting primitive the sharded coordinator's
+// lanes use: the spin-then-park Eventcount.
 #pragma once
 
 #include <atomic>
@@ -17,12 +17,6 @@
 #include <vector>
 
 namespace tedge::sim {
-
-/// Pin the calling thread to CPU core `core % hardware_concurrency` via the
-/// platform affinity API. Returns false (and changes nothing) when pinning
-/// is unsupported on this platform or the kernel rejects the mask; never
-/// throws. Purely a wall-clock optimization -- results never depend on it.
-bool pin_current_thread_to_core(std::size_t core);
 
 /// Hint the CPU that the caller is spinning (PAUSE/YIELD where available).
 void cpu_relax() noexcept;
@@ -68,9 +62,7 @@ private:
 class ThreadPool {
 public:
     /// Create a pool with `threads` workers (0 -> hardware_concurrency).
-    /// With `pin_to_cores`, worker i pins itself to core i modulo the
-    /// hardware size (fewer cores than workers degrades to sharing cores).
-    explicit ThreadPool(std::size_t threads = 0, bool pin_to_cores = false);
+    explicit ThreadPool(std::size_t threads = 0);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool&) = delete;

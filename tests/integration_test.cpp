@@ -3,6 +3,9 @@
 // and without waiting, flow memory, and scale-down of idle services.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "testbed/c3.hpp"
 #include "workload/http_client.hpp"
 
@@ -260,6 +263,83 @@ TEST(Integration, K8sDeploymentServesRequestButSlowerThanDocker) {
     EXPECT_GT(k8s_total.seconds(), 1.5);
     EXPECT_LT(k8s_total.seconds(), 6.0);
     EXPECT_GT(k8s_total.ns(), docker_total.ns() * 2);
+}
+
+/// Outcome counts of a batch of scheduled requests.
+struct Outcomes {
+    int ok = 0;
+    std::vector<std::string> errors;
+};
+
+/// Send one request from `client` to `address` at simulated time `at`.
+void request_at(testbed::C3Testbed& tb, net::NodeId client,
+                const net::ServiceAddress& address, sim::SimTime at,
+                Outcomes& out) {
+    auto& platform = tb.platform;
+    platform.simulation().schedule_at(at, [&platform, client, address, &out] {
+        platform.http_request(client, address, 120,
+                              [&out](const net::HttpResult& r) {
+                                  if (r.ok) {
+                                      ++out.ok;
+                                  } else {
+                                      out.errors.push_back(r.error);
+                                  }
+                              });
+    });
+}
+
+// A client that keeps its 10 s switch entry warm never reaches the
+// controller, so FlowMemory idles its flow out after 60 s and the controller
+// scales the pod down under it. The switch must stop steering to the closed
+// port: every request of a client streaming every 5 s for 180 s to an
+// on-demand k8s service, with controller defaults, succeeds.
+TEST(Integration, StreamingClientIsNeverSteeredToAClosedPod) {
+    C3Options options;
+    options.with_docker = false;
+    auto testbed = build_c3(options);
+    testbed->register_table1_services();
+    const auto& nginx = service_by_key("nginx");
+
+    Outcomes out;
+    for (int i = 0; i <= 36; ++i) {
+        request_at(*testbed, testbed->clients[0], nginx.address,
+                   sim::seconds(5 * i), out);
+    }
+    testbed->platform.simulation().run_until(sim::seconds(240));
+
+    EXPECT_EQ(out.ok, 37);
+    EXPECT_TRUE(out.errors.empty())
+        << out.errors.size() << " failed, first: " << out.errors.front();
+    EXPECT_GT(testbed->platform.controller().idle_scale_downs(), 0u);
+}
+
+// The controller can steer a new client to a pod it has just decided to
+// scale down (the pod is still listed ready). Client A's cold start is
+// memorized at ~7 s, so its flow idles out and triggers the scale-down
+// decision at the 70 s scan; client B's first request lands just after it
+// and is redirected to the terminating pod. When the pod's port closes, B's
+// switch entry must go with it, so B's second request re-dispatches instead
+// of being refused.
+TEST(Integration, ClientSteeredToTerminatingPodIsReDispatched) {
+    C3Options options;
+    options.with_docker = false;
+    auto testbed = build_c3(options);
+    testbed->register_table1_services();
+    const auto& nginx = service_by_key("nginx");
+
+    Outcomes a;
+    Outcomes b;
+    request_at(*testbed, testbed->clients[0], nginx.address, sim::seconds(0), a);
+    request_at(*testbed, testbed->clients[1], nginx.address,
+               sim::milliseconds(70'050), b);
+    request_at(*testbed, testbed->clients[1], nginx.address,
+               sim::milliseconds(72'050), b);
+    testbed->platform.simulation().run_until(sim::seconds(120));
+
+    EXPECT_EQ(a.ok, 1);
+    EXPECT_EQ(b.ok, 2);
+    EXPECT_TRUE(b.errors.empty()) << b.errors.front();
+    EXPECT_EQ(testbed->platform.controller().idle_scale_downs(), 1u);
 }
 
 } // namespace

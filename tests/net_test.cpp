@@ -1,6 +1,8 @@
 // Network substrate tests: addresses, flow tables, topology, shared links.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "net/address.hpp"
 #include "net/flow_table.hpp"
 #include "net/link.hpp"
@@ -205,6 +207,23 @@ TEST(FlowTable, RemoveByCookieAndMatch) {
     EXPECT_EQ(table.size(), 1u);
 }
 
+// A delete filtered by action: only entries steering to exactly that
+// (node, port) go.
+TEST(FlowTable, RemoveByTargetFiltersOnAction) {
+    FlowTable table;
+    for (std::uint16_t port = 1; port <= 3; ++port) {
+        FlowEntry e;
+        e.match.dst_port = port;
+        e.action.forward_to = NodeId{port == 3 ? 8u : 7u};
+        e.action.set_dst_port = static_cast<std::uint16_t>(port == 2 ? 9000 : 8000);
+        table.install(e, sim::SimTime::zero());
+    }
+    EXPECT_EQ(table.remove_by_target(NodeId{7}, 8000), 1u);
+    ASSERT_EQ(table.size(), 2u);
+    EXPECT_EQ(*table.entries()[0].match.dst_port, 2);  // same node, other port
+    EXPECT_EQ(*table.entries()[1].match.dst_port, 3);  // same port, other node
+}
+
 TEST(FlowMatch, SpecificityCountsConcreteFields) {
     FlowMatch m;
     EXPECT_EQ(m.specificity(), 0);
@@ -311,8 +330,16 @@ TEST(Topology, PortBookkeeping) {
     topo.open_port(a, 80);
     EXPECT_TRUE(topo.port_open(a, 80));
     EXPECT_FALSE(topo.port_open(a, 80, Proto::kUdp));
+    std::vector<std::uint16_t> closed;
+    topo.set_port_closed_callback(
+        [&](NodeId, std::uint16_t port, Proto) { closed.push_back(port); });
     topo.close_port(a, 80);
     EXPECT_FALSE(topo.port_open(a, 80));
+    topo.close_port(a, 80);  // already closed: no second callback
+    topo.set_port_closed_callback(nullptr);
+    topo.open_port(a, 81);
+    topo.close_port(a, 81);  // callback cleared
+    EXPECT_EQ(closed, std::vector<std::uint16_t>{80});
 }
 
 // --------------------------------------------------------------- SharedLink

@@ -1,9 +1,12 @@
 // Determinism and correctness of the sharded conservative kernel:
 // ShardedSimulation / Domain, the (timestamp, source, sequence) mailbox
 // merge, per-domain RNG streams, TopologyPartition lookahead derivation,
-// the per-shard workload pumps, and the buffered log sinks.
+// the per-shard workload pumps, and the buffered log sinks. Every test that
+// runs a multi-domain coordinator runs it under both the production channel
+// coordinator and the barrier oracle.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -24,13 +27,22 @@ namespace {
 using sim::DomainId;
 using sim::ShardedSimulation;
 using sim::SimTime;
+using sim::SyncMode;
+
+constexpr std::array<SyncMode, 2> kSyncModes{SyncMode::kBarrier,
+                                             SyncMode::kChannel};
+
+const char* sync_name(SyncMode sync) {
+    return sync == SyncMode::kBarrier ? "barrier" : "channel";
+}
 
 ShardedSimulation::Options options_with(SimTime lookahead, std::size_t shards,
-                                        std::size_t workers) {
+                                        std::size_t workers, SyncMode sync) {
     ShardedSimulation::Options options;
     options.lookahead = lookahead;
     options.shards = shards;
     options.workers = workers;
+    options.sync = sync;
     return options;
 }
 
@@ -40,40 +52,44 @@ ShardedSimulation::Options options_with(SimTime lookahead, std::size_t shards,
 // per-source sequence) order regardless of posting order -- the total order
 // the determinism argument rests on.
 TEST(ShardedMailboxTest, DeliveryOrderIsTimestampSourceSequence) {
-    ShardedSimulation sharded(options_with(sim::milliseconds(10), 1, 1));
-    auto& a = sharded.add_domain("a");
-    auto& b = sharded.add_domain("b");
-    auto& dst = sharded.add_domain("dst");
+    for (const SyncMode sync : kSyncModes) {
+        SCOPED_TRACE(sync_name(sync));
+        ShardedSimulation sharded(options_with(sim::milliseconds(10), 1, 1, sync));
+        auto& a = sharded.add_domain("a");
+        auto& b = sharded.add_domain("b");
+        auto& dst = sharded.add_domain("dst");
 
-    std::vector<std::string> delivered;
-    const SimTime at = sim::milliseconds(50);
-    auto tag = [&](const std::string& name) {
-        return [&delivered, name] { delivered.push_back(name); };
-    };
+        std::vector<std::string> delivered;
+        const SimTime at = sim::milliseconds(50);
+        auto tag = [&](const std::string& name) {
+            return [&delivered, name] { delivered.push_back(name); };
+        };
 
-    // Post in deliberately scrambled order; all but one share a timestamp.
-    // Within domain `b`, seq follows post() call order.
-    a.sim().schedule(SimTime::zero(), [&] {
-        b.post(2, at, tag("b/0"));
-        a.post(2, at + sim::milliseconds(1), tag("a-late"));
-        b.post(2, at, tag("b/1"));
-        a.post(2, at, tag("a/0"));
-    });
-    sharded.run();
+        // Post in deliberately scrambled order; all but one share a
+        // timestamp. Within domain `b`, seq follows post() call order.
+        a.sim().schedule(SimTime::zero(), [&] {
+            b.post(2, at, tag("b/0"));
+            a.post(2, at + sim::milliseconds(1), tag("a-late"));
+            b.post(2, at, tag("b/1"));
+            a.post(2, at, tag("a/0"));
+        });
+        sharded.run();
 
-    ASSERT_EQ(delivered.size(), 4u);
-    // Same timestamp: source id 0 ("a") before source id 1 ("b"); within
-    // "b", sequence order; the later timestamp last.
-    EXPECT_EQ(delivered[0], "a/0");
-    EXPECT_EQ(delivered[1], "b/0");
-    EXPECT_EQ(delivered[2], "b/1");
-    EXPECT_EQ(delivered[3], "a-late");
-    EXPECT_EQ(sharded.messages_delivered(), 4u);
-    EXPECT_EQ(dst.sim().events_executed(), 4u);
+        ASSERT_EQ(delivered.size(), 4u);
+        // Same timestamp: source id 0 ("a") before source id 1 ("b"); within
+        // "b", sequence order; the later timestamp last.
+        EXPECT_EQ(delivered[0], "a/0");
+        EXPECT_EQ(delivered[1], "b/0");
+        EXPECT_EQ(delivered[2], "b/1");
+        EXPECT_EQ(delivered[3], "a-late");
+        EXPECT_EQ(sharded.messages_delivered(), 4u);
+        EXPECT_EQ(dst.sim().events_executed(), 4u);
+    }
 }
 
 TEST(ShardedMailboxTest, LookaheadContractViolationsThrow) {
-    ShardedSimulation sharded(options_with(sim::milliseconds(10), 1, 1));
+    ShardedSimulation sharded(
+        options_with(sim::milliseconds(10), 1, 1, SyncMode::kChannel));
     auto& a = sharded.add_domain("a");
     sharded.add_domain("b");
 
@@ -104,7 +120,7 @@ TEST(ShardedSimulationTest, ZeroLookaheadRejected) {
 TEST(ShardedRngTest, PerDomainStreamsIndependentOfShardCount) {
     auto draws = [](std::size_t total_domains, std::size_t shards) {
         ShardedSimulation sharded(
-            options_with(sim::milliseconds(1), shards, 1));
+            options_with(sim::milliseconds(1), shards, 1, SyncMode::kChannel));
         std::vector<sim::Domain*> domains;
         for (std::size_t i = 0; i < total_domains; ++i) {
             domains.push_back(&sharded.add_domain("d" + std::to_string(i)));
@@ -160,22 +176,25 @@ TEST(ShardedSimulationTest, SingleDomainMatchesSerialKernel) {
 }
 
 TEST(ShardedSimulationTest, RunUntilAdvancesEveryClockToDeadline) {
-    ShardedSimulation sharded(options_with(sim::milliseconds(10), 2, 1));
-    auto& a = sharded.add_domain("a");
-    auto& b = sharded.add_domain("b");
-    int fired = 0;
-    a.sim().schedule(sim::milliseconds(30), [&] { ++fired; });
-    // `b` has nothing scheduled at all.
-    const SimTime deadline = sim::milliseconds(100);
-    sharded.run_until(deadline);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(a.sim().now(), deadline);
-    EXPECT_EQ(b.sim().now(), deadline);
+    for (const SyncMode sync : kSyncModes) {
+        SCOPED_TRACE(sync_name(sync));
+        ShardedSimulation sharded(options_with(sim::milliseconds(10), 2, 1, sync));
+        auto& a = sharded.add_domain("a");
+        auto& b = sharded.add_domain("b");
+        int fired = 0;
+        a.sim().schedule(sim::milliseconds(30), [&] { ++fired; });
+        // `b` has nothing scheduled at all.
+        const SimTime deadline = sim::milliseconds(100);
+        sharded.run_until(deadline);
+        EXPECT_EQ(fired, 1);
+        EXPECT_EQ(a.sim().now(), deadline);
+        EXPECT_EQ(b.sim().now(), deadline);
 
-    // Events at exactly a later deadline still execute (half-open window).
-    a.sim().schedule_at(sim::milliseconds(200), [&] { ++fired; });
-    sharded.run_until(sim::milliseconds(200));
-    EXPECT_EQ(fired, 2);
+        // Events at exactly a later deadline still execute (half-open window).
+        a.sim().schedule_at(sim::milliseconds(200), [&] { ++fired; });
+        sharded.run_until(sim::milliseconds(200));
+        EXPECT_EQ(fired, 2);
+    }
 }
 
 TEST(ShardedSimulationTest, AddDomainDuringRunThrows) {
@@ -206,12 +225,12 @@ struct RunDigest {
 /// controller domain aggregating periodic digests across 25 ms cut links.
 /// Each edge also draws from its domain RNG, logs, traces, and counts
 /// metrics, so the digest covers every per-domain sink.
-RunDigest run_scenario(std::size_t shards, std::size_t workers) {
+RunDigest run_scenario(std::size_t shards, std::size_t workers, SyncMode sync) {
     constexpr std::size_t kEdges = 4;
     constexpr std::uint32_t kServices = 6;
 
     ShardedSimulation sharded(
-        options_with(sim::milliseconds(25), shards, workers));
+        options_with(sim::milliseconds(25), shards, workers, sync));
 
     std::vector<sim::Domain*> edges;
     for (std::size_t e = 0; e < kEdges; ++e) {
@@ -307,30 +326,36 @@ RunDigest run_scenario(std::size_t shards, std::size_t workers) {
 
 // The tentpole guarantee: the full observable state of a multi-domain run --
 // event counts, clocks, metrics dump, trace export, log bytes -- is
-// identical at every (shard, worker) combination.
+// identical at every (coordinator, shard, worker) combination.
 TEST(ShardedDeterminismTest, IdenticalAcrossShardAndWorkerCounts) {
-    const RunDigest base = run_scenario(1, 1);
+    const RunDigest base = run_scenario(1, 1, SyncMode::kBarrier);
     EXPECT_GT(base.events, 400u);
     EXPECT_FALSE(base.metrics.empty());
     EXPECT_FALSE(base.logs.empty());
 
-    for (const auto& [shards, workers] :
-         std::vector<std::pair<std::size_t, std::size_t>>{
-             {2, 1}, {2, 4}, {8, 1}, {8, 4}, {0, 2}}) {
-        const RunDigest run = run_scenario(shards, workers);
-        EXPECT_EQ(run.events, base.events) << shards << "x" << workers;
-        EXPECT_EQ(run.messages, base.messages) << shards << "x" << workers;
-        EXPECT_EQ(run.now_ns, base.now_ns) << shards << "x" << workers;
-        EXPECT_EQ(run.metrics, base.metrics) << shards << "x" << workers;
-        EXPECT_EQ(run.trace, base.trace) << shards << "x" << workers;
-        EXPECT_EQ(run.logs, base.logs) << shards << "x" << workers;
+    for (const SyncMode sync : kSyncModes) {
+        for (const auto& [shards, workers] :
+             std::vector<std::pair<std::size_t, std::size_t>>{
+                 {1, 1}, {2, 1}, {2, 4}, {8, 1}, {8, 4}, {0, 2}}) {
+            const std::string label = std::string(sync_name(sync)) + " " +
+                                      std::to_string(shards) + "x" +
+                                      std::to_string(workers);
+            const RunDigest run = run_scenario(shards, workers, sync);
+            EXPECT_EQ(run.events, base.events) << label;
+            EXPECT_EQ(run.messages, base.messages) << label;
+            EXPECT_EQ(run.now_ns, base.now_ns) << label;
+            EXPECT_EQ(run.metrics, base.metrics) << label;
+            EXPECT_EQ(run.trace, base.trace) << label;
+            EXPECT_EQ(run.logs, base.logs) << label;
+        }
     }
 }
 
 // Repeating the same configuration twice is also bit-stable (no hidden
 // wall-clock or address-dependent state).
 TEST(ShardedDeterminismTest, RepeatRunsAreBitStable) {
-    EXPECT_EQ(run_scenario(2, 2), run_scenario(2, 2));
+    EXPECT_EQ(run_scenario(2, 2, SyncMode::kChannel),
+              run_scenario(2, 2, SyncMode::kChannel));
 }
 
 // ---------------------------------------------------------------- topology
@@ -465,22 +490,25 @@ TEST(LogBufferTest, FlushMatchesDefaultSinkFormat) {
 }
 
 TEST(LogBufferTest, CoordinatorFlushesDomainsInIdOrder) {
-    ShardedSimulation sharded(options_with(sim::milliseconds(1), 2, 1));
-    auto& a = sharded.add_domain("a");
-    auto& b = sharded.add_domain("b");
-    auto log_a = a.make_logger("a", sim::LogLevel::kInfo);
-    auto log_b = b.make_logger("b", sim::LogLevel::kInfo);
-    // `b` logs earlier in virtual time, but flush order is domain id order
-    // (deterministic), not timestamp order.
-    a.sim().schedule(sim::milliseconds(9), [&] { log_a.info("from a"); });
-    b.sim().schedule(sim::milliseconds(2), [&] { log_b.info("from b"); });
-    sharded.run();
+    for (const SyncMode sync : kSyncModes) {
+        SCOPED_TRACE(sync_name(sync));
+        ShardedSimulation sharded(options_with(sim::milliseconds(1), 2, 1, sync));
+        auto& a = sharded.add_domain("a");
+        auto& b = sharded.add_domain("b");
+        auto log_a = a.make_logger("a", sim::LogLevel::kInfo);
+        auto log_b = b.make_logger("b", sim::LogLevel::kInfo);
+        // `b` logs earlier in virtual time, but flush order is domain id
+        // order (deterministic), not timestamp order.
+        a.sim().schedule(sim::milliseconds(9), [&] { log_a.info("from a"); });
+        b.sim().schedule(sim::milliseconds(2), [&] { log_b.info("from b"); });
+        sharded.run();
 
-    std::ostringstream os;
-    sharded.flush_logs(os);
-    EXPECT_EQ(os.str(),
-              "[9.000ms] INFO a: from a\n"
-              "[2.000ms] INFO b: from b\n");
+        std::ostringstream os;
+        sharded.flush_logs(os);
+        EXPECT_EQ(os.str(),
+                  "[9.000ms] INFO a: from a\n"
+                  "[2.000ms] INFO b: from b\n");
+    }
 }
 
 } // namespace
