@@ -21,14 +21,12 @@ namespace {
 using namespace tedge;
 
 // --------------------------------------------------------------------------
-// Event queue: slab 4-ary heap and timer wheel.
+// Event queue: slab 4-ary heap.
 
-/// Burst fill-and-drain of n random timestamps. The window advances by one
-/// second per iteration so timestamps never precede the last popped event
-/// (the wheel's scheduling contract; a no-op for the heap).
-template <sim::QueueBackend Backend>
+/// Burst fill-and-drain of n random timestamps, advancing the window by one
+/// second per iteration.
 void BM_EventQueuePushPop(benchmark::State& state) {
-    sim::EventQueue queue(Backend);
+    sim::EventQueue queue;
     sim::Rng rng(1);
     const auto n = static_cast<std::size_t>(state.range(0));
     std::int64_t base = 0;
@@ -43,20 +41,15 @@ void BM_EventQueuePushPop(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_EventQueuePushPop<sim::QueueBackend::kHeap>)
-    ->Name("BM_EventQueuePushPop/heap")
-    ->Arg(64)->Arg(1024)->Arg(16384);
-BENCHMARK(BM_EventQueuePushPop<sim::QueueBackend::kWheel>)
-    ->Name("BM_EventQueuePushPop/wheel")
-    ->Arg(64)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_EventQueuePushPop)->Arg(64)->Arg(1024)->Arg(16384);
 
-/// The case the wheel exists for: a large resident population of far-future
-/// timers (per-flow expiry at scale) while near-term events churn through.
-/// The heap pays O(log residents) per push/pop; the wheel pays O(1) because
-/// the residents sit untouched in high-level buckets.
-template <sim::QueueBackend Backend>
+/// One near-term push/pop per iteration over a resident population of
+/// far-future timers: the heap pays O(log residents) per operation. No
+/// bench, example or e2ebench workload holds more than a few thousand
+/// pending events, since per-flow expiry lives in FlowMemory's buckets and
+/// the FlowTable sweep.
 void BM_EventQueueSteadyChurn(benchmark::State& state) {
-    sim::EventQueue queue(Backend);
+    sim::EventQueue queue;
     const auto residents = static_cast<std::size_t>(state.range(0));
     queue.reserve(residents + 2);
     sim::Rng rng(1);
@@ -72,42 +65,29 @@ void BM_EventQueueSteadyChurn(benchmark::State& state) {
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_EventQueueSteadyChurn<sim::QueueBackend::kHeap>)
-    ->Name("BM_EventQueueSteadyChurn/heap")
-    ->Arg(1024)->Arg(65536)->Arg(1 << 20);
-BENCHMARK(BM_EventQueueSteadyChurn<sim::QueueBackend::kWheel>)
-    ->Name("BM_EventQueueSteadyChurn/wheel")
-    ->Arg(1024)->Arg(65536)->Arg(1 << 20);
+BENCHMARK(BM_EventQueueSteadyChurn)->Arg(1024)->Arg(65536)->Arg(1 << 20);
 
 /// Growth-stall delta of EventQueue::reserve(): filling a fresh queue with n
-/// events, with and without pre-sizing the slab (and heap array).
-template <sim::QueueBackend Backend>
+/// events, with and without pre-sizing the slab and heap array.
 void BM_EventQueueFill(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
     const bool reserved = state.range(1) != 0;
     for (auto _ : state) {
-        sim::EventQueue queue(Backend);
+        sim::EventQueue queue;
         if (reserved) queue.reserve(n);
         for (std::size_t i = 0; i < n; ++i) {
             queue.push(sim::SimTime{static_cast<std::int64_t>(i)}, [] {});
         }
         benchmark::DoNotOptimize(queue.size());
-        queue.clear();
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_EventQueueFill<sim::QueueBackend::kHeap>)
-    ->Name("BM_EventQueueFill/heap")
-    ->Args({65536, 0})->Args({65536, 1});
-BENCHMARK(BM_EventQueueFill<sim::QueueBackend::kWheel>)
-    ->Name("BM_EventQueueFill/wheel")
-    ->Args({65536, 0})->Args({65536, 1});
+BENCHMARK(BM_EventQueueFill)->Args({65536, 0})->Args({65536, 1});
 
-template <sim::QueueBackend Backend>
 void BM_SimulationNestedEvents(benchmark::State& state) {
     for (auto _ : state) {
-        sim::Simulation simulation(Backend);
+        sim::Simulation simulation;
         int depth = 0;
         std::function<void()> chain = [&] {
             if (++depth < 1000) simulation.schedule(sim::microseconds(1), chain);
@@ -119,10 +99,7 @@ void BM_SimulationNestedEvents(benchmark::State& state) {
     // 1000 events scheduled and fired through the full Simulation loop.
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1000);
 }
-BENCHMARK(BM_SimulationNestedEvents<sim::QueueBackend::kHeap>)
-    ->Name("BM_SimulationNestedEvents/heap");
-BENCHMARK(BM_SimulationNestedEvents<sim::QueueBackend::kWheel>)
-    ->Name("BM_SimulationNestedEvents/wheel");
+BENCHMARK(BM_SimulationNestedEvents);
 
 // --------------------------------------------------------------------------
 // Flow table: exact-match index and wildcard fallback.

@@ -20,15 +20,14 @@
 // and line-oriented, so the --baseline regression gate can parse it without
 // a JSON library). `--baseline <file>` exits non-zero when the geometric
 // mean of flows/s over the shared points drops more than 20% below the
-// baseline (the CI gate), and when a baseline point lacks a key field.
+// baseline (the CI gate), and when a baseline point lacks a key field or
+// repeats another point's key.
 //
 // The sweep has a shard dimension (--shards, default "1,2,8"): shards=1 is
 // the serial kernel, shards=N>1 runs the sharded control plane -- N edge
 // domains each owning a FlowMemory partition and its own Poisson pump, plus
 // a central controller domain receiving periodic digests over the
-// conservative lookahead link -- under ShardedSimulation. Shard counts > 1
-// sweep on the wheel backend only (the heap rows exist to compare queue
-// backends, not kernels).
+// conservative lookahead link -- under ShardedSimulation.
 //
 // The sweep has a fidelity dimension (--fidelity, default "both"): exact
 // rows drive every flow through the per-packet path as before; hybrid rows
@@ -38,8 +37,8 @@
 // per epoch instead of one per flow. Hybrid rows extend the sweep to 10M and
 // 100M resident flows (serial kernel only; skipped under --quick). Flows/s
 // is the common unit of both modes, so the hybrid/exact ratio is the
-// control-plane speedup. When both fidelities sweep the 1M x 8 wheel point,
-// the run fails unless hybrid is >= 10x exact.
+// control-plane speedup. When both fidelities sweep the 1M x 8 point, the
+// run fails unless hybrid is >= 10x exact.
 //
 // Sharded rows run the production channel coordinator (DESIGN §8) and
 // record its per-run lane accounting -- total lane busy/blocked wall time,
@@ -48,8 +47,6 @@
 // speedup to synchronization stalls vs lock contention.
 //
 // Flags: --quick (skip the 1M row and the 10M/100M hybrid points: CI),
-//        --backend heap|wheel|both (event-queue backend to sweep; default
-//        wheel, `both` additionally prints a heap-vs-wheel table),
 //        --shards <csv> (shard counts to sweep, default 1,2,8),
 //        --fidelity exact|hybrid|both (default both),
 //        --out <file>, --baseline <file>.
@@ -170,14 +167,9 @@ std::optional<R> run_forked(const std::function<R()>& fn) {
 struct SweepPoint {
     std::size_t flows = 0;
     std::uint32_t services = 0;
-    sim::QueueBackend backend = sim::QueueBackend::kWheel;
     std::size_t shards = 1;  ///< 1 = serial kernel, > 1 = sharded control plane
     sdn::Fidelity fidelity = sdn::Fidelity::kExact;
 };
-
-const char* backend_str(sim::QueueBackend backend) {
-    return backend == sim::QueueBackend::kHeap ? "heap" : "wheel";
-}
 
 /// POD result shipped from the forked child back over the pipe.
 struct PointResult {
@@ -206,23 +198,10 @@ struct PointResult {
     std::uint32_t cores_used = 1;      ///< worker threads the point could use
     std::uint32_t hw_concurrency = 0;  ///< std::thread::hardware_concurrency()
     std::uint64_t kernel_events = 0;   ///< workload events the kernel carried
-    std::uint64_t events_scheduled = 0;   ///< kernel pushes over the whole run
-    std::uint64_t cascade_stages = 0;     ///< wheel: buckets staged
-    std::uint64_t cascade_refiled = 0;    ///< wheel: entries re-filed
-    std::uint64_t cascade_max_burst = 0;  ///< wheel: largest staged bucket
 };
 
 std::uint32_t hw_threads() {
     return std::max(1u, std::thread::hardware_concurrency());
-}
-
-void record_cascade(const sim::Simulation& sim, PointResult& result) {
-    const auto& cascade = sim.wheel_cascade_stats();
-    result.events_scheduled += sim.total_scheduled();
-    result.cascade_stages += cascade.stages;
-    result.cascade_refiled += cascade.refiled;
-    result.cascade_max_burst =
-        std::max(result.cascade_max_burst, cascade.max_stage_burst);
 }
 
 /// Fill a FlowMemory with `point.flows` live flows through the event kernel:
@@ -231,7 +210,7 @@ void record_cascade(const sim::Simulation& sim, PointResult& result) {
 PointResult run_point_once(const SweepPoint& point) {
     PointResult result;
 
-    sim::Simulation sim(point.backend);
+    sim::Simulation sim;
     // The pump keeps at most one arrival pending and the expiry path adds one
     // daemon event per occupied deadline bucket, so a modest slab reserve is
     // enough to skip the early growth stalls without inflating the peak-RSS
@@ -366,7 +345,6 @@ PointResult run_point_once(const SweepPoint& point) {
     result.rss_kb = peak_rss_kb();
     result.cores_used = 1;
     result.hw_concurrency = hw_threads();
-    record_cascade(sim, result);
     return result;
 }
 
@@ -380,7 +358,7 @@ PointResult run_point_once(const SweepPoint& point) {
 PointResult run_point_hybrid_once(const SweepPoint& point) {
     PointResult result;
 
-    sim::Simulation sim(point.backend);
+    sim::Simulation sim;
     sim.reserve_events(4096);
     sdn::FlowMemory::Config config;
     config.idle_timeout = kIdleTimeout;
@@ -505,7 +483,6 @@ PointResult run_point_hybrid_once(const SweepPoint& point) {
     result.rss_kb = peak_rss_kb();
     result.cores_used = 1;
     result.hw_concurrency = hw_threads();
-    record_cascade(sim, result);
     return result;
 }
 
@@ -522,7 +499,6 @@ PointResult run_point_sharded_once(const SweepPoint& point) {
 
     sim::ShardedSimulation::Options kernel;
     kernel.seed = 42;
-    kernel.backend = point.backend;
     kernel.lookahead = kAccessLatency;
     sim::ShardedSimulation sharded(kernel);
 
@@ -696,8 +672,6 @@ PointResult run_point_sharded_once(const SweepPoint& point) {
     result.cores_used = static_cast<std::uint32_t>(
         std::min<std::size_t>(num_shards + 1, hw_threads()));
     result.hw_concurrency = hw_threads();
-    for (auto* edge : edges) record_cascade(edge->sim(), result);
-    record_cascade(controller.sim(), result);
     return result;
 }
 
@@ -729,8 +703,7 @@ std::string json_point(const SweepPoint& point, const PointResult& result) {
     std::ostringstream out;
     out << "    {\"flows\": " << point.flows
         << ", \"services\": " << point.services
-        << ", \"backend\": \"" << backend_str(point.backend)
-        << "\", \"shards\": " << point.shards
+        << ", \"shards\": " << point.shards
         << ", \"fidelity\": \"" << sdn::to_string(point.fidelity)
         << "\", \"cores_used\": " << result.cores_used
         << ", \"hw_concurrency\": " << result.hw_concurrency
@@ -763,10 +736,7 @@ std::string json_point(const SweepPoint& point, const PointResult& result) {
         << static_cast<std::uint64_t>(result.expire_per_s)
         << ", \"peak_rss_kb\": " << result.rss_kb
         << ", \"idle_notifications\": " << result.idle_notifications
-        << ", \"peak_live_flows\": " << result.peak_live_flows
-        << ", \"events_scheduled\": " << result.events_scheduled
-        << ", \"cascade_refiled\": " << result.cascade_refiled
-        << ", \"cascade_max_burst\": " << result.cascade_max_burst << "}";
+        << ", \"peak_live_flows\": " << result.peak_live_flows << "}";
     return out.str();
 }
 
@@ -793,13 +763,13 @@ std::optional<std::string> extract_string(const std::string& line,
 }
 
 using BaselineKey =
-    std::tuple<std::size_t, std::uint32_t, std::string, std::size_t, std::string>;
+    std::tuple<std::size_t, std::uint32_t, std::size_t, std::string>;
 
-/// flows/s per (flows, services, backend, shards, fidelity) point parsed from
-/// a BENCH_scale.json. Every line carrying a "flows" field is a point and
-/// must carry all five key fields plus flows_per_s; a point missing any of
-/// them throws std::runtime_error naming the field (a baseline written by an
-/// older bench_scale must be regenerated).
+/// flows/s per (flows, services, shards, fidelity) point parsed from a
+/// BENCH_scale.json. Every line carrying a "flows" field is a point and must
+/// carry all four key fields plus flows_per_s, and no two points may share a
+/// key; a violation throws std::runtime_error naming the file and line (a
+/// baseline written by an older bench_scale must be regenerated).
 std::map<BaselineKey, double> parse_baseline(const std::string& path) {
     std::map<BaselineKey, double> baseline;
     std::ifstream in(path);
@@ -809,9 +779,12 @@ std::map<BaselineKey, double> parse_baseline(const std::string& path) {
         ++line_no;
         const auto flows = extract_number(line, "flows");
         if (!flows) continue;
-        const auto missing = [&](const char* key) {
+        const auto error = [&](const std::string& what) {
             return std::runtime_error(path + ":" + std::to_string(line_no) +
-                                      ": point has no \"" + key + "\" field");
+                                      ": " + what);
+        };
+        const auto missing = [&](const char* key) {
+            return error("point has no \"" + std::string(key) + "\" field");
         };
         const auto number = [&](const char* key) {
             const auto value = extract_number(line, key);
@@ -823,11 +796,14 @@ std::map<BaselineKey, double> parse_baseline(const std::string& path) {
             if (!value) throw missing(key);
             return std::move(*value);
         };
-        baseline[{static_cast<std::size_t>(*flows),
-                  static_cast<std::uint32_t>(number("services")),
-                  string("backend"),
-                  static_cast<std::size_t>(number("shards")),
-                  string("fidelity")}] = number("flows_per_s");
+        const BaselineKey key{static_cast<std::size_t>(*flows),
+                              static_cast<std::uint32_t>(number("services")),
+                              static_cast<std::size_t>(number("shards")),
+                              string("fidelity")};
+        if (!baseline.emplace(key, number("flows_per_s")).second) {
+            throw error("repeats the key (flows, services, shards, fidelity) "
+                        "of an earlier point");
+        }
     }
     return baseline;
 }
@@ -859,7 +835,6 @@ int main(int argc, char** argv) {
     bool quick = false;
     std::string out_path = "BENCH_scale.json";
     std::string baseline_path;
-    std::string backend_arg = "wheel";
     std::string shards_arg = "1,2,8";
     std::string fidelity_arg = "both";
     for (int i = 1; i < argc; ++i) {
@@ -870,15 +845,12 @@ int main(int argc, char** argv) {
             out_path = argv[++i];
         } else if (arg == "--baseline" && i + 1 < argc) {
             baseline_path = argv[++i];
-        } else if (arg == "--backend" && i + 1 < argc) {
-            backend_arg = argv[++i];
         } else if (arg == "--shards" && i + 1 < argc) {
             shards_arg = argv[++i];
         } else if (arg == "--fidelity" && i + 1 < argc) {
             fidelity_arg = argv[++i];
         } else {
-            std::cerr << "usage: bench_scale [--quick] "
-                         "[--backend heap|wheel|both] [--shards <csv>] "
+            std::cerr << "usage: bench_scale [--quick] [--shards <csv>] "
                          "[--fidelity exact|hybrid|both] "
                          "[--out <file>] [--baseline <file>]\n";
             return 2;
@@ -888,18 +860,6 @@ int main(int argc, char** argv) {
     if (!shard_counts) {
         std::cerr << "bad --shards '" << shards_arg
                   << "' (expected comma-separated positive integers)\n";
-        return 2;
-    }
-    std::vector<sim::QueueBackend> backends;
-    if (backend_arg == "heap") {
-        backends = {sim::QueueBackend::kHeap};
-    } else if (backend_arg == "wheel") {
-        backends = {sim::QueueBackend::kWheel};
-    } else if (backend_arg == "both") {
-        backends = {sim::QueueBackend::kHeap, sim::QueueBackend::kWheel};
-    } else {
-        std::cerr << "unknown --backend '" << backend_arg
-                  << "' (expected heap, wheel, or both)\n";
         return 2;
     }
     std::vector<sdn::Fidelity> fidelities;
@@ -925,72 +885,58 @@ int main(int argc, char** argv) {
     const std::vector<std::uint32_t> service_counts = {1, 8, 64};
 
     std::vector<std::pair<SweepPoint, PointResult>> results;
-    workload::TextTable table({"fidelity", "backend", "shards", "flows",
-                               "services", "flows/s", "kernel ev/s",
-                               "install p50", "install p99", "lookup ns",
-                               "idle ns", "peak RSS MB"});
+    workload::TextTable table({"fidelity", "shards", "flows", "services",
+                               "flows/s", "kernel ev/s", "install p50",
+                               "install p99", "lookup ns", "idle ns",
+                               "peak RSS MB"});
     for (const auto fidelity : fidelities) {
-        for (const auto backend : backends) {
-            for (const auto shards : *shard_counts) {
-                // The heap rows exist to compare queue backends on the serial
-                // kernel; sharded points sweep the production wheel only. The
-                // hybrid fast path is a serial-kernel feature.
-                if (shards > 1 && (backend != sim::QueueBackend::kWheel ||
-                                   fidelity == sdn::Fidelity::kHybrid)) {
-                    continue;
-                }
-                std::vector<std::size_t> flow_counts = base_flow_counts;
-                if (fidelity == sdn::Fidelity::kHybrid && shards == 1 && !quick) {
-                    // The fluid rows the exact path cannot reach.
-                    flow_counts.push_back(10'000'000);
-                    flow_counts.push_back(100'000'000);
-                }
-                for (const auto flows : flow_counts) {
-                    for (const auto services : service_counts) {
-                        const SweepPoint point{flows, services, backend, shards,
-                                               fidelity};
-                        const auto result = run_forked<PointResult>(
-                            [point] { return run_point(point); });
-                        if (!result) {
-                            std::cerr << "point " << flows << "x" << services
-                                      << " (" << backend_str(backend)
-                                      << ", shards " << shards << ", "
-                                      << sdn::to_string(fidelity)
-                                      << ") failed (child died)\n";
-                            return 1;
-                        }
-                        if (result->peak_live_flows != flows ||
-                            result->idle_notifications == 0) {
-                            std::cerr << "point " << flows << "x" << services
-                                      << " (" << backend_str(backend)
-                                      << ", shards " << shards << ", "
-                                      << sdn::to_string(fidelity)
-                                      << ") invalid: live="
-                                      << result->peak_live_flows
-                                      << " idle_notifications="
-                                      << result->idle_notifications << "\n";
-                            return 1;
-                        }
-                        results.emplace_back(point, *result);
-                        table.add_row(
-                            {sdn::to_string(fidelity), backend_str(backend),
-                             std::to_string(shards),
-                             std::to_string(flows), std::to_string(services),
-                             workload::TextTable::num(result->flows_per_s, 0),
-                             workload::TextTable::num(
-                                 result->kernel_events_per_s, 0),
-                             workload::TextTable::num(result->install_p50_ns,
-                                                      0) +
-                                 " ns",
-                             workload::TextTable::num(result->install_p99_ns,
-                                                      0) +
-                                 " ns",
-                             workload::TextTable::num(result->lookup_ns, 0),
-                             workload::TextTable::num(result->idle_check_ns, 0),
-                             workload::TextTable::num(
-                                 static_cast<double>(result->rss_kb) / 1024.0,
-                                 1)});
+        for (const auto shards : *shard_counts) {
+            // The hybrid fast path is a serial-kernel feature.
+            if (shards > 1 && fidelity == sdn::Fidelity::kHybrid) continue;
+            std::vector<std::size_t> flow_counts = base_flow_counts;
+            if (fidelity == sdn::Fidelity::kHybrid && shards == 1 && !quick) {
+                // The fluid rows the exact path cannot reach.
+                flow_counts.push_back(10'000'000);
+                flow_counts.push_back(100'000'000);
+            }
+            for (const auto flows : flow_counts) {
+                for (const auto services : service_counts) {
+                    const SweepPoint point{flows, services, shards, fidelity};
+                    const auto result = run_forked<PointResult>(
+                        [point] { return run_point(point); });
+                    if (!result) {
+                        std::cerr << "point " << flows << "x" << services
+                                  << " (shards " << shards << ", "
+                                  << sdn::to_string(fidelity)
+                                  << ") failed (child died)\n";
+                        return 1;
                     }
+                    if (result->peak_live_flows != flows ||
+                        result->idle_notifications == 0) {
+                        std::cerr << "point " << flows << "x" << services
+                                  << " (shards " << shards << ", "
+                                  << sdn::to_string(fidelity)
+                                  << ") invalid: live="
+                                  << result->peak_live_flows
+                                  << " idle_notifications="
+                                  << result->idle_notifications << "\n";
+                        return 1;
+                    }
+                    results.emplace_back(point, *result);
+                    table.add_row(
+                        {sdn::to_string(fidelity), std::to_string(shards),
+                         std::to_string(flows), std::to_string(services),
+                         workload::TextTable::num(result->flows_per_s, 0),
+                         workload::TextTable::num(result->kernel_events_per_s,
+                                                  0),
+                         workload::TextTable::num(result->install_p50_ns, 0) +
+                             " ns",
+                         workload::TextTable::num(result->install_p99_ns, 0) +
+                             " ns",
+                         workload::TextTable::num(result->lookup_ns, 0),
+                         workload::TextTable::num(result->idle_check_ns, 0),
+                         workload::TextTable::num(
+                             static_cast<double>(result->rss_kb) / 1024.0, 1)});
                 }
             }
         }
@@ -999,11 +945,11 @@ int main(int argc, char** argv) {
 
     // Hybrid vs exact at shared points: flows per wall-clock second in both
     // modes, so the ratio is the control-plane speedup the fluid fast path
-    // buys. The 1M x 8 wheel point carries a hard >= 10x acceptance gate.
+    // buys. The 1M x 8 point carries a hard >= 10x acceptance gate.
     if (fidelities.size() == 2) {
-        workload::TextTable speedup({"backend", "flows", "services",
-                                     "exact flows/s", "hybrid flows/s",
-                                     "speedup", "kernel events"});
+        workload::TextTable speedup({"flows", "services", "exact flows/s",
+                                     "hybrid flows/s", "speedup",
+                                     "kernel events"});
         bool gate_failed = false;
         for (const auto& [point, result] : results) {
             if (point.fidelity != sdn::Fidelity::kHybrid || point.shards != 1) {
@@ -1012,72 +958,31 @@ int main(int argc, char** argv) {
             double exact_flows = 0;
             for (const auto& [p, r] : results) {
                 if (p.fidelity == sdn::Fidelity::kExact && p.shards == 1 &&
-                    p.backend == point.backend && p.flows == point.flows &&
-                    p.services == point.services) {
+                    p.flows == point.flows && p.services == point.services) {
                     exact_flows = r.flows_per_s;
                 }
             }
             if (exact_flows <= 0) continue;
             const double ratio = result.flows_per_s / exact_flows;
             speedup.add_row(
-                {backend_str(point.backend), std::to_string(point.flows),
-                 std::to_string(point.services),
+                {std::to_string(point.flows), std::to_string(point.services),
                  workload::TextTable::num(exact_flows, 0),
                  workload::TextTable::num(result.flows_per_s, 0),
                  workload::TextTable::num(ratio, 1) + "x",
                  std::to_string(result.kernel_events)});
             if (point.flows == 1'000'000 && point.services == 8 &&
-                point.backend == sim::QueueBackend::kWheel && ratio < 10.0) {
+                ratio < 10.0) {
                 gate_failed = true;
             }
         }
         std::cout << "hybrid vs exact, fill flows/s:\n" << speedup.str() << "\n";
         if (gate_failed) {
-            std::cerr << "HYBRID GATE: < 10x exact at the 1M x 8 wheel point\n";
+            std::cerr << "HYBRID GATE: < 10x exact at the 1M x 8 point\n";
             return 1;
         }
     }
 
-    // Wheel cascade accounting: staging re-files are the wheel's only
-    // super-constant per-event work, so their amortized count is the
-    // tail-latency budget. The numbers are deterministic at the fixed seed
-    // (no timing involved), and the wheel geometry bounds re-files per
-    // entry by the number of levels the run's horizon spans -- under 7 for
-    // anything shorter than 2^41 ns. A violation means staging regressed
-    // (e.g. an entry re-filing at its own level and cascading repeatedly),
-    // exactly the failure mode that shows up as install_p99 spikes first.
-    {
-        workload::TextTable cascade({"fidelity", "shards", "flows", "services",
-                                     "scheduled", "refiled", "refiles/event",
-                                     "max burst"});
-        bool bound_violated = false;
-        for (const auto& [point, result] : results) {
-            if (point.backend != sim::QueueBackend::kWheel) continue;
-            if (result.events_scheduled == 0) continue;
-            const double per_event =
-                static_cast<double>(result.cascade_refiled) /
-                static_cast<double>(result.events_scheduled);
-            cascade.add_row({sdn::to_string(point.fidelity),
-                             std::to_string(point.shards),
-                             std::to_string(point.flows),
-                             std::to_string(point.services),
-                             std::to_string(result.events_scheduled),
-                             std::to_string(result.cascade_refiled),
-                             workload::TextTable::num(per_event, 2),
-                             std::to_string(result.cascade_max_burst)});
-            if (per_event > 7.0) bound_violated = true;
-        }
-        std::cout << "wheel cascade bound (amortized re-files/event <= 7):\n"
-                  << cascade.str() << "\n";
-        if (bound_violated) {
-            std::cerr << "CASCADE BOUND: wheel re-filed > 7x per scheduled "
-                         "event -- staging is no longer amortized O(1)\n";
-            return 1;
-        }
-    }
-
-    // Shard-scaling view: flows/s vs the serial kernel at the same point
-    // (wheel rows only; the serial wheel row is the committed baseline).
+    // Shard-scaling view: flows/s vs the serial kernel at the same point.
     // Column positions are read by the CI shard-efficiency gate.
     if (shard_counts->size() > 1) {
         workload::TextTable scaling({"flows", "services", "shards", "cores",
@@ -1089,8 +994,7 @@ int main(int argc, char** argv) {
             for (const auto services : service_counts) {
                 double serial_flows = 0;
                 for (const auto& [point, result] : results) {
-                    if (point.backend == sim::QueueBackend::kWheel &&
-                        point.fidelity == sdn::Fidelity::kExact &&
+                    if (point.fidelity == sdn::Fidelity::kExact &&
                         point.shards == 1 && point.flows == flows &&
                         point.services == services) {
                         serial_flows = result.flows_per_s;
@@ -1098,8 +1002,7 @@ int main(int argc, char** argv) {
                 }
                 if (serial_flows <= 0) continue;
                 for (const auto& [point, result] : results) {
-                    if (point.backend != sim::QueueBackend::kWheel ||
-                        point.fidelity != sdn::Fidelity::kExact ||
+                    if (point.fidelity != sdn::Fidelity::kExact ||
                         point.flows != flows || point.services != services) {
                         continue;
                     }
@@ -1139,39 +1042,8 @@ int main(int argc, char** argv) {
                 }
             }
         }
-        std::cout << "shard scaling, fill flows/s (wheel backend, exact):\n"
+        std::cout << "shard scaling, fill flows/s (exact):\n"
                   << scaling.str() << "\n";
-    }
-
-    // Side-by-side flows/s when both backends were swept (the CI artifact).
-    if (backends.size() == 2) {
-        workload::TextTable versus({"flows", "services", "heap flows/s",
-                                    "wheel flows/s", "wheel/heap"});
-        for (const auto flows : base_flow_counts) {
-            for (const auto services : service_counts) {
-                double heap_flows = 0;
-                double wheel_flows = 0;
-                for (const auto& [point, result] : results) {
-                    if (point.flows != flows || point.services != services ||
-                        point.shards != 1 ||
-                        point.fidelity != sdn::Fidelity::kExact) {
-                        continue;
-                    }
-                    (point.backend == sim::QueueBackend::kHeap
-                         ? heap_flows
-                         : wheel_flows) = result.flows_per_s;
-                }
-                if (heap_flows <= 0 || wheel_flows <= 0) continue;
-                versus.add_row({std::to_string(flows),
-                                std::to_string(services),
-                                workload::TextTable::num(heap_flows, 0),
-                                workload::TextTable::num(wheel_flows, 0),
-                                workload::TextTable::num(
-                                    wheel_flows / heap_flows, 2) + "x"});
-            }
-        }
-        std::cout << "heap vs wheel, fill flows/s:\n"
-                  << versus.str() << "\n";
     }
 
     std::ofstream out(out_path);
@@ -1205,14 +1077,13 @@ int main(int argc, char** argv) {
         std::size_t compared = 0;
         for (const auto& [point, result] : results) {
             const auto it = baseline.find({point.flows, point.services,
-                                           backend_str(point.backend),
                                            point.shards,
                                            sdn::to_string(point.fidelity)});
             if (it == baseline.end() || it->second <= 0) continue;
             const double ratio = result.flows_per_s / it->second;
-            std::cout << "  " << point.flows << "x" << point.services << " ("
-                      << backend_str(point.backend) << ", shards "
-                      << point.shards << ", " << sdn::to_string(point.fidelity)
+            std::cout << "  " << point.flows << "x" << point.services
+                      << " (shards " << point.shards << ", "
+                      << sdn::to_string(point.fidelity)
                       << "): " << workload::TextTable::num(ratio, 2)
                       << "x baseline\n";
             log_ratio_sum += std::log(ratio);

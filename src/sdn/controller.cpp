@@ -3,11 +3,10 @@
 namespace tedge::sdn {
 namespace {
 
-/// Propagate the controller-level fidelity knob into the sub-configs before
-/// the members they configure are constructed.
+/// Propagate the controller-level fidelity knob into the FlowMemory config
+/// before the member it configures is constructed.
 ControllerConfig with_fidelity(ControllerConfig config) {
     config.flow_memory.fidelity = config.fidelity;
-    config.dispatcher.fidelity = config.fidelity;
     // The dispatcher's handover path walks flows by client; keep that
     // O(client's flows). The index has no observable artifacts, so scenarios
     // without mobility are byte-identical either way.

@@ -29,8 +29,8 @@ struct ControllerConfig {
     /// Scale idle services down when their last memorized flow expires.
     bool scale_down_idle = true;
     /// Control-plane fidelity (DESIGN §9). The single knob: the Controller
-    /// copies it into the dispatcher and flow-memory sub-configs, overriding
-    /// whatever they carry.
+    /// copies it into the flow-memory sub-config, overriding whatever that
+    /// carries.
     Fidelity fidelity = Fidelity::kExact;
     /// The session plane to read client attachments from. The platform wires
     /// its own; when null the controller owns a private one (implicit

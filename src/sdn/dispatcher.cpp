@@ -98,8 +98,7 @@ void Dispatcher::install_and_release(net::OvsSwitch& source,
     flow.instance_node = instance.node;
     flow.instance_port = instance.port;
     flow.cluster = cluster_name;
-    memory_.memorize(flow,
-                     established && config_.fidelity == Fidelity::kHybrid);
+    memory_.memorize(flow, established);
     sessions_.note_served_by(event.packet.src_ip, cluster_name);
 
     // Lazy: FlowMatch::str() runs per packet-in only when debug is on.

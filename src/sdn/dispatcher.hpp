@@ -36,11 +36,6 @@ struct DispatcherConfig {
     /// Install a redirect-to-cloud entry when no edge location exists, so
     /// follow-up packets do not hit the controller again.
     bool install_cloud_flows = true;
-    /// Under hybrid fidelity, installs whose decision was already settled
-    /// (memory hit, redirect to a ready instance) memorize their flow as
-    /// established, letting FlowMemory promote it into a fluid cohort.
-    /// Cold starts and deploy-and-wait installs stay exact in either mode.
-    Fidelity fidelity = Fidelity::kExact;
     /// What to do with a client's existing flows on handover (DESIGN §11).
     ContinuityConfig continuity;
 };
@@ -116,8 +111,10 @@ private:
     /// The packet-in decision body; `pin_span` is the enclosing trace span.
     void dispatch(net::OvsSwitch& source, const net::PacketIn& event,
                   sim::SpanId pin_span);
-    /// `established` marks installs whose decision was already settled (the
-    /// hybrid-fidelity promotion hint; ignored under exact fidelity).
+    /// `established` marks installs whose decision was already settled (memory
+    /// hit, redirect to a ready instance): FlowMemory promotes such flows into
+    /// a fluid cohort under hybrid fidelity and ignores the hint otherwise.
+    /// Cold starts and deploy-and-wait installs are never established.
     void install_and_release(net::OvsSwitch& source, const net::PacketIn& event,
                              const orchestrator::ServiceSpec& spec,
                              const orchestrator::InstanceInfo& instance,

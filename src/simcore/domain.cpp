@@ -9,11 +9,10 @@
 namespace tedge::sim {
 
 Domain::Domain(ShardedSimulation& coordinator, DomainId id, std::string name,
-               QueueBackend backend, std::uint64_t run_seed)
+               std::uint64_t run_seed)
     : coordinator_(&coordinator),
       id_(id),
       name_(std::move(name)),
-      sim_(backend),
       rng_(Rng::for_stream(run_seed, id)) {
     // The coordinator's daemon fence is the max user timestamp scheduled
     // anywhere; every domain kernel reports its local contribution.

@@ -122,7 +122,7 @@ private:
     };
 
     Domain(ShardedSimulation& coordinator, DomainId id, std::string name,
-           QueueBackend backend, std::uint64_t run_seed);
+           std::uint64_t run_seed);
 
     /// (at, src, seq) descending — std::push_heap/pop_heap with this
     /// comparator keep inbox_.front() the next message in merge order.

@@ -1,11 +1,7 @@
 // Cold-path members of EventQueue. The per-event hot path (push/pop/sift)
-// lives inline in the header; cancellation, handle queries, backend
-// selection, reserve() and clear() are rare enough that an out-of-line
-// definition keeps rebuilds cheap.
+// lives inline in the header; cancellation, handle queries and reserve() are
+// rare enough that an out-of-line definition keeps rebuilds cheap.
 #include "simcore/event_queue.hpp"
-
-#include <cstdlib>
-#include <string_view>
 
 namespace tedge::sim {
 
@@ -17,31 +13,15 @@ bool EventHandle::pending() const {
     return queue_ && queue_->slot_pending(slot_, generation_);
 }
 
-QueueBackend EventQueue::default_backend() {
-    static const QueueBackend backend = [] {
-        // NOLINTNEXTLINE(concurrency-mt-unsafe): read once at startup
-        const char* env = std::getenv("TEDGE_EVENT_BACKEND");
-        if (env == nullptr) return QueueBackend::kWheel;
-        const std::string_view value{env};
-        if (value == "heap") return QueueBackend::kHeap;
-        if (value == "wheel") return QueueBackend::kWheel;
-        throw std::invalid_argument(
-            "TEDGE_EVENT_BACKEND must be 'heap' or 'wheel'");
-    }();
-    return backend;
-}
-
 void EventQueue::cancel_slot(std::uint32_t slot, std::uint32_t generation) {
     if (slot >= store_.slots.size()) return;
     Slot& s = store_.slots[slot];
     if (!s.in_use || s.cancelled || s.generation != generation) return;
     s.cancelled = true;
-    s.cb = nullptr; // release captures eagerly; the backend entry is a tombstone
+    s.cb = nullptr; // release captures eagerly; the heap entry is a tombstone
     ++store_.dead;
     --live_;
     if (!s.daemon) --live_user_;
-    // The cancelled event may have been the cached wheel minimum.
-    if (backend_ == QueueBackend::kWheel) store_.wheel.note_cancelled();
 }
 
 bool EventQueue::slot_pending(std::uint32_t slot, std::uint32_t generation) const {
@@ -50,33 +30,9 @@ bool EventQueue::slot_pending(std::uint32_t slot, std::uint32_t generation) cons
     return s.in_use && !s.cancelled && s.generation == generation;
 }
 
-void EventQueue::clear() {
-    if (backend_ == QueueBackend::kHeap) {
-        for (std::size_t i = kRoot; i < store_.heap.size(); ++i) {
-            Slot& s = store_.slots[store_.heap[i].slot];
-            if (s.in_use && !s.cancelled) {
-                --live_;
-                if (!s.daemon) --live_user_;
-            }
-            release_slot(store_.heap[i].slot);
-        }
-        store_.heap.resize(kRoot); // keep the physical pad before the root
-    } else {
-        store_.wheel.consume_all([this](const TimerWheel::Entry& e) {
-            Slot& s = store_.slots[e.slot];
-            if (s.in_use && !s.cancelled) {
-                --live_;
-                if (!s.daemon) --live_user_;
-            }
-            release_slot(e.slot);
-        });
-    }
-    store_.dead = 0;
-}
-
 void EventQueue::reserve(std::size_t events) {
     store_.slots.reserve(events);
-    if (backend_ == QueueBackend::kHeap) store_.heap.reserve(events + kRoot);
+    store_.heap.reserve(events + kRoot);
 }
 
 } // namespace tedge::sim

@@ -1,23 +1,16 @@
-// Slab-allocated event queue for the discrete-event kernel, with a choice of
-// two ordering backends.
+// Slab-allocated event queue for the discrete-event kernel: a 4-ary min-heap
+// of slot ids, O(log n) push and pop.
 //
 // Events are ordered by (timestamp, insertion sequence) which makes execution
 // order fully deterministic: two events scheduled for the same instant run in
-// the order they were scheduled. Both backends produce the identical pop
-// sequence; they differ only in asymptotics:
+// the order they were scheduled.
 //
-//   kHeap  -- 4-ary min-heap of slot ids: O(log n) push/pop. Lowest constant
-//             factors at small queue sizes.
-//   kWheel -- hierarchical timing wheel (timer_wheel.hpp): O(1) push,
-//             amortized O(1) pop. Flat cost out to millions of pending
-//             timers; the default (override with TEDGE_EVENT_BACKEND=heap).
-//
-// Storage is a slab of reusable slots referenced by the backend structure. An
+// Storage is a slab of reusable slots referenced by the heap. An
 // EventHandle is a (slot, generation) pair: cancellation is O(1) — a
 // generation-checked flag write, no allocation, no shared_ptr traffic — and a
 // handle held across slot reuse can never cancel the wrong event because the
 // generation is bumped when the slot is recycled. Cancelled events stay in
-// the backend as tombstones and are discarded lazily when they surface.
+// the heap as tombstones and are discarded lazily when they surface.
 //
 // Events may be marked `daemon` (housekeeping periodics such as cache
 // sweeps): they execute normally while user events are pending, but
@@ -34,18 +27,11 @@
 #include <vector>
 
 #include "simcore/time.hpp"
-#include "simcore/timer_wheel.hpp"
 #include "simcore/unique_function.hpp"
 
 namespace tedge::sim {
 
 class EventQueue;
-
-/// Which ordering structure backs an EventQueue.
-enum class QueueBackend : std::uint8_t {
-    kHeap,   ///< slab 4-ary min-heap: O(log n) push/pop
-    kWheel,  ///< hierarchical timing wheel: O(1) push, amortized O(1) pop
-};
 
 /// Handle to a scheduled event; allows cancellation before it fires.
 class EventHandle {
@@ -75,20 +61,12 @@ class EventQueue {
 public:
     using Callback = UniqueFunction<void()>;
 
-    explicit EventQueue(QueueBackend backend = default_backend()) : backend_(backend) {
+    EventQueue() {
         store_.heap.resize(kRoot); // physical pad before the heap root
     }
 
-    /// Process-wide default backend: the wheel, unless the environment
-    /// variable TEDGE_EVENT_BACKEND is set to "heap" or "wheel".
-    [[nodiscard]] static QueueBackend default_backend();
-
-    [[nodiscard]] QueueBackend backend() const { return backend_; }
-
     /// Schedule `cb` to fire at absolute time `at`. Daemon events run like
-    /// any other but do not keep Simulation::run() alive on their own. The
-    /// wheel backend requires `at` to be non-negative and not precede the
-    /// most recently popped timestamp (Simulation guarantees both).
+    /// any other but do not keep Simulation::run() alive on their own.
     EventHandle push(SimTime at, Callback cb, bool daemon = false);
 
     /// True when no live events remain (cancelled tombstones do not count).
@@ -105,33 +83,21 @@ public:
     [[nodiscard]] SimTime next_time() const;
 
     /// True when the earliest live event is a daemon. Requires !empty().
-    /// Non-destructive on both backends (the wheel is not advanced), so the
-    /// caller may still push events earlier than the reported minimum — the
-    /// sharded kernel peeks this to fence daemon housekeeping without
-    /// disturbing later message insertion.
+    /// Non-destructive (like next_time(), it only discards surfaced
+    /// tombstones), so the caller may still push events earlier than the
+    /// reported minimum — the sharded kernel peeks this to fence daemon
+    /// housekeeping without disturbing later message insertion.
     [[nodiscard]] bool next_is_daemon() const;
 
     /// Remove and return the earliest live event. Requires !empty().
     std::pair<SimTime, Callback> pop();
 
-    /// Drop all events.
-    void clear();
-
-    /// Pre-size the slot slab (and, on the heap backend, the heap array) for
-    /// `events` concurrently pending events, avoiding vector-growth stalls
-    /// mid-run. The wheel needs no pre-sizing: its buckets reach steady-state
-    /// capacity within one rotation and are recycled thereafter.
+    /// Pre-size the slot slab and the heap array for `events` concurrently
+    /// pending events, avoiding vector-growth stalls mid-run.
     void reserve(std::size_t events);
 
     /// Total number of events ever scheduled (for diagnostics/determinism checks).
     [[nodiscard]] std::uint64_t total_scheduled() const { return seq_; }
-
-    /// Cascade accounting of the wheel backend; all zeros under kHeap. The
-    /// numbers are deterministic at a fixed seed, which is what lets bench
-    /// gates assert the amortized-cascade bound without timing anything.
-    [[nodiscard]] const TimerWheel::CascadeStats& wheel_cascade_stats() const {
-        return store_.wheel.cascade_stats();
-    }
 
 private:
     friend class EventHandle;
@@ -161,17 +127,15 @@ private:
     static std::size_t heap_parent(std::size_t i) { return i / 4 + 2; }
     static std::size_t heap_child(std::size_t i) { return 4 * i - 8; }
 
-    // Event storage shared by both backends. Const accessors (next_time,
-    // empty-adjacent queries) lazily discard cancelled tombstones as they
-    // surface; that housekeeping changes no observable state (live counts,
-    // next live event), so the store is mutable and the accessors stay
-    // honest const — no const_cast.
+    // Event storage. Const accessors (next_time, next_is_daemon) lazily
+    // discard cancelled tombstones as they surface; that housekeeping
+    // changes no observable state (live counts, next live event), so the
+    // store is mutable and the accessors stay honest const — no const_cast.
     struct Store {
         std::vector<Slot> slots;
-        std::vector<HeapEntry> heap;  ///< kHeap: physical indices kRoot.. hold entries
-        TimerWheel wheel;             ///< kWheel: hierarchical bucket array
+        std::vector<HeapEntry> heap;  ///< physical indices kRoot.. hold entries
         std::uint32_t free_head = kInvalid;
-        std::size_t dead = 0;  ///< cancelled tombstones still filed in the backend
+        std::size_t dead = 0;  ///< cancelled tombstones still in the heap
     };
 
     [[nodiscard]] bool entry_earlier(const HeapEntry& a, const HeapEntry& b) const {
@@ -192,19 +156,7 @@ private:
     void drop_dead() const;
     void pop_top() const;
 
-    // Drop filter handed to the wheel: true for cancelled entries, releasing
-    // their slot as the wheel removes them.
-    [[nodiscard]] auto dead_filter() const {
-        return [this](std::uint32_t slot) {
-            if (!store_.slots[slot].cancelled) return false;
-            release_slot(slot);
-            --store_.dead;
-            return true;
-        };
-    }
-
     mutable Store store_;
-    QueueBackend backend_;
     std::uint64_t seq_ = 0;
     std::size_t live_ = 0;
     std::size_t live_user_ = 0;
@@ -284,12 +236,6 @@ inline void EventQueue::drop_dead() const {
 }
 
 inline EventHandle EventQueue::push(SimTime at, Callback cb, bool daemon) {
-    if (backend_ == QueueBackend::kWheel &&
-        (at.ns() < 0 ||
-         static_cast<std::uint64_t>(at.ns()) < store_.wheel.current())) {
-        throw std::invalid_argument(
-            "EventQueue(wheel): timestamp negative or before the last popped event");
-    }
     const std::uint32_t slot = acquire_slot();
     Slot& s = store_.slots[slot];
     s.cb = std::move(cb);
@@ -297,71 +243,40 @@ inline EventHandle EventQueue::push(SimTime at, Callback cb, bool daemon) {
     s.daemon = daemon;
     s.cancelled = false;
     s.in_use = true;
-    if (backend_ == QueueBackend::kHeap) {
-        store_.heap.push_back(HeapEntry{at, slot});
-        sift_up(store_.heap.size() - 1);
-    } else {
-        store_.wheel.push(static_cast<std::uint64_t>(at.ns()), s.seq, slot);
-    }
+    store_.heap.push_back(HeapEntry{at, slot});
+    sift_up(store_.heap.size() - 1);
     ++live_;
     if (!daemon) ++live_user_;
     return EventHandle{this, slot, s.generation};
 }
 
 inline std::pair<SimTime, EventQueue::Callback> EventQueue::pop() {
-    if (backend_ == QueueBackend::kHeap) {
-        drop_dead();
-        if (heap_empty()) throw std::logic_error("EventQueue::pop on empty queue");
-        const std::uint32_t slot = store_.heap[kRoot].slot;
-        Slot& s = store_.slots[slot];
-        std::pair<SimTime, Callback> out{store_.heap[kRoot].at, std::move(s.cb)};
-        --live_;
-        if (!s.daemon) --live_user_;
-        release_slot(slot); // handle now reports "not pending"
-        pop_top();
-        return out; // NRVO: no extra callback relocation
-    }
-    TimerWheel::Entry entry{};
-    if (!store_.wheel.pop_min(dead_filter(), entry)) {
-        throw std::logic_error("EventQueue::pop on empty queue");
-    }
-    Slot& s = store_.slots[entry.slot];
-    std::pair<SimTime, Callback> out{SimTime{static_cast<std::int64_t>(entry.at)},
-                                     std::move(s.cb)};
+    drop_dead();
+    if (heap_empty()) throw std::logic_error("EventQueue::pop on empty queue");
+    const std::uint32_t slot = store_.heap[kRoot].slot;
+    Slot& s = store_.slots[slot];
+    std::pair<SimTime, Callback> out{store_.heap[kRoot].at, std::move(s.cb)};
     --live_;
     if (!s.daemon) --live_user_;
-    release_slot(entry.slot);
-    return out;
+    release_slot(slot); // handle now reports "not pending"
+    pop_top();
+    return out; // NRVO: no extra callback relocation
 }
 
 inline bool EventQueue::next_is_daemon() const {
-    if (backend_ == QueueBackend::kHeap) {
-        drop_dead();
-        if (heap_empty()) {
-            throw std::logic_error("EventQueue::next_is_daemon on empty queue");
-        }
-        return store_.slots[store_.heap[kRoot].slot].daemon;
-    }
-    TimerWheel::Entry entry{};
-    if (!store_.wheel.min_entry(dead_filter(), entry)) {
+    drop_dead();
+    if (heap_empty()) {
         throw std::logic_error("EventQueue::next_is_daemon on empty queue");
     }
-    return store_.slots[entry.slot].daemon;
+    return store_.slots[store_.heap[kRoot].slot].daemon;
 }
 
 inline SimTime EventQueue::next_time() const {
-    if (backend_ == QueueBackend::kHeap) {
-        drop_dead();
-        if (heap_empty()) {
-            throw std::logic_error("EventQueue::next_time on empty queue");
-        }
-        return store_.heap[kRoot].at;
-    }
-    std::uint64_t at = 0;
-    if (!store_.wheel.min_time(dead_filter(), at)) {
+    drop_dead();
+    if (heap_empty()) {
         throw std::logic_error("EventQueue::next_time on empty queue");
     }
-    return SimTime{static_cast<std::int64_t>(at)};
+    return store_.heap[kRoot].at;
 }
 
 } // namespace tedge::sim

@@ -47,7 +47,7 @@ Domain& ShardedSimulation::add_domain(std::string name) {
     }
     const auto id = static_cast<DomainId>(domains_.size());
     domains_.push_back(std::unique_ptr<Domain>(new Domain(
-        *this, id, std::move(name), options_.backend, options_.seed)));
+        *this, id, std::move(name), options_.seed)));
     return *domains_.back();
 }
 

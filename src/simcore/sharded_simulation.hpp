@@ -110,8 +110,6 @@ public:
     struct Options {
         /// Run seed; per-domain streams derive from it and the domain id.
         std::uint64_t seed = 42;
-        /// Event-queue backend for every domain's kernel.
-        QueueBackend backend = EventQueue::default_backend();
         /// Minimum cross-domain message latency of the implicit full-mesh
         /// channel graph used when no explicit channels are set. post()
         /// requires message timestamps >= sender now + channel lookahead.

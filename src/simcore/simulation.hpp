@@ -27,19 +27,11 @@ class Tracer;
 
 class Simulation {
 public:
-    /// The event-queue backend defaults to EventQueue::default_backend()
-    /// (the timing wheel unless TEDGE_EVENT_BACKEND overrides it); pass one
-    /// explicitly to pin a run to a specific backend, e.g. for differential
-    /// determinism tests or heap-vs-wheel benchmarks.
     Simulation() = default;
-    explicit Simulation(QueueBackend backend) : queue_(backend) {}
 
     // The kernel is referenced by every component; it must not move.
     Simulation(const Simulation&) = delete;
     Simulation& operator=(const Simulation&) = delete;
-
-    /// Backend the event queue is running on.
-    [[nodiscard]] QueueBackend backend() const { return queue_.backend(); }
 
     /// Pre-size the kernel for `events` concurrently pending events (see
     /// EventQueue::reserve). Call before the run when the peak is known.
@@ -144,11 +136,13 @@ public:
     void track_user_horizon() { track_user_horizon_ = true; }
     [[nodiscard]] SimTime user_horizon() const { return user_horizon_; }
 
-    /// Wheel-backend cascade accounting (zeros under kHeap); deterministic
-    /// at a fixed seed, so bench gates can bound amortized cascade work.
-    [[nodiscard]] const TimerWheel::CascadeStats& wheel_cascade_stats() const {
-        return queue_.wheel_cascade_stats();
-    }
+    /// Events the queue re-filed internally. The heap never re-files an
+    /// event, so this is always zero; it remains only because e2ebench still
+    /// reports it as a per-layer counter.
+    struct CascadeStats {
+        std::uint64_t refiled = 0;
+    };
+    [[nodiscard]] static CascadeStats wheel_cascade_stats() { return {}; }
 
     /// The enabled tracer, or nullptr (the default, and whenever tracing is
     /// disabled). Components guard span emission with this single pointer

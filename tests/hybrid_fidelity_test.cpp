@@ -3,7 +3,7 @@
 // idle-notification parity), the FluidPoissonStream workload, and the
 // end-to-end differential -- a platform run under hybrid fidelity must make
 // the same dispatch decisions, at the same virtual instants, with the same
-// idle scale-downs, as the exact run, on both event-queue backends.
+// idle scale-downs, as the exact run.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -395,9 +395,8 @@ struct RunDigest {
 
 /// The fig. 2 loop in miniature: cold start, switch-entry expiry, memory-hit
 /// re-dispatch (the established path hybrid promotes), then idle scale-down.
-RunDigest run_differential_scenario(sim::QueueBackend backend,
-                                    Fidelity fidelity) {
-    sim::Simulation sim(backend);
+RunDigest run_differential_scenario(Fidelity fidelity) {
+    sim::Simulation sim;
     core::EdgePlatform platform(sim, {});
     std::vector<net::NodeId> clients;
     for (std::uint32_t i = 1; i <= 3; ++i) {
@@ -473,31 +472,21 @@ spec:
     return digest;
 }
 
-TEST(HybridDifferentialTest, HybridReproducesExactRunOnBothBackends) {
-    const auto exact_heap =
-        run_differential_scenario(sim::QueueBackend::kHeap, Fidelity::kExact);
+TEST(HybridDifferentialTest, HybridReproducesExactRun) {
+    const auto exact = run_differential_scenario(Fidelity::kExact);
 
     // The scenario exercised what it claims to: real deployments, real
     // memory hits, real idle scale-downs.
-    ASSERT_EQ(exact_heap.requests.size(), 9u);
-    for (const auto& [ok, server, at_ns] : exact_heap.requests) {
+    ASSERT_EQ(exact.requests.size(), 9u);
+    for (const auto& [ok, server, at_ns] : exact.requests) {
         EXPECT_TRUE(ok);
     }
-    EXPECT_GT(exact_heap.deployed_waiting, 0u);
-    EXPECT_GT(exact_heap.memory_hits, 0u);
-    EXPECT_GT(exact_heap.idle_scale_downs, 0u);
+    EXPECT_GT(exact.deployed_waiting, 0u);
+    EXPECT_GT(exact.memory_hits, 0u);
+    EXPECT_GT(exact.idle_scale_downs, 0u);
 
-    const auto hybrid_heap =
-        run_differential_scenario(sim::QueueBackend::kHeap, Fidelity::kHybrid);
-    EXPECT_EQ(hybrid_heap, exact_heap) << "hybrid diverged from exact (heap)";
-
-    const auto exact_wheel =
-        run_differential_scenario(sim::QueueBackend::kWheel, Fidelity::kExact);
-    EXPECT_EQ(exact_wheel, exact_heap) << "wheel diverged from heap (exact)";
-
-    const auto hybrid_wheel =
-        run_differential_scenario(sim::QueueBackend::kWheel, Fidelity::kHybrid);
-    EXPECT_EQ(hybrid_wheel, exact_heap) << "hybrid diverged from exact (wheel)";
+    EXPECT_EQ(run_differential_scenario(Fidelity::kHybrid), exact)
+        << "hybrid diverged from exact";
 }
 
 } // namespace

@@ -1,11 +1,17 @@
 // Regression tests for the fast-path kernel rework: slab event queue
-// determinism, generation-checked handles across slot reuse, the flow-table
+// determinism, generation-checked handles across slot reuse, a randomized
+// differential of the queue against an ordered-map oracle, the flow-table
 // exact-match index vs. the reference scan, and the predicate-driven drain
 // API.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <optional>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/flow_table.hpp"
@@ -122,6 +128,174 @@ TEST(KernelFastPath, StaleHandleAfterCancellationCannotCancelReusedSlot) {
     stale.cancel(); // no-op either way
     while (!queue.empty()) queue.pop().second();
     EXPECT_TRUE(fired);
+}
+
+// ---------------------------------------------------------------------------
+// Randomized differential: a seeded push/cancel/pop workload checked after
+// every step against a std::map keyed by (timestamp, insertion order) -- the
+// queue's ordering contract as the plainest possible container -- on pop
+// order, size(), has_user_events(), next_is_daemon() and next_time().
+
+using OracleKey = std::pair<std::int64_t, std::uint64_t>; ///< (at, insertion order)
+
+/// An EventQueue and its oracle (key -> daemon flag), driven in lockstep.
+/// Callbacks capture `this`, so a run must stay where it was constructed.
+struct OracleRun {
+    EventQueue queue;
+    std::map<OracleKey, bool> oracle;
+    std::vector<std::pair<sim::EventHandle, OracleKey>> handles;
+    std::uint64_t pushed = 0;
+    std::uint64_t fired = 0; ///< insertion order of the last callback run
+    std::int64_t now = 0;
+
+    void push(std::int64_t at, bool daemon) {
+        const OracleKey key{at, pushed++};
+        handles.emplace_back(
+            queue.push(SimTime{at}, [this, key] { fired = key.second; }, daemon),
+            key);
+        oracle.emplace(key, daemon);
+    }
+
+    void cancel(std::size_t index) {
+        auto& [handle, key] = handles[index];
+        ASSERT_EQ(handle.pending(), oracle.count(key) == 1);
+        handle.cancel(); // a no-op once the event fired or was cancelled
+        oracle.erase(key);
+    }
+
+    void pop() {
+        auto [at, cb] = queue.pop();
+        cb();
+        const auto expected = oracle.begin();
+        ASSERT_EQ(at.ns(), expected->first.first);
+        ASSERT_EQ(fired, expected->first.second);
+        oracle.erase(expected);
+        now = at.ns();
+    }
+
+    /// next_is_daemon() is peeked before next_time(): next_time() discards
+    /// cancelled tombstones that have surfaced, so peeking it first would
+    /// hide a next_is_daemon() that reads a cancelled minimum.
+    void check() const {
+        ASSERT_EQ(queue.size(), oracle.size());
+        ASSERT_EQ(queue.has_user_events(),
+                  std::any_of(oracle.begin(), oracle.end(),
+                              [](const auto& event) { return !event.second; }));
+        if (oracle.empty()) return;
+        ASSERT_EQ(queue.next_is_daemon(), oracle.begin()->second);
+        ASSERT_EQ(queue.next_time().ns(), oracle.begin()->first.first);
+    }
+};
+
+TEST(KernelFastPath, RandomizedQueueMatchesOrderedMapOracle) {
+    for (const std::uint32_t seed : {1u, 7u, 42u, 1234u, 99999u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937 rng(seed);
+        // Delays mix five magnitudes, from same-instant pile-ups to ~17
+        // simulated minutes.
+        const auto random_delay = [&rng]() -> std::int64_t {
+            switch (rng() % 5) {
+                case 0: return 0;
+                case 1: return static_cast<std::int64_t>(rng() % 64);
+                case 2: return static_cast<std::int64_t>(rng() % 4096) * 250;
+                case 3: return static_cast<std::int64_t>(rng() % 1024) * 1'000'000;
+                default:
+                    return static_cast<std::int64_t>(rng() % 1024) * 1'000'000'000;
+            }
+        };
+        OracleRun run;
+        for (int round = 0; round < 300; ++round) {
+            for (std::size_t pushes = rng() % 8; pushes > 0; --pushes) {
+                const bool daemon = rng() % 4 == 0;
+                run.push(run.now + random_delay(), daemon);
+                ASSERT_NO_FATAL_FAILURE(run.check());
+            }
+            for (std::size_t cancels = rng() % 3;
+                 cancels > 0 && !run.handles.empty(); --cancels) {
+                ASSERT_NO_FATAL_FAILURE(run.cancel(rng() % run.handles.size()));
+                ASSERT_NO_FATAL_FAILURE(run.check());
+            }
+            for (std::size_t pops = rng() % 6; pops > 0 && !run.queue.empty();
+                 --pops) {
+                ASSERT_NO_FATAL_FAILURE(run.pop());
+                ASSERT_NO_FATAL_FAILURE(run.check());
+            }
+        }
+        while (!run.queue.empty()) {
+            ASSERT_NO_FATAL_FAILURE(run.pop());
+            ASSERT_NO_FATAL_FAILURE(run.check());
+        }
+        EXPECT_TRUE(run.oracle.empty());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Peeks, cancelled minima, distant timestamps and pre-sizing.
+
+TEST(KernelFastPath, PushEarlierThanPeekedMinimum) {
+    // run_until consults next_time(), stops short of it, and later events may
+    // be pushed *below* the pending minimum.
+    Simulation simulation;
+    std::vector<int> order;
+    simulation.schedule_at(sim::seconds(10), [&] { order.push_back(1); });
+    simulation.run_until(sim::seconds(1)); // peeks 10s, stops at 1s
+    EXPECT_EQ(simulation.now(), sim::seconds(1));
+    simulation.schedule_at(sim::seconds(2), [&] { order.push_back(0); });
+    simulation.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1}));
+    EXPECT_EQ(simulation.now(), sim::seconds(10));
+}
+
+TEST(KernelFastPath, CancelledMinimumIsSkippedByNextTime) {
+    EventQueue queue;
+    auto first = queue.push(sim::seconds(1), [] {});
+    queue.push(sim::seconds(2), [] {});
+    EXPECT_EQ(queue.next_time(), sim::seconds(1));
+    first.cancel();
+    EXPECT_EQ(queue.next_time(), sim::seconds(2));
+    EXPECT_EQ(queue.pop().first, sim::seconds(2));
+}
+
+TEST(KernelFastPath, DistantTimersAcrossManyLevels) {
+    // Timestamps spanning 1 ns to ~11.5 days, pushed in shuffled order.
+    EventQueue queue;
+    std::vector<std::int64_t> ats;
+    std::int64_t at = 1;
+    while (at < 1'000'000'000'000'000) { // 10^15 ns
+        ats.push_back(at);
+        at *= 10;
+    }
+    std::mt19937 rng(7);
+    auto shuffled = ats;
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    for (const auto t : shuffled) {
+        queue.push(SimTime{t}, [] {});
+    }
+    std::vector<std::int64_t> popped;
+    while (!queue.empty()) popped.push_back(queue.pop().first.ns());
+    EXPECT_EQ(popped, ats);
+}
+
+TEST(EventQueueReserve, ReserveDoesNotChangeObservableState) {
+    EventQueue queue;
+    queue.push(sim::seconds(2), [] {});
+    queue.reserve(10'000);
+    queue.push(sim::seconds(1), [] {});
+    EXPECT_EQ(queue.size(), 2u);
+    EXPECT_EQ(queue.next_time(), sim::seconds(1));
+    EXPECT_EQ(queue.pop().first, sim::seconds(1));
+    EXPECT_EQ(queue.pop().first, sim::seconds(2));
+}
+
+TEST(EventQueueReserve, SimulationForwardsReserve) {
+    Simulation simulation;
+    simulation.reserve_events(4096);
+    int fired = 0;
+    for (int i = 0; i < 100; ++i) {
+        simulation.schedule(sim::milliseconds(i), [&] { ++fired; });
+    }
+    simulation.run();
+    EXPECT_EQ(fired, 100);
 }
 
 // ---------------------------------------------------------------------------

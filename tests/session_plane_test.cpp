@@ -1,8 +1,8 @@
 // Session-plane tests (DESIGN §11): first-class UE sessions, continuity
 // policies, client-scoped FlowMemory state, strict/fallback ingress
-// resolution, mid-request handovers (deterministic across event-queue
-// backends), and the cross-shard FlowMemory handoff -- byte-identical at
-// every shard/worker count under all three coordinator sync modes.
+// resolution, mid-request handovers, and the cross-shard FlowMemory handoff
+// -- byte-identical at every shard/worker count under both coordinator sync
+// modes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -300,17 +300,14 @@ TEST(ClientMemoryParityTest, FlowsOfClientMatchesWithAndWithoutIndex) {
 // ------------------------------------------- platform mobility scenarios
 
 /// A two-cell platform with one on-demand service; parametrized over the
-/// controller config and (for backend differentials) a caller-owned kernel.
+/// controller config.
 struct TwoCellPlatform {
     explicit TwoCellPlatform(sdn::ControllerConfig config = {},
-                             sim::Simulation* host = nullptr,
                              sim::SimTime backbone = sim::microseconds(200),
                              sim::SimTime radio_link = sim::microseconds(300),
                              bool defer_controller = false,
                              bool link_second_cell = true)
-        : platform(host != nullptr
-                       ? std::make_unique<core::EdgePlatform>(*host)
-                       : std::make_unique<core::EdgePlatform>()) {
+        : platform(std::make_unique<core::EdgePlatform>()) {
         auto& p = *platform;
         client = p.add_client("ue", client_ip, radio_link);
         edge = p.add_edge_host("edge", net::Ipv4{10, 0, 0, 2}, 12);
@@ -467,20 +464,16 @@ struct MidRequestOutcome {
     bool second_ok = false;
     bool third_ok = false;
     std::uint64_t handovers = 0;
-    std::uint64_t memory_hits = 0;
     std::size_t deployments = 0;
-    std::int64_t finished_ns = 0;
-
-    bool operator==(const MidRequestOutcome&) const = default;
 };
 
 /// Request 1 deploys on demand; the client re-homes to gNB2 at t=5 ms --
 /// squarely inside the with-waiting deployment. Request 2 then enters at
 /// gNB2 and re-homes *back* mid-exchange (between its SYN and the
 /// response). Request 3 enters at the primary again.
-MidRequestOutcome run_mid_request_scenario(sim::QueueBackend backend) {
-    sim::Simulation sim(backend);
-    TwoCellPlatform t({}, &sim);
+MidRequestOutcome run_mid_request_scenario() {
+    TwoCellPlatform t;
+    auto& sim = t.platform->simulation();
     MidRequestOutcome out;
 
     t.platform->schedule_handover(t.client, *t.gnb2, milliseconds(5));
@@ -493,27 +486,19 @@ MidRequestOutcome run_mid_request_scenario(sim::QueueBackend backend) {
     sim.run_until(sim.now() + seconds(1));
 
     out.third_ok = t.request_and_wait().ok;
-    const auto& stats = t.platform->controller().dispatcher().stats();
-    out.handovers = stats.handovers;
-    out.memory_hits = stats.memory_hits;
+    out.handovers = t.platform->controller().dispatcher().stats().handovers;
     out.deployments = t.platform->deployment_engine().records().size();
-    out.finished_ns = sim.now().ns();
     return out;
 }
 
 TEST(MidRequestHandoverTest, RequestsSurviveReHomesAtEveryPhase) {
-    const auto out = run_mid_request_scenario(sim::QueueBackend::kHeap);
+    const auto out = run_mid_request_scenario();
     EXPECT_TRUE(out.first_ok);
     EXPECT_TRUE(out.second_ok);
     EXPECT_TRUE(out.third_ok);
     EXPECT_EQ(out.handovers, 2u);
     // One on-demand deployment serves all three requests across both cells.
     EXPECT_EQ(out.deployments, 1u);
-}
-
-TEST(MidRequestHandoverTest, IdenticalAcrossQueueBackends) {
-    EXPECT_EQ(run_mid_request_scenario(sim::QueueBackend::kHeap),
-              run_mid_request_scenario(sim::QueueBackend::kWheel));
 }
 
 // --------------------------------------------------- migrate-and-warm
@@ -536,7 +521,7 @@ struct MigrationPlatform : TwoCellPlatform {
     // range until the UE actually moves -- connect_client_to_ingress wires
     // the radio leg at handover time.
     MigrationPlatform()
-        : TwoCellPlatform(migration_config(), nullptr, milliseconds(4),
+        : TwoCellPlatform(migration_config(), milliseconds(4),
                           milliseconds(5), /*defer_controller=*/true,
                           /*link_second_cell=*/false) {
         // A second cluster right next to gNB2 (and as far from the primary
