@@ -1,13 +1,17 @@
 // Microbenchmarks for the framework's hot paths: event queue, flow-table
-// lookup at realistic table sizes, scheduler decisions, YAML parsing, and
-// statistics. These are real-time benchmarks of the simulator itself (not
-// simulated time) -- they bound how fast experiments run.
+// lookup and churn at realistic table sizes, the k8s endpoints sync,
+// scheduler decisions, YAML parsing, and statistics. These are real-time
+// benchmarks of the simulator itself (not simulated time) -- they bound how
+// fast experiments run.
 #include <benchmark/benchmark.h>
 
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "net/flow_table.hpp"
+#include "orchestrator/k8s/api_server.hpp"
+#include "orchestrator/k8s/controller_manager.hpp"
 #include "sdn/schedulers/proximity.hpp"
 #include "simcore/event_queue.hpp"
 #include "simcore/random.hpp"
@@ -162,6 +166,94 @@ void BM_FlowTableLookupWildcard(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_FlowTableLookupWildcard)->Arg(16)->Arg(256)->Arg(2048);
+
+/// Steady per-flow churn at `n` live exact entries, the switch's regime under
+/// short idle timeouts: each iteration advances the clock, installs one
+/// entry and looks up the entry installed n/4 iterations earlier, which
+/// pushes its idle deadline back. Every entry is touched once, at age
+/// idle/3, and so lives 4/3 idle; stepping the clock by that over n keeps
+/// n entries live and expires about one per iteration. The per-iteration
+/// cost should not grow with n.
+void BM_FlowTableChurn(benchmark::State& state) {
+    const auto n = static_cast<std::uint32_t>(state.range(0));
+    const sim::SimTime idle = sim::seconds(10);
+    const sim::SimTime step{idle.ns() * 4 / 3 / n};
+    net::FlowTable table;
+    sim::SimTime now = sim::SimTime::zero();
+    std::uint32_t k = 0;
+    auto churn = [&] {
+        now += step;
+        net::FlowEntry entry;
+        entry.match.src_ip = net::Ipv4{++k};
+        entry.match.dst_ip = net::Ipv4{10, 0, 0, 1};
+        entry.match.dst_port = 80;
+        entry.match.proto = net::Proto::kTcp;
+        entry.idle_timeout = idle;
+        table.install(entry, now);
+        net::Packet packet;
+        packet.src_ip = net::Ipv4{k > n / 4 ? k - n / 4 : k};
+        packet.dst_ip = net::Ipv4{10, 0, 0, 1};
+        packet.dst_port = 80;
+        packet.proto = net::Proto::kTcp;
+        return table.lookup(packet, now);
+    };
+    for (std::uint32_t i = 0; i < 2 * n; ++i) churn(); // reach steady state
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(churn());
+    }
+    state.counters["live_entries"] = static_cast<double>(table.size());
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_FlowTableChurn)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// --------------------------------------------------------------------------
+// Kubernetes endpoints controller.
+
+/// `n` services with one ready pod each; each iteration flips one pod's
+/// readiness and drains the control loop: the endpoints sync the pod's watch
+/// event triggers, the endpoints write, and the sync that write's watch
+/// event triggers. A sync walks the pods and the services once each, so the
+/// cost grows with n, not with services x pods.
+void BM_EndpointsSync(benchmark::State& state) {
+    namespace k8s = orchestrator::k8s;
+    const auto n = static_cast<std::size_t>(state.range(0));
+    sim::Simulation simulation;
+    k8s::ApiServer api(simulation);
+    // Populated before the controller watches, so setup schedules no syncs.
+    std::vector<std::string> pods;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::string name = "svc-" + std::to_string(i);
+        k8s::PodObj pod;
+        pod.name = name + "-rs-0";
+        pod.owner_rs = name + "-rs";
+        pod.spec.name = name;
+        pod.spec.labels = {{"app", name}, {"edge.service", name}};
+        pod.node = net::NodeId{1};
+        pod.phase = k8s::PodPhase::kRunning;
+        pod.ready = true;
+        pod.pod_port = static_cast<std::uint16_t>(20000 + i);
+        k8s::ServiceObj service;
+        service.name = name;
+        service.selector = {{"edge.service", name}};
+        service.endpoints = {{pod.name, pod.node, pod.pod_port}};
+        pods.push_back(pod.name);
+        api.pods().upsert(pod.name, pod);
+        api.services().upsert(service.name, service);
+    }
+    k8s::ControllerManager controllers(simulation, api);
+    controllers.start();
+    simulation.run();
+    std::size_t next = 0;
+    for (auto _ : state) {
+        k8s::PodObj pod = *api.pods().get(pods[next]);
+        pod.ready = !pod.ready;
+        api.pods().upsert(pod.name, pod);
+        simulation.run();
+        next = (next + 1) % n;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EndpointsSync)->Arg(126)->Arg(1260);
 
 // --------------------------------------------------------------------------
 // Everything else.

@@ -25,6 +25,97 @@ std::string FlowMatch::str() const {
     return out;
 }
 
+namespace {
+
+/// std::*_heap comparator for a min-heap on (due, seq).
+constexpr auto kLater = [](const auto& a, const auto& b) {
+    return a.due != b.due ? a.due > b.due : a.seq > b.seq;
+};
+
+/// True if entry `a` (installed as `a_seq`) wins a packet both match over
+/// `b`: higher priority, then more specific, then installed earlier.
+bool outranks(const FlowEntry& a, std::uint64_t a_seq, const FlowEntry& b,
+              std::uint64_t b_seq) {
+    if (a.priority != b.priority) return a.priority > b.priority;
+    const int sa = a.match.specificity();
+    const int sb = b.match.specificity();
+    if (sa != sb) return sa > sb;
+    return a_seq < b_seq;
+}
+
+} // namespace
+
+// ------------------------------------------------------------- exact index
+
+std::size_t FlowTable::ExactIndex::hash(const ExactKey& k) {
+    // splitmix64 finalizer over the packed fields.
+    std::uint64_t x = (std::uint64_t{k.src} << 32) | k.dst;
+    x ^= (std::uint64_t{k.dst_port} << 8) | k.proto;
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return static_cast<std::size_t>(x ^ (x >> 31));
+}
+
+std::uint32_t* FlowTable::ExactIndex::find(const ExactKey& key) {
+    if (used_ == 0) return nullptr;
+    const std::size_t mask = cells_.size() - 1;
+    for (std::size_t i = hash(key) & mask;; i = (i + 1) & mask) {
+        Cell& cell = cells_[i];
+        if (cell.slot == kNone) return nullptr;
+        if (cell.key == key) return &cell.slot;
+    }
+}
+
+std::uint32_t& FlowTable::ExactIndex::find_or_insert(const ExactKey& key) {
+    if ((used_ + 1) * 2 > cells_.size()) grow();
+    const std::size_t mask = cells_.size() - 1;
+    for (std::size_t i = hash(key) & mask;; i = (i + 1) & mask) {
+        Cell& cell = cells_[i];
+        if (cell.slot == kNone) {
+            cell.key = key;
+            ++used_;
+            return cell.slot;
+        }
+        if (cell.key == key) return cell.slot;
+    }
+}
+
+void FlowTable::ExactIndex::erase(const ExactKey& key) {
+    if (used_ == 0) return;
+    const std::size_t mask = cells_.size() - 1;
+    std::size_t hole = hash(key) & mask;
+    while (cells_[hole].slot != kNone && !(cells_[hole].key == key)) {
+        hole = (hole + 1) & mask;
+    }
+    if (cells_[hole].slot == kNone) return;
+    --used_;
+    // Backward shift: pull each later member of the probe run into the hole
+    // unless that would move it in front of its home cell.
+    for (std::size_t j = (hole + 1) & mask; cells_[j].slot != kNone; j = (j + 1) & mask) {
+        const std::size_t home = hash(cells_[j].key) & mask;
+        if (((j - home) & mask) >= ((j - hole) & mask)) {
+            cells_[hole] = cells_[j];
+            hole = j;
+        }
+    }
+    cells_[hole].slot = kNone;
+}
+
+void FlowTable::ExactIndex::grow() {
+    std::vector<Cell> old = std::move(cells_);
+    cells_.assign(old.empty() ? 16 : old.size() * 2, Cell{});
+    const std::size_t mask = cells_.size() - 1;
+    for (const Cell& cell : old) {
+        if (cell.slot == kNone) continue;
+        std::size_t i = hash(cell.key) & mask;
+        while (cells_[i].slot != kNone) i = (i + 1) & mask;
+        cells_[i] = cell;
+    }
+}
+
+// ------------------------------------------------------------------ table
+
 std::optional<sim::SimTime> FlowTable::expiry_of(const FlowEntry& e) {
     std::optional<sim::SimTime> t;
     if (e.hard_timeout > sim::SimTime::zero()) t = e.installed_at + e.hard_timeout;
@@ -35,112 +126,204 @@ std::optional<sim::SimTime> FlowTable::expiry_of(const FlowEntry& e) {
     return t;
 }
 
-void FlowTable::note_expiry(const FlowEntry& e) {
-    const auto t = expiry_of(e);
-    if (t && (!next_expiry_ || *t < *next_expiry_)) next_expiry_ = t;
-}
-
-void FlowTable::reindex() {
-    exact_.clear();
-    wildcard_.clear();
-    for (std::uint32_t i = 0; i < entries_.size(); ++i) {
-        const FlowMatch& m = entries_[i].match;
-        if (fully_specified(m)) {
-            exact_[key_of(m)].push_back(i);
-        } else {
-            wildcard_.push_back(i);
+std::uint32_t FlowTable::find_same(const FlowMatch& match, std::uint16_t priority) {
+    if (fully_specified(match)) {
+        const std::uint32_t* head = exact_.find(key_of(match));
+        for (std::uint32_t id = head ? *head : kNone; id != kNone; id = slots_[id].next) {
+            if (slots_[id].entry.priority == priority) return id;
         }
+        return kNone;
     }
+    for (const std::uint32_t id : wildcard_) {
+        const FlowEntry& e = slots_[id].entry;
+        if (e.priority == priority && e.match == match) return id;
+    }
+    return kNone;
 }
 
-void FlowTable::sweep_if_due(sim::SimTime now) {
-    if (next_expiry_ && now >= *next_expiry_) expire(now);
+void FlowTable::file(std::uint32_t id) {
+    const Slot& s = slots_[id];
+    const auto due = expiry_of(s.entry);
+    if (!due) return;
+    deadlines_.push_back({*due, s.seq, id, s.generation});
+    std::push_heap(deadlines_.begin(), deadlines_.end(), kLater);
+}
+
+void FlowTable::unchain(std::uint32_t id) {
+    const ExactKey key = key_of(slots_[id].entry.match);
+    std::uint32_t* link = exact_.find(key);
+    if (*link == id && slots_[id].next == kNone) {
+        exact_.erase(key); // last entry of its key: the cell must go, not read empty
+        return;
+    }
+    while (*link != id) link = &slots_[*link].next;
+    *link = slots_[id].next;
+}
+
+void FlowTable::release(std::uint32_t id) {
+    Slot& s = slots_[id];
+    s.live = false;
+    ++s.generation;
+    s.next = free_head_;
+    free_head_ = id;
+    --live_;
+}
+
+void FlowTable::unlink(std::uint32_t id) {
+    if (fully_specified(slots_[id].entry.match)) {
+        unchain(id);
+    } else {
+        wildcard_.erase(std::find(wildcard_.begin(), wildcard_.end(), id));
+    }
+    release(id);
+}
+
+void FlowTable::remove_expired(std::uint32_t id, sim::SimTime now) {
+    // Unlink before the callback so it sees (and may change) a consistent table.
+    const FlowEntry gone = slots_[id].entry;
+    unlink(id);
+    if (!removed_cb_) return;
+    const bool idle = !(gone.hard_timeout > sim::SimTime::zero() &&
+                        now - gone.installed_at >= gone.hard_timeout);
+    removed_cb_(gone, idle);
 }
 
 bool FlowTable::install(FlowEntry entry, sim::SimTime now) {
     entry.installed_at = now;
     entry.last_used = now;
     entry.packet_count = 0;
-    const auto it = std::find_if(entries_.begin(), entries_.end(), [&](const FlowEntry& e) {
-        return e.match == entry.match && e.priority == entry.priority;
-    });
-    if (it != entries_.end()) {
-        // Same match -> same index bucket; replace in place.
-        note_expiry(entry);
-        *it = std::move(entry);
-        return true;
+    const std::uint32_t same = find_same(entry.match, entry.priority);
+    if (same != kNone) {
+        Slot& s = slots_[same];
+        if (!s.entry.expired(now)) {
+            // Replace in place: the entry keeps its slot and install order,
+            // and the generation bump retires its old expiry record.
+            s.entry = std::move(entry);
+            ++s.generation;
+            file(same);
+            return true;
+        }
+        // Expired but not yet swept: it leaves as a sweep would have removed
+        // it, and the new entry is a fresh install.
+        remove_expired(same, now);
     }
-    note_expiry(entry);
-    const auto index = static_cast<std::uint32_t>(entries_.size());
-    if (fully_specified(entry.match)) {
-        exact_[key_of(entry.match)].push_back(index);
+
+    std::uint32_t id = free_head_;
+    if (id != kNone) {
+        free_head_ = slots_[id].next;
     } else {
-        wildcard_.push_back(index);
+        id = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
     }
-    entries_.push_back(std::move(entry));
+    Slot& s = slots_[id];
+    s.entry = std::move(entry);
+    s.seq = next_seq_++;
+    s.live = true;
+    s.next = kNone;
+    ++live_;
+    if (fully_specified(s.entry.match)) {
+        // Chain by descending priority, so the head is the exact winner.
+        std::uint32_t* link = &exact_.find_or_insert(key_of(s.entry.match));
+        while (*link != kNone && slots_[*link].entry.priority > s.entry.priority) {
+            link = &slots_[*link].next;
+        }
+        s.next = *link;
+        *link = id;
+    } else {
+        wildcard_.push_back(id);
+    }
+    file(id);
     return false;
 }
 
-std::optional<FlowEntry> FlowTable::lookup(const Packet& packet, sim::SimTime now) {
-    // After the sweep no entry is expired at `now` (next_expiry_ is a lower
-    // bound), so the match loops below need no per-entry expiry checks.
-    sweep_if_due(now);
-
-    FlowEntry* best = nullptr;
-    if (!exact_.empty()) {
-        const auto it = exact_.find(key_of(packet));
-        if (it != exact_.end()) {
-            for (const std::uint32_t idx : it->second) {
-                FlowEntry& e = entries_[idx];
-                if (best == nullptr || e.priority > best->priority) best = &e;
-            }
+std::size_t FlowTable::sweep(sim::SimTime now) {
+    std::size_t removed = 0;
+    while (!deadlines_.empty() && deadlines_.front().due <= now) {
+        std::pop_heap(deadlines_.begin(), deadlines_.end(), kLater);
+        const Deadline d = deadlines_.back();
+        deadlines_.pop_back();
+        const Slot& s = slots_[d.slot];
+        if (s.generation != d.generation) continue; // freed or replaced since filed
+        const sim::SimTime due = *expiry_of(s.entry);
+        if (due != d.due) {
+            // Touched since filing. Re-filing (rather than removing once
+            // `due <= now`) keeps removals in (expiry instant, seq) order.
+            deadlines_.push_back({due, d.seq, d.slot, d.generation});
+            std::push_heap(deadlines_.begin(), deadlines_.end(), kLater);
+            continue;
         }
+        remove_expired(d.slot, now);
+        ++removed;
     }
-    // Wildcard entries can still outrank an exact hit on priority. On a
-    // priority tie the exact entry wins: its specificity is 4, a wildcard's
-    // is at most 3 -- identical to the old full-scan tiebreak.
-    for (const std::uint32_t idx : wildcard_) {
-        FlowEntry& e = entries_[idx];
-        if (!e.match.matches(packet)) continue;
-        if (best == nullptr || e.priority > best->priority ||
-            (e.priority == best->priority &&
-             e.match.specificity() > best->match.specificity())) {
-            best = &e;
-        }
+    return removed;
+}
+
+std::optional<FlowEntry> FlowTable::lookup(const Packet& packet, sim::SimTime now) {
+    // After the sweep no entry is expired at `now`, so the match below needs
+    // no per-entry expiry checks.
+    sweep(now);
+
+    Slot* best = nullptr;
+    if (std::uint32_t* head = exact_.find(key_of(packet))) best = &slots_[*head];
+    // Wildcard entries can still outrank an exact hit on priority; on a
+    // priority tie the exact entry's specificity (4) wins.
+    for (const std::uint32_t id : wildcard_) {
+        Slot& s = slots_[id];
+        if (!s.entry.match.matches(packet)) continue;
+        if (best == nullptr || outranks(s.entry, s.seq, best->entry, best->seq)) best = &s;
     }
 
     if (best == nullptr) {
         ++misses_;
         return std::nullopt;
     }
-    best->last_used = now; // extends idle expiry; bound stays conservative
-    ++best->packet_count;
+    best->entry.last_used = now; // later deadline; its record is re-filed lazily
+    ++best->entry.packet_count;
     ++hits_;
-    return *best;
+    return best->entry;
 }
 
 const FlowEntry* FlowTable::peek(const Packet& packet, sim::SimTime now) const {
-    const FlowEntry* best = nullptr;
-    for (const auto& e : entries_) {
-        if (e.expired(now) || !e.match.matches(packet)) continue;
-        if (!best || e.priority > best->priority ||
-            (e.priority == best->priority &&
-             e.match.specificity() > best->match.specificity())) {
-            best = &e;
-        }
+    const Slot* best = nullptr;
+    for (const Slot& s : slots_) {
+        if (!s.live || s.entry.expired(now) || !s.entry.match.matches(packet)) continue;
+        if (best == nullptr || outranks(s.entry, s.seq, best->entry, best->seq)) best = &s;
     }
-    return best;
+    return best ? &best->entry : nullptr;
 }
 
 template <typename Pred>
 std::size_t FlowTable::remove_where(Pred pred) {
-    const std::size_t removed = std::erase_if(entries_, pred);
-    if (removed > 0) reindex();
+    std::size_t removed = std::erase_if(wildcard_, [&](std::uint32_t id) {
+        if (!pred(slots_[id].entry)) return false;
+        release(id);
+        return true;
+    });
+    // Every live slot still satisfying `pred` is now an exact entry.
+    for (std::uint32_t id = 0; id < slots_.size(); ++id) {
+        if (!slots_[id].live || !pred(slots_[id].entry)) continue;
+        unchain(id);
+        release(id);
+        ++removed;
+    }
     return removed;
 }
 
 std::size_t FlowTable::remove(const FlowMatch& match) {
-    return remove_where([&](const FlowEntry& e) { return e.match == match; });
+    if (!fully_specified(match)) {
+        return remove_where([&](const FlowEntry& e) { return e.match == match; });
+    }
+    const ExactKey key = key_of(match);
+    const std::uint32_t* head = exact_.find(key);
+    if (head == nullptr) return 0;
+    std::size_t removed = 0;
+    for (std::uint32_t id = *head; id != kNone; ++removed) {
+        const std::uint32_t next = slots_[id].next;
+        release(id);
+        id = next;
+    }
+    exact_.erase(key);
+    return removed;
 }
 
 std::size_t FlowTable::remove_by_cookie(std::uint64_t cookie) {
@@ -159,33 +342,29 @@ std::size_t FlowTable::remove_by_target(NodeId node, std::uint16_t port) {
     });
 }
 
-std::size_t FlowTable::expire(sim::SimTime now) {
-    std::size_t removed = 0;
-    for (auto it = entries_.begin(); it != entries_.end();) {
-        if (it->expired(now)) {
-            if (removed_cb_) {
-                const bool idle = !(it->hard_timeout > sim::SimTime::zero() &&
-                                    now - it->installed_at >= it->hard_timeout);
-                removed_cb_(*it, idle);
-            }
-            it = entries_.erase(it);
-            ++removed;
-        } else {
-            ++it;
-        }
+std::size_t FlowTable::expire(sim::SimTime now) { return sweep(now); }
+
+std::vector<FlowEntry> FlowTable::entries() const {
+    std::vector<const Slot*> order;
+    order.reserve(live_);
+    for (const Slot& s : slots_) {
+        if (s.live) order.push_back(&s);
     }
-    // Recompute the exact bound (touches may have left it stale-low).
-    next_expiry_.reset();
-    for (const auto& e : entries_) note_expiry(e);
-    if (removed > 0) reindex();
-    return removed;
+    std::sort(order.begin(), order.end(),
+              [](const Slot* a, const Slot* b) { return a->seq < b->seq; });
+    std::vector<FlowEntry> out;
+    out.reserve(order.size());
+    for (const Slot* s : order) out.push_back(s->entry);
+    return out;
 }
 
 void FlowTable::clear() {
-    entries_.clear();
-    exact_.clear();
+    slots_.clear();
+    free_head_ = kNone;
+    live_ = 0;
+    exact_ = {};
     wildcard_.clear();
-    next_expiry_.reset();
+    deadlines_.clear();
 }
 
 } // namespace tedge::net

@@ -1,24 +1,33 @@
 // Priority-ordered flow table with idle/hard timeouts, as installed into the
 // OVS switch by the SDN controller.
 //
-// Lookup fast path: fully-specified entries (src_ip, dst_ip, dst_port, proto
-// all concrete -- the common 5G per-flow redirect rule) live in an
-// exact-match hash index and resolve in O(1); only wildcard entries are
-// linearly scanned. A higher-priority wildcard still beats an exact match,
-// preserving OpenFlow semantics and bit-for-bit the results of the old full
-// scan.
+// Storage is a slot pool: every entry keeps a stable slot id from install to
+// removal, and freed slots are reused. Fully-specified matches (src_ip,
+// dst_ip, dst_port, proto all concrete -- the per-flow redirect rule the
+// dispatcher installs) are found through a flat open-addressed index from the
+// exact key to the slot of its highest-priority entry; entries sharing a key
+// at other priorities hang off that slot in a priority-descending chain.
+// Wildcard entries are kept in install order and scanned linearly. A
+// higher-priority wildcard still beats an exact match, and equal-priority,
+// equal-specificity wildcards resolve to the earliest install, exactly as the
+// full scan in peek() does.
 //
-// Expiry is amortized: the table tracks a conservative lower bound on the
-// earliest possible expiry and lookups sweep only once that deadline has
-// passed, instead of scanning every entry on every packet. Sweep results and
-// removed-callback order are identical to the old expire-on-every-lookup
-// behaviour because the bound never overshoots a real expiry.
+// Expiry is lazy. Each timed entry has a record (deadline, install seq, slot,
+// generation) in a min-heap. A hit only writes last_used and packet_count;
+// the heap is untouched. A sweep -- run only inside lookup() and expire() --
+// pops the records that are due, drops the stale ones (slot freed or entry
+// replaced since filing), re-files entries touched since filing at their new
+// deadline, and removes the rest. Every entry expired at `now` is therefore
+// gone after a sweep, and removal callbacks fire in (expiry instant, install
+// seq) order. Installing, hitting, removing or expiring an exact entry costs
+// the same at any table size (the heap adds a log factor); wildcard matching
+// scans the wildcard list, and removals other than by exact match scan the
+// pool once.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "net/flow.hpp"
@@ -30,15 +39,19 @@ public:
     using RemovedCallback =
         std::function<void(const FlowEntry&, bool idle /*vs hard*/)>;
 
-    /// Install (or overwrite, if an entry with identical match+priority
-    /// exists) a flow entry. Returns true if an existing entry was replaced.
+    /// Install (or overwrite, if a live entry with identical match+priority
+    /// exists) a flow entry. Returns true if a live entry was replaced. An
+    /// identical entry that has already expired but not yet been swept is
+    /// reported to the removed-callback and the new entry is installed fresh
+    /// (returns false).
     bool install(FlowEntry entry, sim::SimTime now);
 
     /// Highest-priority matching live entry; touches its idle timer and
     /// counters. Expired entries are swept (with callbacks) before matching.
     std::optional<FlowEntry> lookup(const Packet& packet, sim::SimTime now);
 
-    /// Read-only match without touching counters/timers.
+    /// Read-only full scan without touching counters/timers: the reference
+    /// matcher for lookup(). Full ties go to the earliest install.
     [[nodiscard]] const FlowEntry* peek(const Packet& packet, sim::SimTime now) const;
 
     /// Remove all entries whose match equals `match`. Returns removed count.
@@ -60,8 +73,9 @@ public:
 
     void set_removed_callback(RemovedCallback cb) { removed_cb_ = std::move(cb); }
 
-    [[nodiscard]] std::size_t size() const { return entries_.size(); }
-    [[nodiscard]] const std::vector<FlowEntry>& entries() const { return entries_; }
+    [[nodiscard]] std::size_t size() const { return live_; }
+    /// Copy of the entries in install order (tests and diagnostics).
+    [[nodiscard]] std::vector<FlowEntry> entries() const;
     void clear();
 
     /// Total lookups that found no live entry (table misses -> packet-ins).
@@ -69,6 +83,8 @@ public:
     [[nodiscard]] std::uint64_t hit_count() const { return hits_; }
 
 private:
+    static constexpr std::uint32_t kNone = 0xffffffffu;
+
     struct ExactKey {
         std::uint32_t src = 0;
         std::uint32_t dst = 0;
@@ -77,16 +93,44 @@ private:
 
         bool operator==(const ExactKey&) const = default;
     };
-    struct ExactKeyHash {
-        std::size_t operator()(const ExactKey& k) const noexcept {
-            // splitmix64 finalizer over the packed fields.
-            std::uint64_t x = (std::uint64_t{k.src} << 32) | k.dst;
-            x ^= (std::uint64_t{k.dst_port} << 8) | k.proto;
-            x += 0x9e3779b97f4a7c15ull;
-            x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-            x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-            return static_cast<std::size_t>(x ^ (x >> 31));
-        }
+
+    /// Open-addressed (linear probing, backward-shift deletion) map from an
+    /// exact key to the head slot of its priority chain.
+    class ExactIndex {
+    public:
+        /// Head slot stored for `key`, or nullptr.
+        [[nodiscard]] std::uint32_t* find(const ExactKey& key);
+        /// Head slot stored for `key`; a new key gets kNone to fill in.
+        std::uint32_t& find_or_insert(const ExactKey& key);
+        void erase(const ExactKey& key);
+
+    private:
+        struct Cell {
+            ExactKey key;
+            std::uint32_t slot = kNone;  ///< kNone = empty cell
+        };
+        [[nodiscard]] static std::size_t hash(const ExactKey& k);
+        void grow();
+
+        std::vector<Cell> cells_;  ///< power-of-two size, at most half full
+        std::size_t used_ = 0;
+    };
+
+    struct Slot {
+        FlowEntry entry;
+        std::uint64_t seq = 0;          ///< install sequence (tie-breaks, order)
+        std::uint32_t generation = 0;   ///< bumped on free and on replacement
+        std::uint32_t next = kNone;     ///< lower-priority chain link / free list
+        bool live = false;
+    };
+
+    /// A lazily maintained expiry record; stale once its slot's generation
+    /// moved on, early once the entry was touched after filing.
+    struct Deadline {
+        sim::SimTime due;
+        std::uint64_t seq = 0;
+        std::uint32_t slot = kNone;
+        std::uint32_t generation = 0;
     };
 
     [[nodiscard]] static bool fully_specified(const FlowMatch& m) {
@@ -104,25 +148,33 @@ private:
     /// Earliest instant at which `e` can expire, if it has any timeout.
     [[nodiscard]] static std::optional<sim::SimTime> expiry_of(const FlowEntry& e);
 
-    /// Rebuild the exact index and wildcard list from entries_ (after any
-    /// structural removal; removals are control-plane-rare, lookups hot).
-    void reindex();
-    /// Erase every entry satisfying `pred`, then reindex if any went.
+    /// Slot holding an entry with this exact match and priority, or kNone.
+    [[nodiscard]] std::uint32_t find_same(const FlowMatch& match, std::uint16_t priority);
+    /// Push an expiry record for a slot whose entry has a timeout.
+    void file(std::uint32_t id);
+    /// Take a slot out of the exact chain or the wildcard order and free it.
+    void unlink(std::uint32_t id);
+    /// Take a slot out of its exact-key priority chain.
+    void unchain(std::uint32_t id);
+    /// Return a slot (already out of the index and wildcard order) to the pool.
+    void release(std::uint32_t id);
+    /// Unlink an expired entry and report it to the removed-callback.
+    void remove_expired(std::uint32_t id, sim::SimTime now);
+    /// Erase every entry satisfying `pred`.
     template <typename Pred>
     std::size_t remove_where(Pred pred);
-    void note_expiry(const FlowEntry& e);
-    void sweep_if_due(sim::SimTime now);
+    std::size_t sweep(sim::SimTime now);
 
-    std::vector<FlowEntry> entries_;
-    /// Entry indices of fully-specified matches, bucketed by exact key.
-    /// Buckets hold >1 index only when the same match is installed at
-    /// several priorities.
-    std::unordered_map<ExactKey, std::vector<std::uint32_t>, ExactKeyHash> exact_;
-    /// Entry indices with at least one wildcard field (scanned linearly).
+    std::vector<Slot> slots_;
+    std::uint32_t free_head_ = kNone;
+    std::size_t live_ = 0;
+    std::uint64_t next_seq_ = 0;
+    ExactIndex exact_;
+    /// Slots of entries with at least one wildcard field, in install order.
     std::vector<std::uint32_t> wildcard_;
-    /// Conservative lower bound on the earliest entry expiry; no sweep can
-    /// be necessary before this instant. nullopt = nothing can expire.
-    std::optional<sim::SimTime> next_expiry_;
+    /// Min-heap on (due, seq) of expiry records; at most one current record
+    /// per timed entry, due no later than that entry's real expiry.
+    std::vector<Deadline> deadlines_;
     RemovedCallback removed_cb_;
     std::uint64_t misses_ = 0;
     std::uint64_t hits_ = 0;

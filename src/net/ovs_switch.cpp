@@ -57,6 +57,7 @@ void OvsSwitch::submit(const Packet& packet, ResolveCallback done) {
             return;
         }
         if (buffered_.size() >= config_.buffer_capacity) {
+            ++buffer_overflows_;
             Resolution r;
             r.dropped = true;
             done(r);

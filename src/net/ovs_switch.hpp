@@ -80,6 +80,9 @@ public:
     [[nodiscard]] NodeId node() const { return self_; }
     [[nodiscard]] std::size_t buffered_packets() const { return buffered_.size(); }
     [[nodiscard]] std::uint64_t packet_in_count() const { return packet_ins_; }
+    /// Table misses dropped because the packet-in buffer was full (the
+    /// packet never reached the controller).
+    [[nodiscard]] std::uint64_t buffer_overflows() const { return buffer_overflows_; }
 
 private:
     struct Buffered {
@@ -100,6 +103,7 @@ private:
     std::unordered_map<std::uint64_t, Buffered> buffered_;
     std::uint64_t next_buffer_id_ = 1;
     std::uint64_t packet_ins_ = 0;
+    std::uint64_t buffer_overflows_ = 0;
 };
 
 } // namespace tedge::net

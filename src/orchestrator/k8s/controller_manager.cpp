@@ -1,9 +1,16 @@
 #include "orchestrator/k8s/controller_manager.hpp"
 
 #include <algorithm>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace tedge::orchestrator::k8s {
+
+namespace {
+/// The label every edge-service pod carries and every k8s Service selects on.
+const std::string kServiceLabel = "edge.service";
+} // namespace
 
 ControllerManager::ControllerManager(sim::Simulation& sim, ApiServer& api,
                                      ControllerManagerConfig config)
@@ -132,11 +139,32 @@ void ControllerManager::sync_replicaset(const std::string& name) {
 }
 
 void ControllerManager::sync_endpoints() {
+    using PodItem = std::pair<const std::string, PodObj>;
+    // One pass over the pod store: the serving pods (running, ready, bound)
+    // in pod-name order, and the same grouped by their edge.service label.
+    std::vector<const PodItem*> serving;
+    std::unordered_map<std::string_view, std::vector<const PodItem*>> by_service;
+    for (const PodItem& item : api_.pods().items()) {
+        const PodObj& pod = item.second;
+        if (pod.phase != PodPhase::kRunning || !pod.ready) continue;
+        if (!pod.node.valid()) continue;
+        serving.push_back(&item);
+        const auto label = pod.spec.labels.find(kServiceLabel);
+        if (label != pod.spec.labels.end()) by_service[label->second].push_back(&item);
+    }
+
+    const std::vector<const PodItem*> none;
     for (const auto& [svc_name, svc] : api_.services().items()) {
+        // A selector naming edge.service can only match that label's group;
+        // any other selector is checked against every serving pod.
+        const std::vector<const PodItem*>* candidates = &serving;
+        if (const auto key = svc.selector.find(kServiceLabel); key != svc.selector.end()) {
+            const auto group = by_service.find(key->second);
+            candidates = group == by_service.end() ? &none : &group->second;
+        }
         std::vector<EndpointEntry> endpoints;
-        for (const auto& [pod_name, pod] : api_.pods().items()) {
-            if (pod.phase != PodPhase::kRunning || !pod.ready) continue;
-            if (!pod.node.valid()) continue;
+        for (const PodItem* item : *candidates) {
+            const auto& [pod_name, pod] = *item;
             // Selector match: every selector pair must appear in pod labels
             // (ServiceSpec labels carry edge.service=<name>).
             bool match = true;

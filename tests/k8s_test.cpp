@@ -3,6 +3,8 @@
 // endpoints -> kube-proxy, and the emergent scale-up latency.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "orchestrator/k8s/k8s_cluster.hpp"
 
 namespace tedge::orchestrator::k8s {
@@ -290,6 +292,76 @@ TEST_F(K8sFixture, CustomPlacementPolicyIsUsed) {
     const auto instances = two_nodes.instances("pinned");
     ASSERT_EQ(instances.size(), 1u);
     EXPECT_EQ(instances[0].node, node2);
+}
+
+/// What the endpoints controller must publish for `svc`: every running,
+/// ready, bound pod whose labels carry the whole selector, in pod-name order.
+std::vector<EndpointEntry> brute_force_endpoints(const ApiServer& api,
+                                                 const ServiceObj& svc) {
+    std::vector<EndpointEntry> out;
+    for (const auto& [name, pod] : api.pods().items()) {
+        if (pod.phase != PodPhase::kRunning || !pod.ready || !pod.node.valid()) continue;
+        const bool selected = std::all_of(
+            svc.selector.begin(), svc.selector.end(), [&pod](const auto& pair) {
+                const auto it = pod.spec.labels.find(pair.first);
+                return it != pod.spec.labels.end() && it->second == pair.second;
+            });
+        if (selected) out.push_back({name, pod.node, pod.pod_port});
+    }
+    return out;
+}
+
+TEST_F(K8sFixture, EndpointsFollowReadyPodsAcrossInterleavedScaling) {
+    pull();
+    constexpr int kServices = 9;
+    for (int i = 0; i < kServices; ++i) {
+        ServiceSpec s = spec;
+        s.name = "svc" + std::to_string(i);
+        s.labels = {{"app", s.name}, {"edge.service", s.name}};
+        cluster->create_service(s, [](bool ok) { ASSERT_TRUE(ok); });
+    }
+    simulation.run_until(simulation.now() + seconds(5));
+    // Selectors without edge.service: the endpoints controller must fall
+    // back to every ready pod and still apply the selector.
+    auto& api = cluster->api();
+    ServiceObj by_app;
+    by_app.name = "by-app";
+    by_app.node_port = 32001;
+    by_app.selector = {{"app", "svc3"}};
+    ServiceObj all;
+    all.name = "all";
+    all.node_port = 32002;
+    api.request([&api, by_app, all] {
+        api.services().upsert(by_app.name, by_app);
+        api.services().upsert(all.name, all);
+    });
+
+    std::size_t max_endpoints = 0;
+    std::size_t max_by_app = 0;
+    auto name_of = [](int i) { return "svc" + std::to_string(i % kServices); };
+    for (int step = 0; step < 30; ++step) {
+        // Mostly scale-ups for 16 steps, then mostly scale-downs; the
+        // minority moves land in the same step, unsettled, on another
+        // service (possibly one already at zero).
+        const bool rising = step < 16;
+        if (rising || step % 4 == 0) {
+            cluster->scale_up(name_of(step), [](bool ok) { ASSERT_TRUE(ok); });
+        }
+        if (!rising || step % 3 == 2) {
+            cluster->scale_down(name_of(step * 5 + 2), [](bool ok) { ASSERT_TRUE(ok); });
+        }
+        simulation.run_until(simulation.now() + seconds(10));
+        for (const auto& [name, svc] : api.services().items()) {
+            EXPECT_EQ(svc.endpoints, brute_force_endpoints(api, svc))
+                << "service " << name << " after step " << step;
+        }
+        max_endpoints = std::max(max_endpoints, api.services().get("all")->endpoints.size());
+        max_by_app = std::max(max_by_app, api.services().get("by-app")->endpoints.size());
+    }
+    // The schedule really moved pods in and out of service.
+    EXPECT_GE(max_endpoints, 8u);
+    EXPECT_GE(max_by_app, 1u);
+    EXPECT_LT(api.services().get("all")->endpoints.size(), max_endpoints);
 }
 
 TEST_F(K8sFixture, ScaleUpUnknownServiceReportsFalse) {

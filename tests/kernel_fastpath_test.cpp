@@ -396,7 +396,7 @@ TEST(KernelFastPath, IndexedLookupMatchesScanAcrossExpiryAndRemoval) {
             EXPECT_EQ(got->cookie, expected->cookie) << "i=" << i;
         }
         if (i == 200) {
-            // Structural removal mid-stream: the index must be rebuilt.
+            // Structural removal mid-stream: the index must drop the entries.
             table.remove_by_cookie(5);
             table.remove_by_cookie(17);
         }

@@ -1,6 +1,7 @@
 // Network substrate tests: addresses, flow tables, topology, shared links.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "net/address.hpp"
@@ -189,7 +190,62 @@ TEST(FlowTable, InstallOverwritesSameMatchAndPriority) {
     e.cookie = 2;
     EXPECT_TRUE(table.install(e, sim::SimTime::zero()));
     EXPECT_EQ(table.size(), 1u);
-    EXPECT_EQ(table.entries().front().cookie, 2u);
+    const std::vector<FlowEntry> entries = table.entries();
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries.front().cookie, 2u);
+}
+
+// Sweeps are lazy, so an entry past its timeout can still sit in the table
+// when an identical flow-mod arrives. The old entry must leave as a sweep
+// would have removed it -- through the removed-callback -- and the new one is
+// a fresh install that ranks after every earlier install.
+TEST(FlowTable, InstallOverExpiredEntryReportsRemoval) {
+    FlowTable table;
+    std::vector<std::pair<std::uint64_t, bool>> removed;
+    table.set_removed_callback([&](const FlowEntry& entry, bool idle) {
+        removed.emplace_back(entry.cookie, idle);
+    });
+    FlowEntry first;
+    first.match.dst_port = 80;
+    first.idle_timeout = seconds(5);
+    first.cookie = 1;
+    table.install(first, sim::SimTime::zero());
+    // Same priority and specificity as `first`, installed later: loses ties.
+    FlowEntry other;
+    other.match.dst_ip = Ipv4{2, 2, 2, 2};
+    other.cookie = 3;
+    table.install(other, sim::SimTime::zero());
+    const Packet packet = make_packet(Ipv4{1, 1, 1, 1}, Ipv4{2, 2, 2, 2}, 80);
+    ASSERT_EQ(table.peek(packet, seconds(1))->cookie, 1u);
+
+    FlowEntry again = first;
+    again.cookie = 2;
+    EXPECT_FALSE(table.install(again, seconds(6)));
+    ASSERT_EQ(removed.size(), 1u);
+    EXPECT_EQ(removed[0], std::make_pair(std::uint64_t{1}, true));
+    EXPECT_EQ(table.size(), 2u);
+    const std::vector<FlowEntry> entries = table.entries();
+    ASSERT_EQ(entries.size(), 2u);
+    EXPECT_EQ(entries[0].cookie, 3u);
+    EXPECT_EQ(entries[1].cookie, 2u);
+    EXPECT_EQ(entries[1].installed_at, seconds(6));
+    // The fresh install now loses the tie to `other`.
+    const auto hit = table.lookup(packet, seconds(6));
+    ASSERT_TRUE(hit);
+    EXPECT_EQ(hit->cookie, 3u);
+    EXPECT_EQ(removed.size(), 1u);
+
+    // A hard expiry is reported as such.
+    FlowEntry hard;
+    hard.match.dst_port = 443;
+    hard.hard_timeout = seconds(5);
+    hard.cookie = 4;
+    table.install(hard, seconds(6));
+    hard.cookie = 5;
+    EXPECT_FALSE(table.install(hard, seconds(11)));
+    ASSERT_EQ(removed.size(), 2u);
+    EXPECT_EQ(removed[1], std::make_pair(std::uint64_t{4}, false));
+    EXPECT_EQ(table.size(), 3u);
 }
 
 TEST(FlowTable, RemoveByCookieAndMatch) {
@@ -220,8 +276,10 @@ TEST(FlowTable, RemoveByTargetFiltersOnAction) {
     }
     EXPECT_EQ(table.remove_by_target(NodeId{7}, 8000), 1u);
     ASSERT_EQ(table.size(), 2u);
-    EXPECT_EQ(*table.entries()[0].match.dst_port, 2);  // same node, other port
-    EXPECT_EQ(*table.entries()[1].match.dst_port, 3);  // same port, other node
+    const std::vector<FlowEntry> entries = table.entries();
+    ASSERT_EQ(entries.size(), 2u);
+    EXPECT_EQ(*entries[0].match.dst_port, 2);  // same node, other port
+    EXPECT_EQ(*entries[1].match.dst_port, 3);  // same port, other node
 }
 
 TEST(FlowMatch, SpecificityCountsConcreteFields) {

@@ -1,5 +1,6 @@
 // Randomized property tests against reference models:
-//  - FlowTable vs a brute-force matcher,
+//  - FlowTable vs a brute-force matcher, and its whole API (installs,
+//    lookups, expiry, the four removals, removal callbacks) vs a model,
 //  - yamlite emit/parse round-trip on random documents,
 //  - SharedLink byte conservation and completion-order sanity,
 //  - Trace CSV round-trip on random traces.
@@ -95,6 +96,280 @@ TEST_P(FlowTableFuzz, MatchesBruteForceOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowTableFuzz,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// ------------------------------------- FlowTable API vs a brute-force model
+
+/// The table's contract, written the obvious way: entries in install order,
+/// every expired entry swept at each lookup, matching by full scan.
+class FlowTableModel {
+public:
+    struct Removal {
+        std::uint32_t tag;  ///< unique per install (action.set_dst_ip)
+        std::uint64_t cookie;
+        bool idle;
+        bool operator==(const Removal&) const = default;
+    };
+
+    bool install(net::FlowEntry entry, sim::SimTime now) {
+        entry.installed_at = now;
+        entry.last_used = now;
+        entry.packet_count = 0;
+        for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+            if (it->entry.match != entry.match || it->entry.priority != entry.priority) {
+                continue;
+            }
+            if (!it->entry.expired(now)) {
+                it->entry = entry; // keeps its install seq
+                return true;
+            }
+            log(it->entry, now);
+            entries_.erase(it);
+            break;
+        }
+        entries_.push_back({entry, next_seq_++});
+        return false;
+    }
+
+    std::optional<net::FlowEntry> lookup(const net::Packet& packet, sim::SimTime now) {
+        expire(now);
+        Installed* best = best_match(packet, now);
+        if (best == nullptr) {
+            ++misses_;
+            return std::nullopt;
+        }
+        best->entry.last_used = now;
+        ++best->entry.packet_count;
+        ++hits_;
+        return best->entry;
+    }
+
+    [[nodiscard]] std::optional<net::FlowEntry> peek(const net::Packet& packet,
+                                                     sim::SimTime now) {
+        const Installed* best = best_match(packet, now);
+        return best ? std::optional<net::FlowEntry>(best->entry) : std::nullopt;
+    }
+
+    std::size_t expire(sim::SimTime now) {
+        std::vector<Installed> gone;
+        std::erase_if(entries_, [&](const Installed& e) {
+            if (!e.entry.expired(now)) return false;
+            gone.push_back(e);
+            return true;
+        });
+        std::sort(gone.begin(), gone.end(), [](const Installed& a, const Installed& b) {
+            return std::pair(expiry(a.entry), a.seq) < std::pair(expiry(b.entry), b.seq);
+        });
+        for (const auto& e : gone) log(e.entry, now);
+        return gone.size();
+    }
+
+    template <typename Pred>
+    std::size_t remove_where(Pred pred) {
+        return std::erase_if(entries_, [&](const Installed& e) { return pred(e.entry); });
+    }
+
+    [[nodiscard]] std::vector<std::uint32_t> tags() const {
+        std::vector<std::uint32_t> out;
+        for (const auto& e : entries_) out.push_back(e.entry.action.set_dst_ip->value());
+        return out;
+    }
+    [[nodiscard]] std::size_t size() const { return entries_.size(); }
+    [[nodiscard]] std::uint64_t hits() const { return hits_; }
+    [[nodiscard]] std::uint64_t misses() const { return misses_; }
+    std::vector<Removal> removals;
+
+private:
+    struct Installed {
+        net::FlowEntry entry;
+        std::uint64_t seq;
+    };
+
+    static sim::SimTime expiry(const net::FlowEntry& e) {
+        sim::SimTime t = sim::SimTime::max();
+        if (e.hard_timeout > sim::SimTime::zero()) t = e.installed_at + e.hard_timeout;
+        if (e.idle_timeout > sim::SimTime::zero()) {
+            t = std::min(t, e.last_used + e.idle_timeout);
+        }
+        return t;
+    }
+
+    void log(const net::FlowEntry& e, sim::SimTime now) {
+        const bool hard = e.hard_timeout > sim::SimTime::zero() &&
+                          now - e.installed_at >= e.hard_timeout;
+        removals.push_back({e.action.set_dst_ip->value(), e.cookie, !hard});
+    }
+
+    Installed* best_match(const net::Packet& packet, sim::SimTime now) {
+        Installed* best = nullptr;
+        for (auto& e : entries_) {
+            if (e.entry.expired(now) || !e.entry.match.matches(packet)) continue;
+            // Install order breaks full ties: strict improvement only.
+            if (best == nullptr || e.entry.priority > best->entry.priority ||
+                (e.entry.priority == best->entry.priority &&
+                 e.entry.match.specificity() > best->entry.match.specificity())) {
+                best = &e;
+            }
+        }
+        return best;
+    }
+
+    std::vector<Installed> entries_;
+    std::uint64_t next_seq_ = 0;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+};
+
+net::Packet model_packet(sim::Rng& rng) {
+    net::Packet p;
+    p.src_ip = net::Ipv4{10, 0, 0, static_cast<std::uint8_t>(rng.uniform_int(1, 4))};
+    p.dst_ip = net::Ipv4{10, 0, 1, static_cast<std::uint8_t>(rng.uniform_int(1, 3))};
+    p.dst_port = static_cast<std::uint16_t>(rng.uniform_int(80, 82));
+    p.proto = rng.chance(0.5) ? net::Proto::kTcp : net::Proto::kUdp;
+    return p;
+}
+
+/// An entry over model_packet()'s small key space, so replacements, ties and
+/// shared timeouts are frequent. `tag` identifies the install uniquely.
+net::FlowEntry model_entry(sim::Rng& rng, bool exact, std::uint32_t tag) {
+    const net::Packet p = model_packet(rng);
+    net::FlowEntry e;
+    e.match.src_ip = p.src_ip;
+    e.match.dst_ip = p.dst_ip;
+    e.match.dst_port = p.dst_port;
+    e.match.proto = p.proto;
+    if (!exact) {
+        // Drop one to three fields.
+        const int keep = static_cast<int>(rng.uniform_int(1, 7));
+        if ((keep & 1) == 0) e.match.src_ip.reset();
+        if ((keep & 2) == 0) e.match.dst_ip.reset();
+        if ((keep & 4) == 0) e.match.dst_port.reset();
+        e.match.proto.reset();
+    }
+    e.priority = static_cast<std::uint16_t>(rng.uniform_int(1, 3) * 100);
+    if (!rng.chance(0.25)) e.idle_timeout = sim::seconds(rng.uniform_int(1, 8));
+    if (rng.chance(0.5)) e.hard_timeout = sim::seconds(rng.uniform_int(3, 15));
+    e.cookie = rng.uniform_int(1, 5);
+    e.action.set_dst_ip = net::Ipv4{tag};
+    e.action.forward_to = net::NodeId{static_cast<std::uint32_t>(rng.uniform_int(1, 3))};
+    e.action.set_dst_port = static_cast<std::uint16_t>(rng.uniform_int(8000, 8001));
+    return e;
+}
+
+std::vector<std::uint32_t> table_tags(const net::FlowTable& table) {
+    std::vector<std::uint32_t> out;
+    for (const auto& e : table.entries()) out.push_back(e.action.set_dst_ip->value());
+    return out;
+}
+
+class FlowTableDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Every call of the table API, on a clock that advances 0-3 s per step,
+// against FlowTableModel: lookup winners, peek, sizes, hit/miss counts, every
+// return value, install order and the removal-callback sequence.
+TEST_P(FlowTableDifferential, WholeApiMatchesBruteForceModel) {
+    sim::Rng rng(GetParam());
+    net::FlowTable table;
+    FlowTableModel model;
+    std::vector<FlowTableModel::Removal> removals;
+    table.set_removed_callback([&removals](const net::FlowEntry& e, bool idle) {
+        removals.push_back({e.action.set_dst_ip->value(), e.cookie, idle});
+    });
+    auto same = [](const std::optional<net::FlowEntry>& got,
+                   const std::optional<net::FlowEntry>& want) {
+        if (got.has_value() != want.has_value()) return false;
+        return !got || (got->cookie == want->cookie &&
+                        got->action.set_dst_ip == want->action.set_dst_ip &&
+                        got->packet_count == want->packet_count);
+    };
+
+    sim::SimTime now = sim::SimTime::zero();
+    std::uint32_t tag = 0;
+    std::size_t lookups_hit = 0;
+    std::size_t replaced = 0;
+    std::size_t reported = 0;
+    std::size_t reported_at_install = 0;
+    for (int step = 0; step < 3000; ++step) {
+        now += sim::milliseconds(rng.uniform_int(0, 3000));
+        const int op = static_cast<int>(rng.uniform_int(0, 99));
+        SCOPED_TRACE(::testing::Message() << "step " << step << " op " << op);
+        if (op < 30) {
+            const auto entry = model_entry(rng, /*exact=*/op < 24, ++tag);
+            const bool was_replaced = table.install(entry, now);
+            ASSERT_EQ(was_replaced, model.install(entry, now));
+            replaced += was_replaced;
+            reported_at_install += removals.size();
+        } else if (op < 34) {
+            // Re-install an existing match and priority: replacement path.
+            const auto live = table.entries();
+            if (live.empty()) continue;
+            auto entry = live[rng.uniform_int(0, live.size() - 1)];
+            entry.action.set_dst_ip = net::Ipv4{++tag};
+            if (rng.chance(0.5)) entry.idle_timeout = sim::seconds(rng.uniform_int(1, 8));
+            const bool was_replaced = table.install(entry, now);
+            ASSERT_EQ(was_replaced, model.install(entry, now));
+            replaced += was_replaced;
+            reported_at_install += removals.size();
+        } else if (op < 78) {
+            // Half the lookups aim at a stored entry, so hits (and the idle
+            // deadlines they push back) are common.
+            auto packet = model_packet(rng);
+            if (const auto stored = table.entries(); !stored.empty() && rng.chance(0.5)) {
+                const net::FlowMatch& m = stored[rng.uniform_int(0, stored.size() - 1)].match;
+                if (m.src_ip) packet.src_ip = *m.src_ip;
+                if (m.dst_ip) packet.dst_ip = *m.dst_ip;
+                if (m.dst_port) packet.dst_port = *m.dst_port;
+                if (m.proto) packet.proto = *m.proto;
+            }
+            const net::FlowEntry* peeked = table.peek(packet, now);
+            ASSERT_TRUE(same(peeked ? std::optional<net::FlowEntry>(*peeked) : std::nullopt,
+                             model.peek(packet, now)));
+            const auto got = table.lookup(packet, now);
+            ASSERT_TRUE(same(got, model.lookup(packet, now)));
+            lookups_hit += got.has_value();
+        } else if (op < 85) {
+            ASSERT_EQ(table.expire(now), model.expire(now));
+        } else if (op < 89) {
+            const auto entry = model_entry(rng, rng.chance(0.6), 0);
+            ASSERT_EQ(table.remove(entry.match), model.remove_where([&](const net::FlowEntry& e) {
+                return e.match == entry.match;
+            }));
+        } else if (op < 93) {
+            const std::uint64_t cookie = rng.uniform_int(1, 5);
+            ASSERT_EQ(table.remove_by_cookie(cookie),
+                      model.remove_where([&](const net::FlowEntry& e) { return e.cookie == cookie; }));
+        } else if (op < 96) {
+            const net::Ipv4 src = model_packet(rng).src_ip;
+            ASSERT_EQ(table.remove_by_src_ip(src),
+                      model.remove_where([&](const net::FlowEntry& e) {
+                          return e.match.src_ip && *e.match.src_ip == src;
+                      }));
+        } else {
+            const net::NodeId node{static_cast<std::uint32_t>(rng.uniform_int(1, 3))};
+            const auto port = static_cast<std::uint16_t>(rng.uniform_int(8000, 8001));
+            ASSERT_EQ(table.remove_by_target(node, port),
+                      model.remove_where([&](const net::FlowEntry& e) {
+                          return e.action.forward_to == node && e.action.set_dst_port == port;
+                      }));
+        }
+        ASSERT_EQ(table.size(), model.size());
+        ASSERT_EQ(table.hit_count(), model.hits());
+        ASSERT_EQ(table.miss_count(), model.misses());
+        ASSERT_EQ(removals, model.removals);
+        ASSERT_EQ(table_tags(table), model.tags());
+        reported += removals.size();
+        removals.clear();
+        model.removals.clear();
+    }
+    // The schedule must reach every path it claims to test.
+    EXPECT_GT(lookups_hit, 300u);
+    EXPECT_GT(table.miss_count(), 300u);
+    EXPECT_GT(replaced, 40u);
+    EXPECT_GT(reported, 300u);
+    EXPECT_GT(reported_at_install, 5u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FlowTableDifferential,
+                         ::testing::Values(11, 12, 13, 14, 15, 16, 17, 18));
 
 // -------------------------------------------------- yamlite round-trip fuzz
 

@@ -97,6 +97,29 @@ TEST_F(SwitchFixture, MissBuffersAndRaisesPacketIn) {
     EXPECT_EQ(ovs->buffered_packets(), 0u);
 }
 
+// A miss that finds the packet-in buffer full never reaches the controller:
+// it is dropped and counted as an overflow, not as a packet-in.
+TEST_F(SwitchFixture, FullPacketInBufferCountsOverflow) {
+    OvsSwitch small(simulation, topo, sw, OvsSwitchConfig{.buffer_capacity = 1});
+    std::size_t packet_ins_seen = 0;
+    small.set_controller([&](const PacketIn&) { ++packet_ins_seen; }); // never answers
+    std::size_t resolved = 0;
+    std::size_t dropped = 0;
+    for (std::uint16_t port = 80; port <= 81; ++port) {
+        small.submit(packet_to(Ipv4{203, 0, 113, 1}, port), [&](const Resolution& r) {
+            ++resolved;
+            dropped += r.dropped;
+        });
+    }
+    simulation.run();
+    EXPECT_EQ(packet_ins_seen, 1u);
+    EXPECT_EQ(small.packet_in_count(), 1u);
+    EXPECT_EQ(small.buffer_overflows(), 1u);
+    EXPECT_EQ(small.buffered_packets(), 1u);
+    EXPECT_EQ(resolved, 1u);
+    EXPECT_EQ(dropped, 1u);
+}
+
 TEST_F(SwitchFixture, PacketOutDropDiscards) {
     PacketIn captured;
     ovs->set_controller([&](const PacketIn& in) { captured = in; });
