@@ -72,9 +72,6 @@ PredictiveResult run(bool with_predictor, std::uint64_t seed) {
         predictor = std::make_unique<core::PredictiveDeployer>(
             platform.simulation(), platform.deployment_engine(), *testbed->docker,
             platform.service_registry(), config);
-        // Under hybrid fidelity the cohort-rate EWMAs feed the score too;
-        // under exact fidelity this is a no-op (rates are always zero).
-        predictor->attach_flow_memory(platform.controller().flow_memory());
         // The predictor sees the arrivals as they happen (feed from the
         // trace replay itself, one observation per scheduled request).
         for (const auto& event : trace.events()) {

@@ -121,8 +121,7 @@ net::ServiceAddress address_for(std::uint32_t service) {
 constexpr std::uint32_t kClusters = 2;
 constexpr sim::SimTime kIdleTimeout = sim::seconds(600);
 constexpr sim::SimTime kScanPeriod = sim::seconds(5);
-/// Aggregation grid of the hybrid-fidelity rows (stream batches and the
-/// FlowMemory lazy-advance epochs share it).
+/// Batch grid of the hybrid rows' FluidPoissonStream.
 constexpr sim::SimTime kEpochPeriod = sim::milliseconds(100);
 /// Site-to-controller access latency: the partition's minimum cut-link
 /// latency, i.e. the conservative lookahead of the sharded sweep points.
@@ -164,11 +163,19 @@ std::optional<R> run_forked(const std::function<R()>& fn) {
 
 // ------------------------------------------------------------- sweep point
 
+/// How a sweep point fills the table: kExact drives every flow through the
+/// per-packet path, kHybrid admits warm arrivals in bulk (admit_fluid).
+enum class Fidelity { kExact, kHybrid };
+
+const char* to_string(Fidelity fidelity) {
+    return fidelity == Fidelity::kHybrid ? "hybrid" : "exact";
+}
+
 struct SweepPoint {
     std::size_t flows = 0;
     std::uint32_t services = 0;
     std::size_t shards = 1;  ///< 1 = serial kernel, > 1 = sharded control plane
-    sdn::Fidelity fidelity = sdn::Fidelity::kExact;
+    Fidelity fidelity = Fidelity::kExact;
 };
 
 /// POD result shipped from the forked child back over the pipe.
@@ -360,12 +367,7 @@ PointResult run_point_hybrid_once(const SweepPoint& point) {
 
     sim::Simulation sim;
     sim.reserve_events(4096);
-    sdn::FlowMemory::Config config;
-    config.idle_timeout = kIdleTimeout;
-    config.scan_period = kScanPeriod;
-    config.fidelity = sdn::Fidelity::kHybrid;
-    config.epoch_period = kEpochPeriod;
-    sdn::FlowMemory memory(sim, config);
+    sdn::FlowMemory memory(sim, {kIdleTimeout, kScanPeriod});
     memory.reserve(point.services);  // exact pool: one cold flow per service
     std::uint64_t idle_events = 0;
     memory.set_idle_service_callback(
@@ -426,8 +428,7 @@ PointResult run_point_hybrid_once(const SweepPoint& point) {
             }
         } else {
             memory.admit_fluid(service_names[event.service],
-                               cluster_names[cluster],
-                               net::NodeId{event.service}, 8000, event.count);
+                               cluster_names[cluster], event.count);
         }
         install_ns.push_back(
             std::chrono::duration<double, std::nano>(Clock::now() - start)
@@ -682,7 +683,7 @@ PointResult run_point_sharded_once(const SweepPoint& point) {
 /// the same amount, so the RSS number is unaffected by repetition.
 PointResult run_point(const SweepPoint& point) {
     const auto once = [&point] {
-        if (point.fidelity == sdn::Fidelity::kHybrid) {
+        if (point.fidelity == Fidelity::kHybrid) {
             return run_point_hybrid_once(point);
         }
         return point.shards > 1 ? run_point_sharded_once(point)
@@ -704,7 +705,7 @@ std::string json_point(const SweepPoint& point, const PointResult& result) {
     out << "    {\"flows\": " << point.flows
         << ", \"services\": " << point.services
         << ", \"shards\": " << point.shards
-        << ", \"fidelity\": \"" << sdn::to_string(point.fidelity)
+        << ", \"fidelity\": \"" << to_string(point.fidelity)
         << "\", \"cores_used\": " << result.cores_used
         << ", \"hw_concurrency\": " << result.hw_concurrency
         << ", \"kernel_events\": " << result.kernel_events
@@ -862,13 +863,13 @@ int main(int argc, char** argv) {
                   << "' (expected comma-separated positive integers)\n";
         return 2;
     }
-    std::vector<sdn::Fidelity> fidelities;
+    std::vector<Fidelity> fidelities;
     if (fidelity_arg == "exact") {
-        fidelities = {sdn::Fidelity::kExact};
+        fidelities = {Fidelity::kExact};
     } else if (fidelity_arg == "hybrid") {
-        fidelities = {sdn::Fidelity::kHybrid};
+        fidelities = {Fidelity::kHybrid};
     } else if (fidelity_arg == "both") {
-        fidelities = {sdn::Fidelity::kExact, sdn::Fidelity::kHybrid};
+        fidelities = {Fidelity::kExact, Fidelity::kHybrid};
     } else {
         std::cerr << "unknown --fidelity '" << fidelity_arg
                   << "' (expected exact, hybrid, or both)\n";
@@ -892,9 +893,9 @@ int main(int argc, char** argv) {
     for (const auto fidelity : fidelities) {
         for (const auto shards : *shard_counts) {
             // The hybrid fast path is a serial-kernel feature.
-            if (shards > 1 && fidelity == sdn::Fidelity::kHybrid) continue;
+            if (shards > 1 && fidelity == Fidelity::kHybrid) continue;
             std::vector<std::size_t> flow_counts = base_flow_counts;
-            if (fidelity == sdn::Fidelity::kHybrid && shards == 1 && !quick) {
+            if (fidelity == Fidelity::kHybrid && shards == 1 && !quick) {
                 // The fluid rows the exact path cannot reach.
                 flow_counts.push_back(10'000'000);
                 flow_counts.push_back(100'000'000);
@@ -907,7 +908,7 @@ int main(int argc, char** argv) {
                     if (!result) {
                         std::cerr << "point " << flows << "x" << services
                                   << " (shards " << shards << ", "
-                                  << sdn::to_string(fidelity)
+                                  << to_string(fidelity)
                                   << ") failed (child died)\n";
                         return 1;
                     }
@@ -915,7 +916,7 @@ int main(int argc, char** argv) {
                         result->idle_notifications == 0) {
                         std::cerr << "point " << flows << "x" << services
                                   << " (shards " << shards << ", "
-                                  << sdn::to_string(fidelity)
+                                  << to_string(fidelity)
                                   << ") invalid: live="
                                   << result->peak_live_flows
                                   << " idle_notifications="
@@ -924,7 +925,7 @@ int main(int argc, char** argv) {
                     }
                     results.emplace_back(point, *result);
                     table.add_row(
-                        {sdn::to_string(fidelity), std::to_string(shards),
+                        {to_string(fidelity), std::to_string(shards),
                          std::to_string(flows), std::to_string(services),
                          workload::TextTable::num(result->flows_per_s, 0),
                          workload::TextTable::num(result->kernel_events_per_s,
@@ -952,12 +953,12 @@ int main(int argc, char** argv) {
                                      "kernel events"});
         bool gate_failed = false;
         for (const auto& [point, result] : results) {
-            if (point.fidelity != sdn::Fidelity::kHybrid || point.shards != 1) {
+            if (point.fidelity != Fidelity::kHybrid || point.shards != 1) {
                 continue;
             }
             double exact_flows = 0;
             for (const auto& [p, r] : results) {
-                if (p.fidelity == sdn::Fidelity::kExact && p.shards == 1 &&
+                if (p.fidelity == Fidelity::kExact && p.shards == 1 &&
                     p.flows == point.flows && p.services == point.services) {
                     exact_flows = r.flows_per_s;
                 }
@@ -994,7 +995,7 @@ int main(int argc, char** argv) {
             for (const auto services : service_counts) {
                 double serial_flows = 0;
                 for (const auto& [point, result] : results) {
-                    if (point.fidelity == sdn::Fidelity::kExact &&
+                    if (point.fidelity == Fidelity::kExact &&
                         point.shards == 1 && point.flows == flows &&
                         point.services == services) {
                         serial_flows = result.flows_per_s;
@@ -1002,7 +1003,7 @@ int main(int argc, char** argv) {
                 }
                 if (serial_flows <= 0) continue;
                 for (const auto& [point, result] : results) {
-                    if (point.fidelity != sdn::Fidelity::kExact ||
+                    if (point.fidelity != Fidelity::kExact ||
                         point.flows != flows || point.services != services) {
                         continue;
                     }
@@ -1078,12 +1079,12 @@ int main(int argc, char** argv) {
         for (const auto& [point, result] : results) {
             const auto it = baseline.find({point.flows, point.services,
                                            point.shards,
-                                           sdn::to_string(point.fidelity)});
+                                           to_string(point.fidelity)});
             if (it == baseline.end() || it->second <= 0) continue;
             const double ratio = result.flows_per_s / it->second;
             std::cout << "  " << point.flows << "x" << point.services
                       << " (shards " << point.shards << ", "
-                      << sdn::to_string(point.fidelity)
+                      << to_string(point.fidelity)
                       << "): " << workload::TextTable::num(ratio, 2)
                       << "x baseline\n";
             log_ratio_sum += std::log(ratio);

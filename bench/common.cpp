@@ -26,7 +26,6 @@ testbed::C3Options base_options(const DeploymentExperimentOptions& options) {
     c3.controller.flow_memory.scan_period = sim::seconds(60);
     c3.controller.scale_down_idle = false;
     c3.controller.dispatcher.switch_idle_timeout = sim::seconds(900);
-    c3.controller.fidelity = fidelity_from_env();
     return c3;
 }
 
@@ -48,12 +47,6 @@ std::size_t shards_from_env() {
     if (v == nullptr || *v == '\0') return 0;
     const long parsed = std::strtol(v, nullptr, 10);
     return parsed > 0 ? static_cast<std::size_t>(parsed) : 0;
-}
-
-sdn::Fidelity fidelity_from_env() {
-    const char* v = std::getenv("TEDGE_FIDELITY");
-    if (v == nullptr || *v == '\0') return sdn::Fidelity::kExact;
-    return sdn::fidelity_from_string(v); // throws on an unknown value
 }
 
 DeploymentExperimentResult

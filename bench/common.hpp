@@ -51,11 +51,6 @@ struct DeploymentExperimentOptions {
 /// legacy self-hosted kernel).
 [[nodiscard]] std::size_t shards_from_env();
 
-/// TEDGE_FIDELITY parsed as a control-plane fidelity ("exact" / "hybrid"),
-/// or kExact when unset. An unknown value aborts loudly rather than silently
-/// running the wrong mode -- the differential harness depends on it.
-[[nodiscard]] sdn::Fidelity fidelity_from_env();
-
 struct DeploymentExperimentResult {
     sim::SampleSet first_request_ms;  ///< deployment-triggering request totals
     sim::SampleSet warm_request_ms;   ///< requests served by a running instance

@@ -22,7 +22,7 @@ std::vector<Layer> ImageStore::missing_layers(const Image& image) const {
 }
 
 bool ImageStore::has_image(const ImageRef& ref) const {
-    const auto it = images_.find(ref.full());
+    const auto it = images_.find(ref);
     if (it == images_.end()) return false;
     for (const auto& layer : it->second.layers) {
         if (!has_layer(layer.digest)) return false;
@@ -36,21 +36,21 @@ void ImageStore::tag_image(const Image& image) {
             throw std::logic_error("tag_image: missing layer " + layer.digest);
         }
     }
-    images_[image.ref.full()] = image;
+    images_[image.ref] = image;
 }
 
 const Image* ImageStore::find_image(const ImageRef& ref) const {
-    const auto it = images_.find(ref.full());
+    const auto it = images_.find(ref);
     return it == images_.end() ? nullptr : &it->second;
 }
 
 bool ImageStore::remove_image(const ImageRef& ref) {
-    return images_.erase(ref.full()) > 0;
+    return images_.erase(ref) > 0;
 }
 
 sim::Bytes ImageStore::gc() {
     std::unordered_set<std::string> referenced;
-    for (const auto& [name, image] : images_) {
+    for (const auto& [ref, image] : images_) {
         for (const auto& layer : image.layers) referenced.insert(layer.digest);
     }
     sim::Bytes freed = 0;

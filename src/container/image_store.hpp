@@ -49,7 +49,7 @@ public:
 
 private:
     std::unordered_map<std::string, sim::Bytes> layers_;  ///< digest -> size
-    std::map<std::string, Image> images_;                 ///< full ref -> manifest
+    std::map<ImageRef, Image> images_;                    ///< ref -> manifest
     sim::Bytes disk_usage_ = 0;
 };
 

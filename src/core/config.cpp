@@ -56,10 +56,6 @@ sdn::ControllerConfig parse_controller_config(const std::string& yaml_text) {
     if (const auto* scale_down = doc.find("scale_down_idle")) {
         config.scale_down_idle = scale_down->as_bool().value_or(config.scale_down_idle);
     }
-    if (const auto* fidelity = doc.find("fidelity")) {
-        config.fidelity =
-            sdn::fidelity_from_string(fidelity->as_str("exact"));
-    }
     return config;
 }
 
@@ -80,7 +76,6 @@ std::string emit_controller_config(const sdn::ControllerConfig& config) {
     doc["dispatcher"]["install_cloud_flows"] =
         yamlite::Node{config.dispatcher.install_cloud_flows};
     doc["scale_down_idle"] = yamlite::Node{config.scale_down_idle};
-    doc["fidelity"] = yamlite::Node{std::string(sdn::to_string(config.fidelity))};
     return yamlite::emit(doc);
 }
 

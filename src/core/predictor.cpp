@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sdn/flow_memory.hpp"
-
 namespace tedge::core {
 
 PredictiveDeployer::PredictiveDeployer(sim::Simulation& sim,
@@ -19,16 +17,6 @@ PredictiveDeployer::PredictiveDeployer(sim::Simulation& sim,
 
 PredictiveDeployer::~PredictiveDeployer() {
     ticker_.cancel();
-}
-
-void PredictiveDeployer::attach_flow_memory(sdn::FlowMemory& memory) {
-    attach_flow_memory(memory, target_.name());
-}
-
-void PredictiveDeployer::attach_flow_memory(sdn::FlowMemory& memory,
-                                            std::string cluster_name) {
-    flow_memory_ = &memory;
-    flow_cluster_ = std::move(cluster_name);
 }
 
 void PredictiveDeployer::observe(const net::ServiceAddress& address) {
@@ -53,25 +41,6 @@ std::vector<std::string> PredictiveDeployer::predeployed() const {
 }
 
 void PredictiveDeployer::evaluate() {
-    // With a FlowMemory attached, fold in the fluid-cohort admission rates:
-    // flows aggregated away by hybrid fidelity never hit observe(), but the
-    // cohort EWMA knows their arrival rate. Seed entries for services whose
-    // demand is *only* visible through cohorts so they can rank too.
-    if (flow_memory_ != nullptr) {
-        for (const auto& address : registry_.addresses()) {
-            const auto* service = registry_.lookup(address);
-            if (service == nullptr) continue;
-            const std::string& name = service->spec.name;
-            const double rate =
-                flow_memory_->fluid_rate_per_s(name, flow_cluster_);
-            if (rate <= 0.0 && entries_.find(name) == entries_.end()) continue;
-            auto& entry = entries_[name];
-            entry.service = name;
-            entry.pending +=
-                config_.rate_weight * rate * config_.period.seconds();
-        }
-    }
-
     // EWMA update: score <- decay * score + arrivals-this-period.
     for (auto& [name, entry] : entries_) {
         entry.score = config_.decay * entry.score + entry.pending;

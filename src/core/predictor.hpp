@@ -19,10 +19,6 @@
 #include "sdn/service_registry.hpp"
 #include "simcore/logging.hpp"
 
-namespace tedge::sdn {
-class FlowMemory;
-} // namespace tedge::sdn
-
 namespace tedge::core {
 
 struct PredictorConfig {
@@ -35,12 +31,6 @@ struct PredictorConfig {
     /// Scores below this are considered cold; pre-deployed services whose
     /// score decays under it are scaled down.
     double min_score = 0.5;
-    /// Weight of the flow-memory cohort-rate signal when a FlowMemory is
-    /// attached: each cycle a service's arrivals are augmented by
-    /// `rate_weight * fluid_rate_per_s(service, cluster) * period`, i.e. the
-    /// fluid flows the hybrid-fidelity aggregation admitted on the service's
-    /// behalf but that never reached observe() as individual requests.
-    double rate_weight = 1.0;
 };
 
 class PredictiveDeployer {
@@ -54,13 +44,6 @@ public:
     /// Feed an observed request for a registered service address. Typically
     /// wired to the workload generator or the dispatcher's packet-in path.
     void observe(const net::ServiceAddress& address);
-
-    /// Blend the hybrid-fidelity cohort admission-rate EWMAs into the
-    /// popularity score (see PredictorConfig::rate_weight). Cohorts are read
-    /// for `cluster_name` (defaults to the target cluster's name). Services
-    /// with active cohorts are picked up even if never observe()d directly.
-    void attach_flow_memory(sdn::FlowMemory& memory);
-    void attach_flow_memory(sdn::FlowMemory& memory, std::string cluster_name);
 
     /// Current popularity score of a service (0 when unknown).
     [[nodiscard]] double score(const std::string& service_name) const;
@@ -86,8 +69,6 @@ private:
     DeploymentEngine& engine_;
     orchestrator::Cluster& target_;
     const sdn::ServiceRegistry& registry_;
-    sdn::FlowMemory* flow_memory_ = nullptr;
-    std::string flow_cluster_;  ///< cohort key when flow_memory_ is attached
     PredictorConfig config_;
     sim::Logger log_;
     std::map<std::string, Entry> entries_;  ///< by service name

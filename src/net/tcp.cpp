@@ -23,13 +23,12 @@ TcpNet::TcpNet(sim::Simulation& sim, Topology& topo, OvsSwitch& ingress,
     : sim_(sim), topo_(topo), ingress_(ingress), endpoints_(endpoints),
       config_(config), log_(sim, "tcp") {}
 
-OvsSwitch* TcpNet::resolve_ingress(NodeId client) {
+OvsSwitch& TcpNet::resolve_ingress(NodeId client) {
     if (resolver_ != nullptr) {
         if (OvsSwitch* attached = resolver_->current_ingress(client)) {
-            return attached;
+            return *attached;
         }
     }
-    if (config_.strict_attachment) return nullptr;
     // Explicit fallback: a plain counter plus a (lazy) debug line, not a
     // metrics series -- the fig09/fig12 artifact byte-diffs must not change
     // for scenarios that never attach clients.
@@ -38,12 +37,7 @@ OvsSwitch* TcpNet::resolve_ingress(NodeId client) {
         return "client node " + std::to_string(client.value) +
                " unattached; falling back to primary ingress";
     });
-    return &ingress_;
-}
-
-OvsSwitch& TcpNet::ingress_for(NodeId client) {
-    OvsSwitch* resolved = resolve_ingress(client);
-    return resolved != nullptr ? *resolved : ingress_;
+    return ingress_;
 }
 
 std::optional<PathInfo> TcpNet::path_via_ingress(NodeId client, NodeId ingress_node,
@@ -65,15 +59,7 @@ void TcpNet::http_request(NodeId client, ServiceAddress target,
                           std::function<void(const HttpResult&)> done) {
     ++requests_started_;
     const sim::SimTime started = sim_.now();
-    OvsSwitch* resolved = resolve_ingress(client);
-    if (resolved == nullptr) {
-        HttpResult r;
-        r.error = "client not attached to any ingress (strict attachment)";
-        ++requests_failed_;
-        done(r);
-        return;
-    }
-    OvsSwitch& ingress = *resolved;
+    OvsSwitch& ingress = resolve_ingress(client);
 
     Packet syn;
     syn.ingress = client;

@@ -24,8 +24,8 @@ namespace tedge::net {
 /// Answers "which ingress switch does this client currently enter through?".
 /// Implemented by the session plane (sdn::SessionPlane); defined here so the
 /// transport layer depends only on the interface, not on the SDN layer.
-/// Returning nullptr means "no attachment known" and the transport applies
-/// its configured fallback policy.
+/// Returning nullptr means "no attachment known" and the transport falls
+/// back to its primary ingress.
 class IngressResolver {
 public:
     virtual ~IngressResolver() = default;
@@ -68,10 +68,6 @@ struct TcpNetConfig {
     /// Fixed software overhead per HTTP exchange on top of network transfer
     /// times (kernel, curl, HTTP parsing).
     sim::SimTime per_request_overhead = sim::microseconds(150);
-    /// Reject requests from clients with no known attachment instead of
-    /// silently entering through the primary ingress. Off by default: ad-hoc
-    /// scenarios (benches, probes from helper hosts) never attach.
-    bool strict_attachment = false;
 };
 
 class TcpNet {
@@ -85,10 +81,6 @@ public:
     /// or for clients the resolver does not know -- requests fall back to
     /// the primary ingress (counted, see unattached_fallbacks()).
     void set_attachment(IngressResolver* resolver) { resolver_ = resolver; }
-
-    /// The ingress switch a client currently enters through; primary-ingress
-    /// fallback when unattached.
-    [[nodiscard]] OvsSwitch& ingress_for(NodeId client);
 
     /// Requests that entered through the primary ingress only because the
     /// client had no attachment. Nonzero here with mobility configured means
@@ -118,8 +110,9 @@ public:
     [[nodiscard]] std::uint64_t requests_failed() const { return requests_failed_; }
 
 private:
-    /// Resolved ingress, or nullptr when unattached under strict_attachment.
-    [[nodiscard]] OvsSwitch* resolve_ingress(NodeId client);
+    /// The ingress switch a client currently enters through; primary-ingress
+    /// fallback (counted) when unattached.
+    [[nodiscard]] OvsSwitch& resolve_ingress(NodeId client);
     void run_exchange(NodeId client, NodeId ingress_node, sim::SimTime started,
                       const Resolution& r, sim::Bytes request_size,
                       const std::function<void(const HttpResult&)>& done);

@@ -3,13 +3,10 @@
 namespace tedge::sdn {
 namespace {
 
-/// Propagate the controller-level fidelity knob into the FlowMemory config
-/// before the member it configures is constructed.
-ControllerConfig with_fidelity(ControllerConfig config) {
-    config.flow_memory.fidelity = config.fidelity;
-    // The dispatcher's handover path walks flows by client; keep that
-    // O(client's flows). The index has no observable artifacts, so scenarios
-    // without mobility are byte-identical either way.
+/// The dispatcher's handover path walks flows by client; keep that O(client's
+/// flows). The index has no observable artifacts, so scenarios without
+/// mobility are byte-identical either way.
+ControllerConfig with_client_index(ControllerConfig config) {
     config.flow_memory.track_clients = true;
     return config;
 }
@@ -22,7 +19,7 @@ Controller::Controller(sim::Simulation& sim, net::Topology& topo,
                        std::vector<orchestrator::Cluster*> clusters,
                        ControllerConfig config)
     : sim_(sim), topo_(topo), ingress_(ingress), engine_(engine),
-      clusters_(clusters), config_(with_fidelity(std::move(config))),
+      clusters_(clusters), config_(with_client_index(std::move(config))),
       flow_memory_(sim, config_.flow_memory),
       scheduler_(SchedulerRegistry::instance().create(config_.scheduler,
                                                       config_.scheduler_params)),

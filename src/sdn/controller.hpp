@@ -28,10 +28,6 @@ struct ControllerConfig {
     FlowMemory::Config flow_memory;
     /// Scale idle services down when their last memorized flow expires.
     bool scale_down_idle = true;
-    /// Control-plane fidelity (DESIGN §9). The single knob: the Controller
-    /// copies it into the flow-memory sub-config, overriding whatever that
-    /// carries.
-    Fidelity fidelity = Fidelity::kExact;
     /// The session plane to read client attachments from. The platform wires
     /// its own; when null the controller owns a private one (implicit
     /// sessions only -- the legacy packet-driven location tracking).

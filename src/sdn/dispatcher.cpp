@@ -70,8 +70,7 @@ void Dispatcher::install_and_release(net::OvsSwitch& source,
                                      const net::PacketIn& event,
                                      const orchestrator::ServiceSpec& spec,
                                      const orchestrator::InstanceInfo& instance,
-                                     const std::string& cluster_name,
-                                     bool established) {
+                                     const std::string& cluster_name) {
     if (auto* tr = sim_.tracer()) {
         const auto span = tr->begin("flow.install");
         tr->arg(span, "service", spec.name);
@@ -98,7 +97,7 @@ void Dispatcher::install_and_release(net::OvsSwitch& source,
     flow.instance_node = instance.node;
     flow.instance_port = instance.port;
     flow.cluster = cluster_name;
-    memory_.memorize(flow, established);
+    memory_.memorize(flow);
     sessions_.note_served_by(event.packet.src_ip, cluster_name);
 
     // Lazy: FlowMatch::str() runs per packet-in only when debug is on.
@@ -192,7 +191,7 @@ void Dispatcher::dispatch(net::OvsSwitch& source, const net::PacketIn& event,
                 instance.port = remembered->instance_port;
                 instance.ready = true;
                 install_and_release(source, event, svc->spec, instance,
-                                    remembered->cluster, /*established=*/true);
+                                    remembered->cluster);
                 return;
             }
         }
@@ -249,7 +248,7 @@ void Dispatcher::dispatch(net::OvsSwitch& source, const net::PacketIn& event,
     if (result.fast->instance && result.fast->instance->ready) {
         ++stats_.redirected_ready;
         install_and_release(source, event, spec, *result.fast->instance,
-                            cluster_name, /*established=*/true);
+                            cluster_name);
         return;
     }
 
@@ -271,9 +270,7 @@ void Dispatcher::dispatch(net::OvsSwitch& source, const net::PacketIn& event,
             retry_dispatch(source, event, spec, cluster_name, pin_span);
             return;
         }
-        // A deploy-and-wait install is a cold start: it stays exact.
-        install_and_release(source, event, spec, instance, cluster_name,
-                            /*established=*/false);
+        install_and_release(source, event, spec, instance, cluster_name);
     });
 }
 
@@ -300,7 +297,7 @@ void Dispatcher::retry_dispatch(net::OvsSwitch& source, const net::PacketIn& eve
     if (result.fast->instance && result.fast->instance->ready) {
         ++stats_.retry_successes;
         install_and_release(source, event, spec, *result.fast->instance,
-                            alternate_name, /*established=*/true);
+                            alternate_name);
         return;
     }
     core::DeployOptions options;
@@ -316,8 +313,7 @@ void Dispatcher::retry_dispatch(net::OvsSwitch& source, const net::PacketIn& eve
             return;
         }
         ++stats_.retry_successes;
-        install_and_release(source, event, spec, instance, alternate_name,
-                            /*established=*/false);
+        install_and_release(source, event, spec, instance, alternate_name);
     });
 }
 

@@ -111,14 +111,10 @@ private:
     /// The packet-in decision body; `pin_span` is the enclosing trace span.
     void dispatch(net::OvsSwitch& source, const net::PacketIn& event,
                   sim::SpanId pin_span);
-    /// `established` marks installs whose decision was already settled (memory
-    /// hit, redirect to a ready instance): FlowMemory promotes such flows into
-    /// a fluid cohort under hybrid fidelity and ignores the hint otherwise.
-    /// Cold starts and deploy-and-wait installs are never established.
     void install_and_release(net::OvsSwitch& source, const net::PacketIn& event,
                              const orchestrator::ServiceSpec& spec,
                              const orchestrator::InstanceInfo& instance,
-                             const std::string& cluster_name, bool established);
+                             const std::string& cluster_name);
     void release_to_cloud(net::OvsSwitch& source, const net::PacketIn& event,
                           bool install_flow);
     /// One deploy-and-wait failed: re-ask the scheduler with the failed

@@ -1,10 +1,8 @@
 #include "sdn/flow_memory.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
-#include "simcore/aggregate_epoch.hpp"
 #include "simcore/metrics_registry.hpp"
 
 namespace tedge::sdn {
@@ -25,16 +23,6 @@ FlowMemory::FlowMemory(sim::Simulation& sim, Config config)
     // buckets are quantized by the same period, so keep the same contract.
     if (config_.scan_period <= sim::SimTime::zero()) {
         throw std::invalid_argument("non-positive period");
-    }
-    if (config_.fidelity == Fidelity::kHybrid) {
-        epoch_ = std::make_unique<sim::AggregateEpoch>(sim, config_.epoch_period);
-        // When someone requests real ticks (gauges, benches), each tick
-        // finalizes every cohort's epoch eagerly; without ticks the same
-        // folding happens lazily on the cohort's next touch -- either way
-        // the numbers at a given instant are identical.
-        epoch_->subscribe([this](sim::SimTime) {
-            for (auto& [pair, cohort] : cohorts_) advance_cohort(cohort);
-        });
     }
 }
 
@@ -105,7 +93,7 @@ void FlowMemory::grow(std::size_t min_capacity) {
     }
 }
 
-std::size_t FlowMemory::insert(Key64 key, const FlowRec& rec) {
+void FlowMemory::insert(Key64 key, const FlowRec& rec) {
     if (pool_.size() + tombstones_ + 1 > load_limit(capacity())) {
         // Mostly tombstones (expire/forget churn): rehash in place to scrub
         // them instead of doubling forever; otherwise double.
@@ -128,7 +116,7 @@ std::size_t FlowMemory::insert(Key64 key, const FlowRec& rec) {
         pool_[index].rec.expiry_bucket = filed;
         bump_counters(rec, +1);
         file_expiry(key, pool_[index].rec);
-        return index;
+        return;
     }
     if (t == kTombstoneTag) --tombstones_;
     if (pool_.size() >= kMaxFlows) {
@@ -142,7 +130,6 @@ std::size_t FlowMemory::insert(Key64 key, const FlowRec& rec) {
     // keeps the same key, so the index already holds it.
     client_index_add(key);
     file_expiry(key, pool_.back().rec);
-    return pool_.size() - 1;
 }
 
 void FlowMemory::client_index_add(Key64 key) {
@@ -179,18 +166,6 @@ void FlowMemory::erase_entry(std::size_t index) {
 }
 
 void FlowMemory::bump_counters(const FlowRec& rec, std::int64_t delta) {
-    if (rec.fluid) {
-        // A tracked-fluid record entering/leaving the pool is also a cohort
-        // member entering/leaving its cohort (erase, overwrite, forget).
-        FluidCohort& cohort = cohort_for(rec.service, rec.cluster);
-        if (delta > 0) {
-            ++cohort.tracked_live;
-            ++fluid_tracked_;
-        } else {
-            --cohort.tracked_live;
-            --fluid_tracked_;
-        }
-    }
     if (delta > 0) {
         ++pair_counts_[pack_pair(rec.service, rec.cluster)];
         ++service_counts_[rec.service];
@@ -239,53 +214,6 @@ FlowMemory::FluidCohort& FlowMemory::cohort_for(sim::SymbolId service,
     return cohort;
 }
 
-void FlowMemory::advance_cohort(FluidCohort& cohort) {
-    if (epoch_ == nullptr) return;
-    const std::int64_t k = sim_.now().ns() / config_.epoch_period.ns();
-    if (cohort.epoch_k == k) return;
-    if (cohort.epoch_k >= 0) {
-        // Fold the completed epoch holding epoch_arrivals into the EWMA,
-        // then decay across any arrival-free epochs between it and now in
-        // closed form -- this is the lazy advance: a cohort untouched for a
-        // thousand epochs settles its rate in O(1) at the next touch.
-        constexpr double kAlpha = 0.25;
-        const double period_s =
-            static_cast<double>(config_.epoch_period.ns()) / 1e9;
-        double rate = cohort.rate_per_s;
-        rate += kAlpha *
-                (static_cast<double>(cohort.epoch_arrivals) / period_s - rate);
-        const std::int64_t idle_epochs = k - cohort.epoch_k - 1;
-        if (idle_epochs > 0) {
-            rate *= std::pow(1.0 - kAlpha, static_cast<double>(idle_epochs));
-        }
-        cohort.rate_per_s = rate;
-    }
-    cohort.epoch_k = k;
-    cohort.epoch_arrivals = 0;
-}
-
-void FlowMemory::promote_entry(Entry& entry) {
-    entry.rec.fluid = true;
-    FluidCohort& cohort = cohort_for(entry.rec.service, entry.rec.cluster);
-    cohort.instance_node = entry.rec.instance_node;
-    cohort.instance_port = entry.rec.instance_port;
-    advance_cohort(cohort);
-    ++cohort.tracked_live;
-    ++cohort.epoch_arrivals;
-    ++cohort.admitted_total;
-    ++fluid_tracked_;
-    // No metrics counter here: promotion is pure representation, and a
-    // hybrid-only counter in the dump would break the byte-identity of
-    // fig09/fig12 artifacts against exact mode.
-}
-
-void FlowMemory::demote_entry(Entry& entry) {
-    entry.rec.fluid = false;
-    FluidCohort& cohort = cohort_for(entry.rec.service, entry.rec.cluster);
-    --cohort.tracked_live;
-    --fluid_tracked_;
-}
-
 MemorizedFlow FlowMemory::materialize(Key64 key, const FlowRec& rec) const {
     MemorizedFlow flow;
     flow.client_ip = net::Ipv4{static_cast<std::uint32_t>(key >> 32)};
@@ -299,7 +227,7 @@ MemorizedFlow FlowMemory::materialize(Key64 key, const FlowRec& rec) const {
     return flow;
 }
 
-void FlowMemory::memorize(const MemorizedFlow& flow, bool established) {
+void FlowMemory::memorize(const MemorizedFlow& flow) {
     FlowRec rec;
     rec.service = symbols_.intern(flow.service_name);
     rec.cluster = symbols_.intern(flow.cluster);
@@ -307,13 +235,8 @@ void FlowMemory::memorize(const MemorizedFlow& flow, bool established) {
     rec.instance_port = flow.instance_port;
     rec.created = flow.created == sim::SimTime::zero() ? sim_.now() : flow.created;
     rec.last_used = sim_.now();
-    const std::size_t index = insert(
-        pack_key(flow.client_ip.value(), intern_address(flow.service_address)),
-        rec);
-    // Promote at install, not at a later epoch tick: the entry's expiry
-    // filing position is already fixed by the insert, so promotion cannot
-    // perturb expiry (and thus idle-notification) ordering.
-    if (established && epoch_ != nullptr) promote_entry(pool_[index]);
+    insert(pack_key(flow.client_ip.value(), intern_address(flow.service_address)),
+           rec);
 }
 
 void FlowMemory::prefetch(net::Ipv4 client_ip,
@@ -356,56 +279,17 @@ FlowMemory::recall(net::Ipv4 client_ip, const net::ServiceAddress& service) {
         if (auto* m = sim_.metrics()) m->counter("sdn.flow_memory.stale_recalls").inc();
         return std::nullopt;
     }
-    // A recalled flow is by definition at a decision boundary again: demote
-    // it to exact representation before answering, so whatever happens next
-    // (re-install, re-steer, expiry) runs the exact path.
-    if (entry.rec.fluid) demote_entry(entry);
     entry.rec.last_used = sim_.now();
     ++hits_;
     return materialize(entry.key, entry.rec);
 }
 
-bool FlowMemory::promote(net::Ipv4 client_ip, const net::ServiceAddress& service) {
-    if (epoch_ == nullptr) return false;
-    const auto address_id = find_address(service);
-    if (!address_id) return false;
-    const std::size_t slot = find_slot(pack_key(client_ip.value(), *address_id));
-    if (slot == kNpos) return false;
-    Entry& entry = pool_[index_at(slot)];
-    if (entry.rec.fluid) return false;
-    promote_entry(entry);
-    return true;
-}
-
-bool FlowMemory::demote(net::Ipv4 client_ip, const net::ServiceAddress& service) {
-    const auto address_id = find_address(service);
-    if (!address_id) return false;
-    const std::size_t slot = find_slot(pack_key(client_ip.value(), *address_id));
-    if (slot == kNpos) return false;
-    Entry& entry = pool_[index_at(slot)];
-    if (!entry.rec.fluid) return false;
-    demote_entry(entry);
-    return true;
-}
-
 void FlowMemory::admit_fluid(std::string_view service_name,
-                             std::string_view cluster,
-                             net::NodeId instance_node,
-                             std::uint16_t instance_port,
-                             std::uint64_t count) {
-    if (epoch_ == nullptr) {
-        throw std::logic_error("FlowMemory: admit_fluid requires hybrid fidelity");
-    }
+                             std::string_view cluster, std::uint64_t count) {
     if (count == 0) return;
     const auto service = symbols_.intern(service_name);
     const auto cluster_id = symbols_.intern(cluster);
-    FluidCohort& cohort = cohort_for(service, cluster_id);
-    cohort.instance_node = instance_node;
-    cohort.instance_port = instance_port;
-    advance_cohort(cohort);
-    cohort.epoch_arrivals += count;
-    cohort.admitted_total += count;
-    cohort.anonymous_live += count;
+    cohort_for(service, cluster_id).anonymous_live += count;
     fluid_anonymous_ += count;
     bump_counters_by(service, cluster_id, count, /*add=*/true);
     file_fluid_expiry(pack_pair(service, cluster_id), count);
@@ -421,18 +305,7 @@ std::uint64_t FlowMemory::fluid_flows(std::string_view service_name,
     if (!service || !cluster_id) return 0;
     const auto it = cohorts_.find(pack_pair(*service, *cluster_id));
     if (it == cohorts_.end()) return 0;
-    return it->second.tracked_live + it->second.anonymous_live;
-}
-
-double FlowMemory::fluid_rate_per_s(std::string_view service_name,
-                                    std::string_view cluster) {
-    const auto service = symbols_.find(service_name);
-    const auto cluster_id = symbols_.find(cluster);
-    if (!service || !cluster_id) return 0.0;
-    const auto it = cohorts_.find(pack_pair(*service, *cluster_id));
-    if (it == cohorts_.end()) return 0.0;
-    advance_cohort(it->second);
-    return it->second.rate_per_s;
+    return it->second.anonymous_live;
 }
 
 const MemorizedFlow*
@@ -685,8 +558,8 @@ std::size_t FlowMemory::expire() {
     // Anonymous cohort members record their deadlines only through filed
     // runs, quantized to bucket instants (the observable-expiry contract of
     // bucketed expiry). A manual sweep drains every run whose bucket instant
-    // has been reached, in bucket order; exact keys stay for their events.
-    if (epoch_ != nullptr && fluid_anonymous_ > 0) {
+    // has been reached, in bucket order; pool keys stay for their events.
+    if (fluid_anonymous_ > 0) {
         const auto due =
             static_cast<std::uint64_t>(now.ns() / config_.scan_period.ns());
         std::vector<std::uint64_t> due_buckets;

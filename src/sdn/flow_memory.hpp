@@ -8,19 +8,20 @@
 //
 // Scale path: flows are keyed by a packed 64-bit (client-ip,
 // service-address-id) key; service and cluster names are interned through a
-// sim::SymbolTable so per-flow state is 56 bytes of POD instead of two heap
-// strings plus red-black-tree nodes. Storage is split: an open-addressed
-// probe array (power-of-two, linear probing, tombstones) over a dense record
-// pool, so the half-empty probe slots stay cheap and expiry/iteration walk
-// packed memory. Probe metadata is chunked, one cache line per 8 slots: a
-// byte tag (7 bits of key hash, or an empty/tombstone sentinel) is checked
-// first, and the pool index sharing its line -- then the pool entry -- are
-// dereferenced only on a tag match. An absent-key probe (the packet-in hot
-// path: every new flow is a recall miss before its install) therefore
-// touches ~one random cache line instead of chasing random 72-byte pool
-// entries for key comparison, and an insert lands its tag and index on that
-// same line; at a million flows that is the difference between a cache-line
-// visit and several DRAM round trips per packet-in. Per-(service, cluster) and per-service live-flow counters are
+// sim::SymbolTable so per-flow state is one 56-byte POD pool entry instead
+// of two heap strings plus red-black-tree nodes. Storage is split: an
+// open-addressed probe array (power-of-two, linear probing, tombstones) over
+// a dense record pool, so the half-empty probe slots stay cheap and
+// expiry/iteration walk packed memory. Probe metadata is chunked, one cache
+// line per 8 slots: a byte tag (7 bits of key hash, or an empty/tombstone
+// sentinel) is checked first, and the pool index sharing its line -- then
+// the pool entry -- are dereferenced only on a tag match. An absent-key
+// probe (the packet-in hot path: every new flow is a recall miss before its
+// install) therefore touches ~one random cache line instead of chasing
+// random 56-byte pool entries for key comparison, and an insert lands its
+// tag and index on that same line; at a million flows that is the
+// difference between a cache-line visit and several DRAM round trips per
+// packet-in. Per-(service, cluster) and per-service live-flow counters are
 // maintained on every insert/erase, making flows_for_service() and the idle
 // check O(1) instead of an O(n) scan over all memorized flows.
 //
@@ -35,28 +36,22 @@
 // deadline. With this, a million idle flows cost one kernel event and one
 // O(batch) sweep per occupied bucket rather than O(pool) work every
 // scan_period tick.
-// Hybrid fidelity (DESIGN §9): under Fidelity::kHybrid, established flows
-// collapse into per-(service, cluster) *fluid cohorts*. A cohort has two
-// tiers. Tracked fluid flows keep their pool record (identity, expiry
-// filing, everything) and only carry a flag: promotion and demotion are O(1)
-// flips, and recall() demotes automatically -- so a fluid flow that
-// re-appears is indistinguishable from an exact one. Anonymous fluid flows
-// (admit_fluid) have no per-flow record at all: a batch of n established
-// flows is one cohort-counter bump plus one run-length drain entry in the
-// deadline bucket its admission instant files under, interleaved with exact
+//
+// Bulk admission (DESIGN §9): admit_fluid() adds a batch of n flows, none
+// of which will be individually recalled, as anonymous members of their
+// (service, cluster) *fluid cohort*. They have no per-flow record at all: a
+// batch is one cohort-counter bump plus one run-length drain entry in the
+// deadline bucket its admission instant files under, interleaved with pool
 // keys in filing order so idle notifications fire at the same instants and
-// in the same order exact mode would produce. The live-flow counters behind
-// flows_for_service() fuse all three populations (exact + tracked +
-// anonymous), so the Dispatcher, autoscaler and idle checks read one number
-// and never care which representation a flow is in. Cohort arrival-rate
-// counters advance lazily on the sim::AggregateEpoch grid: no kernel events
-// unless ticks are explicitly requested.
+// in the same order n memorize() calls would produce. The live-flow
+// counters behind flows_for_service() fuse both populations, so the
+// Dispatcher, autoscaler and idle checks read one number. bench_scale's
+// hybrid rows fill 10M-100M resident flows this way.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -65,13 +60,8 @@
 
 #include "net/address.hpp"
 #include "net/packet.hpp"
-#include "sdn/fidelity.hpp"
 #include "simcore/simulation.hpp"
 #include "simcore/symbol_table.hpp"
-
-namespace tedge::sim {
-class AggregateEpoch;
-}
 
 namespace tedge::sdn {
 
@@ -96,11 +86,6 @@ public:
     struct Config {
         sim::SimTime idle_timeout = sim::seconds(60);
         sim::SimTime scan_period = sim::seconds(5);
-        /// kExact: every flow is an individually-evented record. kHybrid:
-        /// established flows may collapse into fluid cohorts (see above).
-        Fidelity fidelity = Fidelity::kExact;
-        /// Epoch grid period for cohort rate accounting (hybrid only).
-        sim::SimTime epoch_period = sim::milliseconds(100);
         /// Maintain a per-client key index so flows_of_client() /
         /// extract_client() are O(client's flows) instead of O(pool). Off by
         /// default: the index costs a hash update per insert/erase and only
@@ -111,12 +96,8 @@ public:
     FlowMemory(sim::Simulation& sim, Config config);
     ~FlowMemory();
 
-    /// Record (or refresh) a flow. `established` marks a flow whose install
-    /// decision was already settled (memory hit / ready redirect); under
-    /// hybrid fidelity such flows are promoted into their fluid cohort at
-    /// install time. Promotion changes no observable decision or timing --
-    /// exact fidelity ignores the hint entirely.
-    void memorize(const MemorizedFlow& flow, bool established = false);
+    /// Record (or refresh) a flow.
+    void memorize(const MemorizedFlow& flow);
 
     /// Look up a live flow and touch its idle timer.
     [[nodiscard]] std::optional<MemorizedFlow>
@@ -137,9 +118,8 @@ public:
     peek(net::Ipv4 client_ip, const net::ServiceAddress& service) const;
 
     /// Drop all flows towards a service instance (e.g. after scale-down).
-    /// Covers every representation: exact and tracked-fluid records are
-    /// erased, anonymous cohort members are cancelled against their filed
-    /// expiry drains.
+    /// Pool records are erased, anonymous cohort members are cancelled
+    /// against their filed expiry drains.
     std::size_t forget_service(std::string_view service_name);
 
     // -------------------------------------------------- client-scoped state
@@ -160,42 +140,20 @@ public:
     bool forget_flow(net::Ipv4 client_ip, const net::ServiceAddress& service,
                      bool notify_if_idle);
 
-    // ------------------------------------------------ hybrid fluid cohorts
-    /// Admit `count` established flows into the (service, cluster) fluid
-    /// cohort as of now() -- equivalent to `count` memorize() calls of flows
-    /// that are never individually recalled, at O(1) cost: cohort counters
-    /// plus one run-length expiry drain. Requires hybrid fidelity.
+    // ------------------------------------------------------ bulk admission
+    /// Admit `count` flows into the (service, cluster) fluid cohort as of
+    /// now() -- equivalent to `count` memorize() calls of flows that are
+    /// never individually recalled, at O(1) cost: cohort counters plus one
+    /// run-length expiry drain.
     void admit_fluid(std::string_view service_name, std::string_view cluster,
-                     net::NodeId instance_node, std::uint16_t instance_port,
                      std::uint64_t count);
 
-    /// Promote a memorized flow into its cohort (O(1) flag flip). Returns
-    /// false when the flow is unknown, already fluid, or fidelity is exact.
-    bool promote(net::Ipv4 client_ip, const net::ServiceAddress& service);
-
-    /// Demote a tracked-fluid flow back to exact representation (O(1)).
-    /// recall() does this automatically on a hit. Returns false when the
-    /// flow is unknown or already exact.
-    bool demote(net::Ipv4 client_ip, const net::ServiceAddress& service);
-
-    /// Live fluid flows (tracked + anonymous), total and per cohort.
-    [[nodiscard]] std::uint64_t fluid_flows() const {
-        return fluid_tracked_ + fluid_anonymous_;
-    }
+    /// Live anonymous cohort members, total and per cohort.
+    [[nodiscard]] std::uint64_t fluid_flows() const { return fluid_anonymous_; }
     [[nodiscard]] std::uint64_t fluid_flows(std::string_view service_name,
                                             std::string_view cluster) const;
 
-    /// Cohort admission rate (flows/s), an EWMA over completed epochs that
-    /// advances lazily on the AggregateEpoch grid: querying it at time t
-    /// folds in every epoch boundary since the cohort was last touched
-    /// without a single kernel event having fired.
-    [[nodiscard]] double fluid_rate_per_s(std::string_view service_name,
-                                          std::string_view cluster);
-
-    /// The epoch grid daemon (null under exact fidelity).
-    [[nodiscard]] sim::AggregateEpoch* epoch() { return epoch_.get(); }
-
-    /// Number of live memorized flows, across all representations.
+    /// Number of live memorized flows, pool records and cohort members.
     [[nodiscard]] std::size_t size() const {
         return pool_.size() + static_cast<std::size_t>(fluid_anonymous_);
     }
@@ -244,11 +202,6 @@ private:
         /// reused since — are detected by comparing against this field when
         /// the bucket fires.
         std::uint64_t expiry_bucket = 0;
-        /// Tracked-fluid flag (hybrid only): the record is a cohort member.
-        /// Representation only -- expiry filing and recall behave exactly as
-        /// for a plain record, which is what makes promote/demote free of
-        /// observable effects.
-        bool fluid = false;
     };
 
     using Key64 = std::uint64_t;
@@ -276,6 +229,7 @@ private:
         FlowRec rec;
         std::uint32_t slot = 0;
     };
+    static_assert(sizeof(Entry) == 56, "pool entry grew: re-check the layout");
 
     [[nodiscard]] std::uint32_t intern_address(const net::ServiceAddress& address);
     [[nodiscard]] std::optional<std::uint32_t>
@@ -285,7 +239,7 @@ private:
     [[nodiscard]] std::size_t probe(Key64 key) const;
     [[nodiscard]] std::size_t find_slot(Key64 key) const;  ///< npos if absent
     void grow(std::size_t min_capacity);
-    std::size_t insert(Key64 key, const FlowRec& rec);  ///< returns pool index
+    void insert(Key64 key, const FlowRec& rec);
     void erase_entry(std::size_t index);  ///< pool index; swap-removes
     void client_index_add(Key64 key);
     void client_index_remove(Key64 key);
@@ -395,10 +349,10 @@ private:
     /// goes.
     std::unordered_map<std::uint32_t, std::vector<Key64>> client_keys_;
 
-    /// One filed expiry: an exact flow key (count == 0), or a run of `count`
+    /// One filed expiry: a pool flow key (count == 0), or a run of `count`
     /// anonymous cohort flows keyed by their (service, cluster) pair. Runs
     /// sit in the same vector as keys, in filing order, so a bucket's sweep
-    /// emits idle notifications in the order exact mode would have.
+    /// emits idle notifications in the order per-flow records would have.
     struct ExpiryItem {
         Key64 key = 0;
         std::uint64_t count = 0;
@@ -424,33 +378,19 @@ private:
     ExpiryBucket* cached_bucket_node_ = nullptr;
 
     // ------------------------------------------------------- fluid cohorts
-    /// Per-(service, cluster) fluid aggregate (hybrid only). Live membership
-    /// is two counters; arrival-rate accounting is lazy: `epoch_arrivals`
-    /// accumulates in epoch `epoch_k`, and the first touch in a *later*
-    /// epoch folds the completed epochs into the EWMA in closed form.
+    /// Per-(service, cluster) population of anonymous (admit_fluid) flows.
     struct FluidCohort {
         sim::SymbolId service = sim::kInvalidSymbol;
         sim::SymbolId cluster = sim::kInvalidSymbol;
-        net::NodeId instance_node;        ///< latest admitted endpoint
-        std::uint16_t instance_port = 0;
-        std::uint64_t tracked_live = 0;   ///< promoted pool records
-        std::uint64_t anonymous_live = 0; ///< batch-admitted, no identity
-        std::uint64_t admitted_total = 0;
+        std::uint64_t anonymous_live = 0;
         /// Anonymous members removed out-of-band (forget_service) whose
         /// filed expiry drains are now stale; drains cancel against this
         /// in filing (FIFO) order before removing live members.
         std::uint64_t anonymous_forgotten = 0;
-        std::int64_t epoch_k = -1;        ///< grid index of epoch_arrivals
-        std::uint64_t epoch_arrivals = 0;
-        double rate_per_s = 0.0;          ///< EWMA over completed epochs
     };
 
     [[nodiscard]] FluidCohort& cohort_for(sim::SymbolId service,
                                           sim::SymbolId cluster);
-    /// Fold completed epochs since the cohort's last touch into its EWMA.
-    void advance_cohort(FluidCohort& cohort);
-    void promote_entry(Entry& entry);  ///< requires !rec.fluid and hybrid
-    void demote_entry(Entry& entry);   ///< requires rec.fluid
     /// Expire up to `count` anonymous members of cohort `pair` (one filed
     /// drain run), feeding the shared idle-notification dedup.
     void drain_fluid(Key64 pair, std::uint64_t count,
@@ -459,10 +399,7 @@ private:
                      std::size_t& removed);
 
     std::unordered_map<Key64, FluidCohort> cohorts_;
-    std::uint64_t fluid_tracked_ = 0;
     std::uint64_t fluid_anonymous_ = 0;
-    /// Epoch grid daemon; non-null exactly under hybrid fidelity.
-    std::unique_ptr<sim::AggregateEpoch> epoch_;
 
     IdleServiceCallback idle_cb_;
     std::uint64_t hits_ = 0;

@@ -68,8 +68,8 @@ public:
 
     /// Poisson count with the given mean (mean >= 0). Exact (Knuth product)
     /// for small means; large means use the normal approximation, whose
-    /// relative error is O(1/sqrt(mean)) -- negligible at the epoch-batch
-    /// sizes the hybrid fluid workload draws. Either branch consumes a
+    /// relative error is O(1/sqrt(mean)) -- negligible at the batch sizes
+    /// workload::FluidPoissonStream draws. Either branch consumes a
     /// deterministic position-stable slice of the stream for a given mean.
     std::uint64_t poisson(double mean);
 

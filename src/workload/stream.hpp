@@ -133,14 +133,15 @@ private:
     std::size_t emitted_ = 0;
 };
 
-/// Hybrid-fidelity variant of PoissonStream (DESIGN §9): each service's
-/// *first* arrival is an exact per-flow event at its true Poisson time (the
-/// cold start the control plane must resolve per-packet), after which the
-/// service is warm and its arrivals collapse into per-epoch batches -- one
-/// TraceEvent per (epoch boundary, service) whose `count` is a Poisson draw
-/// over the elapsed window. The kernel therefore carries O(services) events
-/// per epoch instead of one per flow, which is what lets bench_scale sweep
-/// to 10M-100M resident flows. Batch counts are clamped so the total number
+/// Batched variant of PoissonStream for bulk admission (DESIGN §9): each
+/// service's *first* arrival is an exact per-flow event at its true Poisson
+/// time (the cold start the control plane must resolve per-packet), after
+/// which the service is warm and its arrivals collapse into per-epoch
+/// batches for FlowMemory::admit_fluid -- one TraceEvent per (epoch
+/// boundary, service) whose `count` is a Poisson draw over the elapsed
+/// window. The kernel therefore carries O(services) events per epoch
+/// instead of one per flow, which is what lets bench_scale sweep to
+/// 10M-100M resident flows. Batch counts are clamped so the total number
 /// of flows emitted (sum of counts) equals `limit` exactly. Deterministic
 /// per seed; zero-count windows are skipped without emission.
 class FluidPoissonStream final : public RequestStream {
@@ -152,8 +153,7 @@ public:
         double total_rate_per_s = 100.0; ///< aggregate arrival rate
         std::size_t limit = 10'000;      ///< flows to emit (sum of counts)
         std::uint64_t seed = 1;
-        /// Aggregation grid; must match the FlowMemory epoch under test so
-        /// batch admissions land on the lazy-advance boundaries.
+        /// Batch grid: a warm service emits at most one event per period.
         sim::SimTime epoch_period = sim::milliseconds(100);
     };
 

@@ -18,8 +18,8 @@ struct TraceEvent {
     std::uint32_t client = 0;   ///< client index (maps to an RPi node)
     std::uint32_t service = 0;  ///< service index (maps to a registered address)
     /// Flows this event carries. 1 for ordinary per-request events; > 1 for
-    /// the aggregate batches a hybrid-fidelity stream emits at epoch
-    /// boundaries (workload/stream.hpp). CSV round-trips ignore it.
+    /// the batches FluidPoissonStream emits for bulk admission
+    /// (workload/stream.hpp). CSV round-trips ignore it.
     std::uint64_t count = 1;
 };
 

@@ -4,7 +4,6 @@
 
 #include "core/edge_platform.hpp"
 #include "core/predictor.hpp"
-#include "sdn/flow_memory.hpp"
 
 namespace tedge::core {
 namespace {
@@ -133,34 +132,6 @@ TEST_F(PredictorFixture, HotSetFollowsShiftingPopularity) {
     EXPECT_FALSE(platform.cluster("edge")->ready_instances(name_of(5)).empty());
     // The old favourite decayed out.
     EXPECT_TRUE(platform.cluster("edge")->ready_instances(name_of(0)).empty());
-}
-
-TEST_F(PredictorFixture, CohortRateFeedsScoreWithoutDirectObservations) {
-    // Demand that only exists as hybrid-fidelity fluid cohorts -- observe()
-    // never fires for it -- must still drive the popularity score once a
-    // FlowMemory is attached.
-    sdn::FlowMemory::Config config;
-    config.fidelity = sdn::Fidelity::kHybrid;
-    sdn::FlowMemory memory(platform.simulation(), config);
-    predictor->attach_flow_memory(memory);  // cohort key = target cluster name
-
-    // 20 flows per 100 ms epoch = a steady 200 flows/s cohort rate EWMA.
-    auto feeder = platform.simulation().schedule_periodic(
-        milliseconds(100),
-        [&] { memory.admit_fluid(name_of(0), "edge", edge, 80, 20); },
-        /*daemon=*/true);
-    platform.simulation().run_until(seconds(12));
-    feeder.cancel();
-
-    // rate_weight (1.0) * rate * period dwarfs min_score: the service is
-    // ranked hot and pre-deployed purely off the cohort signal.
-    EXPECT_GT(predictor->score(name_of(0)), 10.0);
-    const auto deployed = predictor->predeployed();
-    ASSERT_EQ(deployed.size(), 1u);
-    EXPECT_EQ(deployed[0], name_of(0));
-    EXPECT_FALSE(platform.cluster("edge")->ready_instances(name_of(0)).empty());
-    // Services with no cohort and no observations stay cold.
-    EXPECT_EQ(predictor->score(name_of(1)), 0.0);
 }
 
 TEST_F(PredictorFixture, PredictedServiceAnswersFirstRequestFast) {

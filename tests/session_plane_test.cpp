@@ -1,7 +1,7 @@
 // Session-plane tests (DESIGN §11): first-class UE sessions, continuity
-// policies, client-scoped FlowMemory state, strict/fallback ingress
-// resolution, mid-request handovers, and the cross-shard FlowMemory handoff
-// -- byte-identical at every shard/worker count under both coordinator sync
+// policies, client-scoped FlowMemory state, fallback ingress resolution,
+// mid-request handovers, and the cross-shard FlowMemory handoff --
+// byte-identical at every shard/worker count under both coordinator sync
 // modes.
 #include <gtest/gtest.h>
 
@@ -415,46 +415,6 @@ TEST(SessionPlaneScenarioTest, UnattachedFallbackIsCounted) {
     const auto stray = t.request_and_wait(t.edge);
     EXPECT_TRUE(stray.ok) << stray.error;
     EXPECT_EQ(t.platform->network().unattached_fallbacks(), 1u);
-}
-
-TEST(SessionPlaneScenarioTest, StrictAttachmentRejectsUnattachedClients) {
-    sim::Simulation sim;
-    core::EdgePlatformConfig config;
-    config.tcp.strict_attachment = true;
-    core::EdgePlatform platform(sim, config);
-    core::EdgePlatform* p = &platform;
-    const auto client = p->add_client("ue", net::Ipv4{10, 0, 1, 1});
-    const auto edge = p->add_edge_host("edge", net::Ipv4{10, 0, 0, 2}, 12);
-    p->add_cloud();
-    p->add_docker_cluster("edge", edge);
-    const net::ServiceAddress address{net::Ipv4{203, 0, 113, 90}, 80};
-    p->register_service(address, R"(
-kind: Deployment
-spec:
-  template:
-    spec:
-      containers:
-        - name: web
-          image: web:1
-          ports:
-            - containerPort: 80
-)");
-    p->start_controller(edge);
-
-    net::HttpResult result;
-    bool done = false;
-    p->http_request(edge, address, 100, [&](const net::HttpResult& r) {
-        result = r;
-        done = true;
-    });
-    sim.run();
-    ASSERT_TRUE(done);
-    EXPECT_FALSE(result.ok);
-    EXPECT_NE(result.error.find("strict"), std::string::npos) << result.error;
-    EXPECT_EQ(p->network().requests_failed(), 1u);
-    EXPECT_EQ(p->network().unattached_fallbacks(), 0u);
-    // Attached clients are unaffected by strict mode.
-    EXPECT_EQ(p->sessions().current_ingress(client), &p->ingress());
 }
 
 // ---------------------------------------------- mid-request handovers
