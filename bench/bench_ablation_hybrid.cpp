@@ -58,7 +58,7 @@ HybridResult run_hybrid(std::uint64_t seed) {
     bool responded = false;
     platform.http_request(testbed->clients[0], nginx.address, 120,
                           [&](const net::HttpResult& r) {
-                              if (!r.ok) throw std::runtime_error(r.error);
+                              if (!r.ok) throw std::runtime_error(std::string(r.error));
                               result.first_response_ms = r.time_total.ms();
                               responded = true;
                           });

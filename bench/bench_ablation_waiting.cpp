@@ -48,7 +48,7 @@ WaitingResult run(bool wait, std::uint64_t seed) {
     const sim::SimTime t0 = platform.simulation().now();
     platform.http_request(testbed->clients[0], nginx.address, 120,
                           [&](const net::HttpResult& r) {
-                              if (!r.ok) throw std::runtime_error(r.error);
+                              if (!r.ok) throw std::runtime_error(std::string(r.error));
                               result.first_request_ms = r.time_total.ms();
                               result.first_from_far =
                                   r.server_node == testbed->far_edge_host;

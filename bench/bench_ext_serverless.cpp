@@ -95,7 +95,7 @@ spec:
     ColdWarm result;
     bool done = false;
     platform.http_request(client, address, 100, [&](const net::HttpResult& r) {
-        if (!r.ok) throw std::runtime_error(r.error);
+        if (!r.ok) throw std::runtime_error(std::string(r.error));
         result.cold_ms = r.time_total.ms();
         done = true;
     });
@@ -103,7 +103,7 @@ spec:
     done = false;
     platform.simulation().schedule(sim::seconds(1), [&] {
         platform.http_request(client, address, 100, [&](const net::HttpResult& r) {
-            if (!r.ok) throw std::runtime_error(r.error);
+            if (!r.ok) throw std::runtime_error(std::string(r.error));
             result.warm_ms = r.time_total.ms();
             done = true;
         });

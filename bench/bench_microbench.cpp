@@ -1,22 +1,26 @@
 // Microbenchmarks for the framework's hot paths: event queue, flow-table
-// lookup and churn at realistic table sizes, the k8s endpoints sync,
-// scheduler decisions, YAML parsing, and statistics. These are real-time
-// benchmarks of the simulator itself (not simulated time) -- they bound how
-// fast experiments run.
+// lookup and churn at realistic table sizes, the k8s endpoints sync, one
+// warm HTTP request end to end, scheduler decisions, YAML parsing, and
+// statistics. These are real-time benchmarks of the simulator itself (not
+// simulated time) -- they bound how fast experiments run.
 #include <benchmark/benchmark.h>
 
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "net/flow_table.hpp"
 #include "orchestrator/k8s/api_server.hpp"
 #include "orchestrator/k8s/controller_manager.hpp"
 #include "sdn/schedulers/proximity.hpp"
 #include "simcore/event_queue.hpp"
+#include "simcore/metrics_registry.hpp"
 #include "simcore/random.hpp"
 #include "simcore/simulation.hpp"
 #include "simcore/stats.hpp"
+#include "testbed/c3.hpp"
+#include "workload/http_client.hpp"
 #include "yamlite/emitter.hpp"
 #include "yamlite/parser.hpp"
 
@@ -254,6 +258,52 @@ void BM_EndpointsSync(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_EndpointsSync)->Arg(126)->Arg(1260);
+
+// --------------------------------------------------------------------------
+// The warm request path.
+
+/// One HTTP request per iteration, through the full Simulation loop, from a
+/// client whose switch entry is installed to a ready Docker nginx instance,
+/// with a MetricsRegistry attached: HttpClient -> TcpNet -> OvsSwitch table
+/// hit -> endpoint -> response. `allocs_per_request` counts calls of the
+/// global operator new per request, the record vector's amortized growth
+/// included.
+void BM_WarmHttpRequest(benchmark::State& state) {
+    sim::MetricsRegistry registry;
+    testbed::C3Options options;
+    options.with_k8s = false;
+    options.controller.dispatcher.switch_idle_timeout = sim::seconds(1'000'000);
+    options.controller.flow_memory.idle_timeout = sim::seconds(1'000'000);
+    const auto tb = testbed::build_c3(options);
+    auto& platform = tb->platform;
+    auto& simulation = platform.simulation();
+    simulation.set_metrics(&registry);
+    const auto& nginx = testbed::service_by_key("nginx");
+    const auto& spec = platform.register_service(nginx.address, nginx.yaml).spec;
+    bool ready = false;
+    platform.deployment_engine().ensure(
+        *platform.clusters().front(), spec, {},
+        [&](bool ok, const orchestrator::InstanceInfo&) { ready = ok; });
+    simulation.run_while([&] { return !ready; });
+
+    workload::MetricsCollector collector;
+    workload::HttpClient client(platform.network(), collector);
+    const auto request = [&] {
+        client.request(tb->clients.front(), 0, nginx.address, nginx.request_size,
+                       "svc0");
+        simulation.run();
+    };
+    request(); // the packet-in request installs the client's switch entry
+    const std::uint64_t allocations = testkit::allocations();
+    for (auto _ : state) request();
+    const auto requests = static_cast<double>(state.iterations());
+    state.counters["allocs_per_request"] =
+        static_cast<double>(testkit::allocations() - allocations) / requests;
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+    if (!ready || collector.failures() != 0) state.SkipWithError("request failed");
+    benchmark::DoNotOptimize(collector.count());
+}
+BENCHMARK(BM_WarmHttpRequest);
 
 // --------------------------------------------------------------------------
 // Everything else.

@@ -123,23 +123,26 @@ void ContainerRuntime::bind_endpoint(ContainerId id) {
     endpoints_.bind(node_, info.host_port,
                     [this, app, queue](sim::Bytes /*request_size*/,
                                        net::EndpointDirectory::ReplyFn reply) {
-        auto serve = [this, app, queue, reply = std::move(reply)]() mutable {
-            ++queue->active;
-            const sim::SimTime service = app->sample_service(rng_);
-            sim_.schedule(service, [this, app, queue, reply = std::move(reply)] {
-                --queue->active;
-                reply(app->response_size);
-                if (!queue->waiting.empty() && queue->active < app->concurrency) {
-                    auto next = std::move(queue->waiting.front());
-                    queue->waiting.pop_front();
-                    next();
-                }
-            });
-        };
         if (queue->active < app->concurrency) {
-            serve();
+            serve(app, queue, reply);
         } else {
-            queue->waiting.push_back(std::move(serve));
+            queue->waiting.push_back(reply);
+        }
+    });
+}
+
+void ContainerRuntime::serve(const AppProfile* app,
+                             const std::shared_ptr<RequestQueue>& queue,
+                             net::EndpointDirectory::ReplyFn reply) {
+    ++queue->active;
+    const sim::SimTime service = app->sample_service(rng_);
+    sim_.schedule(service, [this, app, queue, reply] {
+        --queue->active;
+        reply(app->response_size);
+        if (!queue->waiting.empty() && queue->active < app->concurrency) {
+            const net::EndpointDirectory::ReplyFn next = queue->waiting.front();
+            queue->waiting.pop_front();
+            serve(app, queue, next);
         }
     });
 }

@@ -101,10 +101,14 @@ public:
 private:
     struct RequestQueue {
         int active = 0;
-        std::deque<std::function<void()>> waiting;
+        std::deque<net::EndpointDirectory::ReplyFn> waiting; ///< beyond concurrency
     };
 
     void bind_endpoint(ContainerId id);
+    /// Serve one request for `app`: hold a concurrency slot for a sampled
+    /// service time, reply, then start the next waiting request.
+    void serve(const AppProfile* app, const std::shared_ptr<RequestQueue>& queue,
+               net::EndpointDirectory::ReplyFn reply);
     sim::SimTime contention(sim::SimTime base) const;
 
     sim::Simulation& sim_;

@@ -182,9 +182,7 @@ void EdgePlatform::provision_cloud_service(const sdn::AnnotatedService& service)
             return;
         }
         const sim::SimTime service_time = app->sample_service(*rng);
-        sim_->schedule(service_time, [app, reply = std::move(reply)] {
-            reply(app->response_size);
-        });
+        sim_->schedule(service_time, [app, reply] { reply(app->response_size); });
     });
 }
 
@@ -211,8 +209,7 @@ sdn::Controller& EdgePlatform::start_controller(net::NodeId controller_host,
 
 void EdgePlatform::http_request(net::NodeId client,
                                 const net::ServiceAddress& address,
-                                sim::Bytes request_size,
-                                std::function<void(const net::HttpResult&)> done) {
+                                sim::Bytes request_size, net::TcpNet::Done done) {
     tcp_->http_request(client, address, request_size, std::move(done));
 }
 

@@ -4,6 +4,16 @@
 
 namespace tedge::net {
 
+namespace {
+
+Resolution dropped() {
+    Resolution r;
+    r.dropped = true;
+    return r;
+}
+
+} // namespace
+
 OvsSwitch::OvsSwitch(sim::Simulation& sim, Topology& topo, NodeId self, Config config)
     : sim_(sim), topo_(topo), self_(self), config_(config) {}
 
@@ -11,64 +21,56 @@ void OvsSwitch::set_controller(PacketInHandler handler) {
     controller_ = std::move(handler);
 }
 
-void OvsSwitch::resolve_with_entry(const Packet& packet, const FlowEntry& entry,
-                                   const ResolveCallback& done) {
-    Resolution r;
-    Packet rewritten = packet;
-    if (entry.action.set_dst_ip) rewritten.dst_ip = *entry.action.set_dst_ip;
-    if (entry.action.set_dst_port) rewritten.dst_port = *entry.action.set_dst_port;
-    r.effective_dst = rewritten.dst();
-    if (entry.action.forward_to.valid()) {
-        r.dest_node = entry.action.forward_to;
-    } else {
-        const auto node = topo_.find_by_ip(rewritten.dst_ip);
-        if (!node) {
-            r.dropped = true;
-        } else {
-            r.dest_node = *node;
-        }
-    }
-    done(r);
-}
-
-void OvsSwitch::resolve_original(const Packet& packet, const ResolveCallback& done) {
+Resolution OvsSwitch::resolve(Packet packet, const FlowAction& action) const {
+    if (action.set_dst_ip) packet.dst_ip = *action.set_dst_ip;
+    if (action.set_dst_port) packet.dst_port = *action.set_dst_port;
     Resolution r;
     r.effective_dst = packet.dst();
-    const auto node = topo_.find_by_ip(packet.dst_ip);
-    if (!node) {
-        r.dropped = true;
-    } else {
+    if (action.forward_to.valid()) {
+        r.dest_node = action.forward_to;
+    } else if (const auto node = topo_.find_by_ip(packet.dst_ip)) {
         r.dest_node = *node;
+    } else {
+        r.dropped = true;
     }
+    return r;
+}
+
+void OvsSwitch::complete(std::uint32_t slot, const Resolution& r) {
+    ResolveCallback done = std::move(pipeline_[slot].done);
+    pipeline_.release(slot);
     done(r);
 }
 
 void OvsSwitch::submit(const Packet& packet, ResolveCallback done) {
-    sim_.schedule(config_.pipeline_delay, [this, packet, done = std::move(done)] {
-        const auto entry = table_.lookup(packet, sim_.now());
-        if (entry) {
-            resolve_with_entry(packet, *entry, done);
-            return;
-        }
-        if (!controller_) {
-            // No controller connected: behave like a learning switch and
-            // forward toward the original destination.
-            resolve_original(packet, done);
-            return;
-        }
-        if (buffered_.size() >= config_.buffer_capacity) {
-            ++buffer_overflows_;
-            Resolution r;
-            r.dropped = true;
-            done(r);
-            return;
-        }
-        const std::uint64_t id = next_buffer_id_++;
-        buffered_.emplace(id, Buffered{packet, std::move(done)});
-        ++packet_ins_;
-        sim_.schedule(config_.channel_latency,
-                      [this, id, packet] { controller_(PacketIn{id, packet}); });
-    });
+    const std::uint32_t slot = pipeline_.acquire();
+    pipeline_[slot].packet = packet;
+    pipeline_[slot].done = std::move(done);
+    sim_.schedule(config_.pipeline_delay, [this, slot] { process(slot); });
+}
+
+void OvsSwitch::process(std::uint32_t slot) {
+    const Packet& packet = pipeline_[slot].packet;
+    if (const auto entry = table_.lookup(packet, sim_.now())) {
+        complete(slot, resolve(packet, entry->action));
+        return;
+    }
+    if (!controller_) {
+        // No controller connected: behave like a learning switch and
+        // forward toward the original destination.
+        complete(slot, resolve(packet, {}));
+        return;
+    }
+    if (buffered_.size() >= config_.buffer_capacity) {
+        ++buffer_overflows_;
+        complete(slot, dropped());
+        return;
+    }
+    const std::uint64_t id = next_buffer_id_++;
+    buffered_.emplace(id, slot);
+    ++packet_ins_;
+    sim_.schedule(config_.channel_latency,
+                  [this, id, packet] { controller_(PacketIn{id, packet}); });
 }
 
 void OvsSwitch::flow_mod(const FlowMod& mod) {
@@ -80,24 +82,22 @@ void OvsSwitch::packet_out(const PacketOut& out) {
     sim_.schedule(config_.channel_latency, [this, out] {
         const auto it = buffered_.find(out.buffer_id);
         if (it == buffered_.end()) return; // already handled or never existed
-        Buffered b = std::move(it->second);
+        const std::uint32_t slot = it->second;
         buffered_.erase(it);
         if (out.drop) {
-            Resolution r;
-            r.dropped = true;
-            b.done(r);
+            complete(slot, dropped());
             return;
         }
+        const Packet& packet = pipeline_[slot].packet;
         if (out.use_table) {
-            const auto entry = table_.lookup(b.packet, sim_.now());
-            if (entry) {
-                resolve_with_entry(b.packet, *entry, b.done);
+            if (const auto entry = table_.lookup(packet, sim_.now())) {
+                complete(slot, resolve(packet, entry->action));
                 return;
             }
             // Controller released the packet but no rule matched (e.g. the
             // rule already expired); fall back to the original destination.
         }
-        resolve_original(b.packet, b.done);
+        complete(slot, resolve(packet, {}));
     });
 }
 

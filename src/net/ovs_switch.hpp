@@ -17,6 +17,8 @@
 #include "net/openflow.hpp"
 #include "net/topology.hpp"
 #include "simcore/simulation.hpp"
+#include "simcore/slot_pool.hpp"
+#include "simcore/unique_function.hpp"
 
 namespace tedge::net {
 
@@ -35,7 +37,8 @@ struct OvsSwitchConfig {
 
 class OvsSwitch {
 public:
-    using ResolveCallback = std::function<void(const Resolution&)>;
+    /// Fires once, when the packet leaves the pipeline. Moved, never copied.
+    using ResolveCallback = sim::UniqueFunction<void(const Resolution&)>;
     using PacketInHandler = std::function<void(const PacketIn&)>;
     using Config = OvsSwitchConfig;
 
@@ -83,16 +86,25 @@ public:
     /// Table misses dropped because the packet-in buffer was full (the
     /// packet never reached the controller).
     [[nodiscard]] std::uint64_t buffer_overflows() const { return buffer_overflows_; }
+    /// Pipeline slots ever created: the peak number of packets in the
+    /// pipeline or buffered at once.
+    [[nodiscard]] std::size_t pipeline_slots() const { return pipeline_.capacity(); }
 
 private:
-    struct Buffered {
+    /// A packet between submit() and its resolution: in the pipeline, or
+    /// buffered awaiting the controller. Its events capture only the slot.
+    struct InPipeline {
         Packet packet;
         ResolveCallback done;
     };
 
-    void resolve_with_entry(const Packet& packet, const FlowEntry& entry,
-                            const ResolveCallback& done);
-    void resolve_original(const Packet& packet, const ResolveCallback& done);
+    /// The table lookup, `pipeline_delay` after submit().
+    void process(std::uint32_t slot);
+    /// Where `packet` goes under `action`; an empty action forwards it to
+    /// its original destination.
+    [[nodiscard]] Resolution resolve(Packet packet, const FlowAction& action) const;
+    /// Free the slot, then hand its packet's resolution to the submitter.
+    void complete(std::uint32_t slot, const Resolution& r);
 
     sim::Simulation& sim_;
     Topology& topo_;
@@ -100,7 +112,8 @@ private:
     Config config_;
     FlowTable table_;
     PacketInHandler controller_;
-    std::unordered_map<std::uint64_t, Buffered> buffered_;
+    sim::SlotPool<InPipeline> pipeline_;
+    std::unordered_map<std::uint64_t, std::uint32_t> buffered_; ///< buffer id -> slot
     std::uint64_t next_buffer_id_ = 1;
     std::uint64_t packet_ins_ = 0;
     std::uint64_t buffer_overflows_ = 0;

@@ -5,17 +5,17 @@
 namespace tedge::net {
 
 void EndpointDirectory::bind(NodeId node, std::uint16_t port, Handler handler) {
-    handlers_[key(node, port)] = std::move(handler);
+    handlers_[key(node, port)] = std::make_shared<const Handler>(std::move(handler));
 }
 
 void EndpointDirectory::unbind(NodeId node, std::uint16_t port) {
     handlers_.erase(key(node, port));
 }
 
-const EndpointDirectory::Handler* EndpointDirectory::find(NodeId node,
-                                                          std::uint16_t port) const {
+std::shared_ptr<const EndpointDirectory::Handler>
+EndpointDirectory::find(NodeId node, std::uint16_t port) const {
     const auto it = handlers_.find(key(node, port));
-    return it == handlers_.end() ? nullptr : &it->second;
+    return it == handlers_.end() ? nullptr : it->second;
 }
 
 TcpNet::TcpNet(sim::Simulation& sim, Topology& topo, OvsSwitch& ingress,
@@ -55,8 +55,7 @@ std::optional<PathInfo> TcpNet::path_via_ingress(NodeId client, NodeId ingress_n
 }
 
 void TcpNet::http_request(NodeId client, ServiceAddress target,
-                          sim::Bytes request_size,
-                          std::function<void(const HttpResult&)> done) {
+                          sim::Bytes request_size, Done done) {
     ++requests_started_;
     const sim::SimTime started = sim_.now();
     OvsSwitch& ingress = resolve_ingress(client);
@@ -83,36 +82,34 @@ void TcpNet::http_request(NodeId client, ServiceAddress target,
         return;
     }
     const sim::SimTime uplink = to_switch->delivery_time(syn.size);
-    sim_.schedule(uplink, [this, &ingress, client, started, syn, request_size,
-                           done = std::move(done)] {
-        ingress.submit(syn, [this, client, ingress_node = ingress.node(), started,
-                             request_size, done](const Resolution& r) {
-            run_exchange(client, ingress_node, started, r, request_size, done);
-        });
+    const std::uint32_t slot = exchanges_.acquire();
+    Exchange& x = exchanges_[slot];
+    x.client = client;
+    x.ingress = &ingress;
+    x.started = started;
+    x.syn = syn;
+    x.request_size = request_size;
+    x.result = HttpResult{};
+    x.done = std::move(done);
+    sim_.schedule(uplink, [this, slot] {
+        const Exchange& x = exchanges_[slot];
+        x.ingress->submit(x.syn,
+                          [this, slot](const Resolution& r) { on_resolved(slot, r); });
     });
 }
 
-void TcpNet::run_exchange(NodeId client, NodeId ingress_node, sim::SimTime started,
-                          const Resolution& r, sim::Bytes request_size,
-                          const std::function<void(const HttpResult&)>& done) {
-    HttpResult result;
-    result.served_by = r.effective_dst;
-
+void TcpNet::on_resolved(std::uint32_t slot, const Resolution& r) {
+    Exchange& x = exchanges_[slot];
+    x.result.served_by = r.effective_dst;
     if (r.dropped) {
-        result.error = "packet dropped (no route to destination)";
-        ++requests_failed_;
-        result.time_total = sim_.now() - started;
-        done(result);
+        finish(slot, "packet dropped (no route to destination)");
         return;
     }
-    result.server_node = r.dest_node;
+    x.result.server_node = r.dest_node;
 
-    const auto path = path_via_ingress(client, ingress_node, r.dest_node);
+    const auto path = path_via_ingress(x.client, x.ingress->node(), r.dest_node);
     if (!path) {
-        result.error = "no path from client to server";
-        ++requests_failed_;
-        result.time_total = sim_.now() - started;
-        done(result);
+        finish(slot, "no path from client to server");
         return;
     }
 
@@ -123,46 +120,57 @@ void TcpNet::run_exchange(NodeId client, NodeId ingress_node, sim::SimTime start
 
     if (!topo_.port_open(r.dest_node, r.effective_dst.port, r.effective_dst.proto)) {
         // RST comes back after the server-side one-way latency.
-        sim_.schedule(path->latency, [this, started, result, done]() mutable {
-            result.error = "connection refused";
-            ++requests_failed_;
-            result.time_total = sim_.now() - started;
-            done(result);
-        });
+        sim_.schedule(path->latency,
+                      [this, slot] { finish(slot, "connection refused"); });
         return;
     }
 
-    const auto* handler = endpoints_.find(r.dest_node, r.effective_dst.port);
+    auto handler = endpoints_.find(r.dest_node, r.effective_dst.port);
     if (handler == nullptr) {
         // Port open but nothing accepting HTTP (half-started instance):
         // treat as an unresponsive server -- the request hangs and we model
         // a client-side error after the handshake.
-        sim_.schedule(handshake_rest, [this, started, result, done]() mutable {
-            result.error = "no endpoint handler bound";
-            ++requests_failed_;
-            result.time_total = sim_.now() - started;
-            done(result);
-        });
+        sim_.schedule(handshake_rest,
+                      [this, slot] { finish(slot, "no endpoint handler bound"); });
         return;
     }
 
-    const sim::SimTime request_leg = path->delivery_time(request_size);
-    const sim::SimTime pre_server = handshake_rest + request_leg;
-    auto handler_copy = *handler; // survive unbind while in flight
-    sim_.schedule(pre_server, [this, started, result, path = *path, handler_copy,
-                               request_size, done]() mutable {
-        result.connect_time = sim_.now() - started;
-        handler_copy(request_size, [this, started, result, path,
-                                    done](sim::Bytes response_size) mutable {
-            const sim::SimTime response_leg =
-                path.delivery_time(response_size) + config_.per_request_overhead;
-            sim_.schedule(response_leg, [this, started, result, done]() mutable {
-                result.ok = true;
-                result.time_total = sim_.now() - started;
-                done(result);
-            });
-        });
-    });
+    x.path = *path;
+    x.handler = std::move(handler); // survives an unbind while in flight
+    const sim::SimTime request_leg = path->delivery_time(x.request_size);
+    sim_.schedule(handshake_rest + request_leg, [this, slot] { serve(slot); });
+}
+
+void TcpNet::serve(std::uint32_t slot) {
+    Exchange& x = exchanges_[slot];
+    x.result.connect_time = sim_.now() - x.started;
+    const auto handler = std::move(x.handler);
+    const std::uint64_t token = (std::uint64_t{x.generation} << 32) | slot;
+    (*handler)(x.request_size, EndpointDirectory::ReplyFn(*this, token));
+}
+
+void TcpNet::reply(std::uint64_t token, sim::Bytes response_size) {
+    const auto slot = static_cast<std::uint32_t>(token);
+    if (slot >= exchanges_.capacity() || exchanges_[slot].generation != token >> 32) {
+        throw std::logic_error("endpoint replied to a request it already answered");
+    }
+    Exchange& x = exchanges_[slot];
+    ++x.generation; // this request's handle is spent
+    const sim::SimTime response_leg =
+        x.path.delivery_time(response_size) + config_.per_request_overhead;
+    sim_.schedule(response_leg, [this, slot] { finish(slot, {}); });
+}
+
+void TcpNet::finish(std::uint32_t slot, std::string_view error) {
+    Exchange& x = exchanges_[slot];
+    HttpResult result = x.result;
+    result.ok = error.empty();
+    result.error = error;
+    result.time_total = sim_.now() - x.started;
+    Done done = std::move(x.done);
+    exchanges_.release(slot);
+    if (!result.ok) ++requests_failed_;
+    done(result);
 }
 
 void TcpNet::probe(NodeId from, NodeId host, std::uint16_t port,

@@ -11,12 +11,17 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
+#include <memory>
+#include <string_view>
+#include <type_traits>
+#include <unordered_map>
 
 #include "net/ovs_switch.hpp"
 #include "net/topology.hpp"
 #include "simcore/logging.hpp"
 #include "simcore/simulation.hpp"
+#include "simcore/slot_pool.hpp"
+#include "simcore/unique_function.hpp"
 #include "simcore/units.hpp"
 
 namespace tedge::net {
@@ -32,34 +37,69 @@ public:
     [[nodiscard]] virtual OvsSwitch* current_ingress(NodeId client) = 0;
 };
 
+/// Receives endpoint replies. TcpNet is the production sink (one exchange
+/// slot per in-flight request); tests that drive a handler directly supply
+/// their own.
+class ReplySink {
+public:
+    /// The endpoint answered the request `token` names with
+    /// `response_size` bytes.
+    virtual void reply(std::uint64_t token, sim::Bytes response_size) = 0;
+
+protected:
+    ~ReplySink() = default;
+};
+
 /// An application endpoint bound to (node, port). The handler receives the
-/// request size and must invoke the reply function exactly once (after any
+/// request size and must invoke the reply handle exactly once (after any
 /// simulated service time) with the response size.
 class EndpointDirectory {
 public:
-    using ReplyFn = std::function<void(sim::Bytes response_size)>;
+    /// A reply handle: the sink and the token of one request, 16 bytes and
+    /// trivially copyable, so a handler captures it into its service-time
+    /// event without allocating.
+    class ReplyFn {
+    public:
+        ReplyFn(ReplySink& sink, std::uint64_t token) : sink_(&sink), token_(token) {}
+        void operator()(sim::Bytes response_size) const {
+            sink_->reply(token_, response_size);
+        }
+
+    private:
+        ReplySink* sink_;
+        std::uint64_t token_;
+    };
     using Handler = std::function<void(sim::Bytes request_size, ReplyFn reply)>;
 
     void bind(NodeId node, std::uint16_t port, Handler handler);
     void unbind(NodeId node, std::uint16_t port);
-    [[nodiscard]] const Handler* find(NodeId node, std::uint16_t port) const;
+    /// The handler bound at (node, port), or null. Holding the pointer keeps
+    /// the handler alive across an unbind: a request that reached the
+    /// endpoint before the unbind is still served.
+    [[nodiscard]] std::shared_ptr<const Handler> find(NodeId node,
+                                                      std::uint16_t port) const;
     [[nodiscard]] std::size_t size() const { return handlers_.size(); }
 
 private:
     static std::uint64_t key(NodeId node, std::uint16_t port) {
         return (std::uint64_t{node.value} << 16) | port;
     }
-    std::unordered_map<std::uint64_t, Handler> handlers_;
+    std::unordered_map<std::uint64_t, std::shared_ptr<const Handler>> handlers_;
 };
+
+static_assert(sizeof(EndpointDirectory::ReplyFn) == 16 &&
+              std::is_trivially_copyable_v<EndpointDirectory::ReplyFn>);
 
 struct HttpResult {
     bool ok = false;
-    std::string error;              ///< non-empty iff !ok
+    std::string_view error;         ///< a static message; non-empty iff !ok
     sim::SimTime time_total;        ///< curl time_total equivalent
     sim::SimTime connect_time;      ///< until TCP handshake completed
     ServiceAddress served_by;       ///< destination after transparent rewrite
     NodeId server_node;
 };
+
+static_assert(std::is_trivially_copyable_v<HttpResult>);
 
 /// Facade bundling the simulation, topology, ingress switch, and endpoint
 /// directory into the transport API used by clients and the controller.
@@ -70,9 +110,14 @@ struct TcpNetConfig {
     sim::SimTime per_request_overhead = sim::microseconds(150);
 };
 
-class TcpNet {
+/// Each in-flight exchange lives in one slot of a pool. Every kernel event
+/// and continuation of the request path captures only (this, slot), so a
+/// warm request allocates nothing.
+class TcpNet : private ReplySink {
 public:
     using Config = TcpNetConfig;
+    /// Completion of one exchange; fires exactly once per http_request.
+    using Done = sim::UniqueFunction<void(const HttpResult&)>;
 
     TcpNet(sim::Simulation& sim, Topology& topo, OvsSwitch& ingress,
            EndpointDirectory& endpoints, Config config = {});
@@ -93,7 +138,7 @@ public:
     /// cloud service address). The first packet traverses the client's
     /// ingress switch; the redirect (if any) is transparent to the caller.
     void http_request(NodeId client, ServiceAddress target, sim::Bytes request_size,
-                      std::function<void(const HttpResult&)> done);
+                      Done done);
 
     /// TCP port probe from `from` directly to `host` (no switch involved):
     /// a SYN and its answer. `open` reports whether the port accepted.
@@ -108,14 +153,35 @@ public:
 
     [[nodiscard]] std::uint64_t requests_started() const { return requests_started_; }
     [[nodiscard]] std::uint64_t requests_failed() const { return requests_failed_; }
+    /// Exchange slots ever created: the peak number of concurrent exchanges.
+    [[nodiscard]] std::size_t exchange_slots() const { return exchanges_.capacity(); }
 
 private:
+    struct Exchange {
+        NodeId client;
+        OvsSwitch* ingress = nullptr;
+        sim::SimTime started;
+        Packet syn;
+        sim::Bytes request_size = 0;
+        PathInfo path;                 ///< client -> server, once resolved
+        HttpResult result;
+        std::shared_ptr<const EndpointDirectory::Handler> handler; ///< until served
+        Done done;
+        std::uint32_t generation = 0;  ///< bumped by each reply: handles are single-use
+    };
+
     /// The ingress switch a client currently enters through; primary-ingress
     /// fallback (counted) when unattached.
     [[nodiscard]] OvsSwitch& resolve_ingress(NodeId client);
-    void run_exchange(NodeId client, NodeId ingress_node, sim::SimTime started,
-                      const Resolution& r, sim::Bytes request_size,
-                      const std::function<void(const HttpResult&)>& done);
+    /// The SYN left the ingress pipeline: fail, or schedule the server's
+    /// side of the handshake.
+    void on_resolved(std::uint32_t slot, const Resolution& r);
+    /// The request reached the server: hand it to the endpoint.
+    void serve(std::uint32_t slot);
+    void reply(std::uint64_t token, sim::Bytes response_size) override;
+    /// Complete the exchange (`error` empty on success), free its slot and
+    /// fire its continuation.
+    void finish(std::uint32_t slot, std::string_view error);
     /// Concatenated client -> ingress -> dest path: the data path always
     /// traverses the client's current cell. Equal to the direct shortest
     /// path in single-ingress topologies (every route crosses the gNB
@@ -135,6 +201,7 @@ private:
     std::uint64_t requests_failed_ = 0;
     std::uint64_t unattached_fallbacks_ = 0;
     std::uint16_t next_ephemeral_ = 32768;
+    sim::SlotPool<Exchange> exchanges_;
 };
 
 } // namespace tedge::net

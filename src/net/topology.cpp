@@ -138,18 +138,16 @@ sim::SimTime Topology::latency(NodeId from, NodeId to) const {
 }
 
 void Topology::open_port(NodeId host, std::uint16_t port, Proto proto) {
-    open_ports_[host].insert({port, proto});
+    open_ports_.insert(port_key(host, port, proto));
 }
 
 void Topology::close_port(NodeId host, std::uint16_t port, Proto proto) {
-    const auto it = open_ports_.find(host);
-    if (it == open_ports_.end() || it->second.erase({port, proto}) == 0) return;
+    if (open_ports_.erase(port_key(host, port, proto)) == 0) return;
     if (port_closed_cb_) port_closed_cb_(host, port, proto);
 }
 
 bool Topology::port_open(NodeId host, std::uint16_t port, Proto proto) const {
-    const auto it = open_ports_.find(host);
-    return it != open_ports_.end() && it->second.contains({port, proto});
+    return open_ports_.contains(port_key(host, port, proto));
 }
 
 } // namespace tedge::net

@@ -7,9 +7,9 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "net/address.hpp"
@@ -108,12 +108,17 @@ private:
 
     NodeId add_node(const std::string& name, NodeKind kind, Ipv4 ip,
                     std::uint32_t cpu_cores);
+    static std::uint64_t port_key(NodeId host, std::uint16_t port, Proto proto) {
+        return (std::uint64_t{host.value} << 24) | (std::uint64_t{port} << 8) |
+               static_cast<std::uint8_t>(proto);
+    }
 
     std::vector<NodeInfo> nodes_;
     std::vector<std::vector<Edge>> adj_;
     std::unordered_map<std::string, NodeId> by_name_;
     std::unordered_map<Ipv4, NodeId> by_ip_;
-    std::unordered_map<NodeId, std::set<std::pair<std::uint16_t, Proto>>> open_ports_;
+    /// Open (node, port, proto) triples, packed by port_key().
+    std::unordered_set<std::uint64_t> open_ports_;
     PortClosedCallback port_closed_cb_;
 
     /// Bumped by every routing-relevant mutation (add_host/add_switch/

@@ -37,11 +37,7 @@ void ControllerManager::start() {
         sim_.schedule(config_.endpoints_sync, [this] { sync_endpoints(); });
         if (event.type == WatchEventType::kDeleted) {
             // The owner RS may need a replacement pod.
-            sim_.schedule(config_.replicaset_sync, [this] {
-                for (const auto& name : api_.replicasets().names()) {
-                    sync_replicaset(name);
-                }
-            });
+            sim_.schedule(config_.replicaset_sync, [this] { sync_all_replicasets(); });
         }
     });
     api_.services().watch([this](const WatchEvent& event) {
@@ -78,6 +74,30 @@ void ControllerManager::sync_deployment(const std::string& name) {
 }
 
 void ControllerManager::sync_replicaset(const std::string& name) {
+    std::vector<const PodItem*> pods;
+    for (const PodItem& item : api_.pods().items()) {
+        if (item.second.owner_rs == name) pods.push_back(&item);
+    }
+    sync_replicaset(name, pods);
+}
+
+void ControllerManager::sync_all_replicasets() {
+    // One pass groups the pod store by owner, so the sweep costs
+    // replicasets + pods. The store cannot change inside the sweep: every
+    // write a sync makes goes through ApiServer::request, which schedules it.
+    std::unordered_map<std::string_view, std::vector<const PodItem*>> by_owner;
+    for (const PodItem& item : api_.pods().items()) {
+        by_owner[item.second.owner_rs].push_back(&item);
+    }
+    const std::vector<const PodItem*> none;
+    for (const auto& [name, rs] : api_.replicasets().items()) {
+        const auto group = by_owner.find(name);
+        sync_replicaset(name, group == by_owner.end() ? none : group->second);
+    }
+}
+
+void ControllerManager::sync_replicaset(const std::string& name,
+                                        const std::vector<const PodItem*>& pods) {
     ++replicaset_syncs_;
     const auto* rs = api_.replicasets().get(name);
     if (rs == nullptr) return;
@@ -87,8 +107,9 @@ void ControllerManager::sync_replicaset(const std::string& name) {
     // expectations mechanism in kube-controller-manager and keeps two syncs
     // racing within one API round-trip from both acting on stale counts.
     std::vector<const PodObj*> owned;
-    for (const auto& [pod_name, pod] : api_.pods().items()) {
-        if (pod.owner_rs == name && pod.phase != PodPhase::kTerminating &&
+    for (const PodItem* item : pods) {
+        const auto& [pod_name, pod] = *item;
+        if (pod.phase != PodPhase::kTerminating &&
             pending_terminations_.count(pod_name) == 0) {
             owned.push_back(&pod);
         }
@@ -139,7 +160,6 @@ void ControllerManager::sync_replicaset(const std::string& name) {
 }
 
 void ControllerManager::sync_endpoints() {
-    using PodItem = std::pair<const std::string, PodObj>;
     // One pass over the pod store: the serving pods (running, ready, bound)
     // in pod-name order, and the same grouped by their edge.service label.
     std::vector<const PodItem*> serving;

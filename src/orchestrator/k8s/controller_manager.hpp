@@ -3,13 +3,16 @@
 // writes desired state back through the API server -- never directly, so
 // every hop pays realistic propagation costs. An endpoints sync indexes the
 // serving pods by their edge.service label once, so it costs services + pods
-// rather than services x pods.
+// rather than services x pods; the replicaset sweep after a pod deletion
+// groups the pods by owner once, so it costs replicasets + pods.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "orchestrator/k8s/api_server.hpp"
 
@@ -34,8 +37,16 @@ public:
     [[nodiscard]] std::uint64_t replicaset_syncs() const { return replicaset_syncs_; }
 
 private:
+    using PodItem = std::pair<const std::string, PodObj>;
+
     void sync_deployment(const std::string& name);
+    /// Sync one replicaset against the pods it owns.
     void sync_replicaset(const std::string& name);
+    /// Sync every replicaset in name order (after a pod deletion).
+    void sync_all_replicasets();
+    /// `pods`: the store's pods owned by `name`, in store order.
+    void sync_replicaset(const std::string& name,
+                         const std::vector<const PodItem*>& pods);
     void sync_endpoints();
 
     sim::Simulation& sim_;

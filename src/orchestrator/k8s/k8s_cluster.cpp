@@ -412,23 +412,31 @@ void K8sCluster::open_alias(const std::string& svc_name, net::NodeId node,
             reply(0);
             return;
         }
-        std::vector<const EndpointEntry*> local;
-        for (const auto& ep : svc->endpoints) {
-            if (ep.node == node) local.push_back(&ep);
-        }
-        if (local.empty()) {
+        const auto is_local = [node](const EndpointEntry& ep) {
+            return ep.node == node;
+        };
+        const auto local = static_cast<std::size_t>(
+            std::count_if(svc->endpoints.begin(), svc->endpoints.end(), is_local));
+        if (local == 0) {
             reply(0);
             return;
         }
         auto& cursor = rr_cursor_[svc_name];
-        const auto* chosen = local[cursor % local.size()];
+        std::size_t skip = cursor % local;
         ++cursor;
-        const auto* handler = endpoints_.find(node, chosen->pod_port);
+        const EndpointEntry* chosen = nullptr;
+        for (const auto& ep : svc->endpoints) {
+            if (is_local(ep) && skip-- == 0) {
+                chosen = &ep;
+                break;
+            }
+        }
+        const auto handler = endpoints_.find(node, chosen->pod_port);
         if (handler == nullptr) {
             reply(0);
             return;
         }
-        (*handler)(request, std::move(reply));
+        (*handler)(request, reply);
     });
     log_.debug("kube-proxy: " + svc_name + " reachable on node " +
                std::to_string(node.value));

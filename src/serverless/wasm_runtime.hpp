@@ -86,12 +86,15 @@ private:
         bool module_loaded = false;
         int warm = 0;      ///< idle instances ready to serve
         int busy = 0;      ///< instances currently serving
-        std::deque<std::function<void()>> backlog; ///< waiting for capacity
+        std::deque<net::EndpointDirectory::ReplyFn> backlog; ///< waiting for capacity
         sim::SimTime last_used;
     };
 
     void invoke(Function& fn, sim::Bytes request,
                 net::EndpointDirectory::ReplyFn reply);
+    /// Occupy an instance of `fn` for `extra_delay` plus one invocation.
+    void serve(Function& fn, net::EndpointDirectory::ReplyFn reply,
+               sim::SimTime extra_delay);
     void finish_invocation(const std::string& name,
                            net::EndpointDirectory::ReplyFn reply);
     void reap_idle();

@@ -3,24 +3,48 @@
 #include <algorithm>
 #include <ostream>
 #include <sstream>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 namespace tedge::sim {
 
-Histogram& MetricsRegistry::histogram(const std::string& name, double lo,
-                                      double hi, std::size_t bins) {
-    const auto it = histograms_.find(name);
-    if (it != histograms_.end()) return it->second;
-    return histograms_.emplace(name, Histogram(lo, hi, bins)).first->second;
+namespace {
+
+/// Get-or-create `name` in `map`, building the key string only on insert.
+template <typename Map, typename... Args>
+typename Map::mapped_type& get_or_create(Map& map, std::string_view name,
+                                         Args&&... args) {
+    const auto it = map.lower_bound(name);
+    if (it != map.end() && it->first == name) return it->second;
+    return map
+        .emplace_hint(it, std::piecewise_construct, std::forward_as_tuple(name),
+                      std::forward_as_tuple(std::forward<Args>(args)...))
+        ->second;
+}
+
+} // namespace
+
+MetricsRegistry::Counter& MetricsRegistry::counter(std::string_view name) {
+    return get_or_create(counters_, name);
+}
+
+MetricsRegistry::Gauge& MetricsRegistry::gauge(std::string_view name) {
+    return get_or_create(gauges_, name);
+}
+
+Histogram& MetricsRegistry::histogram(std::string_view name, double lo, double hi,
+                                      std::size_t bins) {
+    return get_or_create(histograms_, name, lo, hi, bins);
 }
 
 const MetricsRegistry::Counter*
-MetricsRegistry::find_counter(const std::string& name) const {
+MetricsRegistry::find_counter(std::string_view name) const {
     const auto it = counters_.find(name);
     return it == counters_.end() ? nullptr : &it->second;
 }
 
-const Histogram* MetricsRegistry::find_histogram(const std::string& name) const {
+const Histogram* MetricsRegistry::find_histogram(std::string_view name) const {
     const auto it = histograms_.find(name);
     return it == histograms_.end() ? nullptr : &it->second;
 }

@@ -13,6 +13,7 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "simcore/histogram.hpp"
 
@@ -39,14 +40,16 @@ public:
     };
 
     /// Get-or-create. References stay valid for the registry's lifetime.
-    Counter& counter(const std::string& name) { return counters_[name]; }
-    Gauge& gauge(const std::string& name) { return gauges_[name]; }
+    /// Lookups are heterogeneous: only a first registration builds a key
+    /// string.
+    Counter& counter(std::string_view name);
+    Gauge& gauge(std::string_view name);
     /// Get-or-create; `lo`/`hi`/`bins` apply only on first registration.
-    Histogram& histogram(const std::string& name, double lo, double hi,
+    Histogram& histogram(std::string_view name, double lo, double hi,
                          std::size_t bins);
 
-    [[nodiscard]] const Counter* find_counter(const std::string& name) const;
-    [[nodiscard]] const Histogram* find_histogram(const std::string& name) const;
+    [[nodiscard]] const Counter* find_counter(std::string_view name) const;
+    [[nodiscard]] const Histogram* find_histogram(std::string_view name) const;
 
     [[nodiscard]] std::size_t size() const {
         return counters_.size() + gauges_.size() + histograms_.size();
@@ -66,9 +69,9 @@ public:
     [[nodiscard]] std::string dump() const;
 
 private:
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Gauge> gauges_;
-    std::map<std::string, Histogram> histograms_;
+    std::map<std::string, Counter, std::less<>> counters_;
+    std::map<std::string, Gauge, std::less<>> gauges_;
+    std::map<std::string, Histogram, std::less<>> histograms_;
 };
 
 } // namespace tedge::sim

@@ -3,10 +3,13 @@
 // connection until the full response arrives). Feeds a MetricsCollector.
 #pragma once
 
-#include <functional>
-#include <string>
+#include <cstdint>
+#include <string_view>
 
 #include "net/tcp.hpp"
+#include "simcore/metrics_registry.hpp"
+#include "simcore/slot_pool.hpp"
+#include "simcore/tracer.hpp"
 #include "workload/metrics.hpp"
 
 namespace tedge::workload {
@@ -20,15 +23,41 @@ public:
     /// added to the collector's series(tag) in milliseconds.
     void request(net::NodeId client_node, std::uint32_t client_index,
                  const net::ServiceAddress& address, sim::Bytes request_size,
-                 const std::string& tag,
-                 std::function<void(const net::HttpResult&)> done = {});
-
-    [[nodiscard]] std::uint64_t inflight() const { return inflight_; }
+                 std::string_view tag);
 
 private:
+    /// A request in flight: its record's request-side fields are filled at
+    /// send time, the rest on completion.
+    struct Pending {
+        RequestRecord record;
+        sim::SpanId span = 0;
+    };
+
+    /// The registry series this client writes, each bound on first use and
+    /// kept while the same registry stays attached. Binding lazily keeps a
+    /// series out of the dump until something is recorded in it, exactly
+    /// as a by-name lookup at each site would.
+    struct Handles {
+        sim::MetricsRegistry* registry = nullptr;
+        sim::MetricsRegistry::Counter* requests = nullptr;
+        sim::MetricsRegistry::Counter* requests_ok = nullptr;
+        sim::MetricsRegistry::Counter* requests_failed = nullptr;
+        sim::Histogram* request_ms = nullptr;
+
+        sim::MetricsRegistry::Counter& counter(sim::MetricsRegistry::Counter*& handle,
+                                               std::string_view name) {
+            if (handle == nullptr) handle = &registry->counter(name);
+            return *handle;
+        }
+    };
+
+    [[nodiscard]] Handles& handles(sim::MetricsRegistry& registry);
+    void complete(std::uint32_t slot, const net::HttpResult& result);
+
     net::TcpNet& net_;
     MetricsCollector& metrics_;
-    std::uint64_t inflight_ = 0;
+    sim::SlotPool<Pending> pending_;
+    Handles handles_;
 };
 
 } // namespace tedge::workload

@@ -20,16 +20,22 @@ namespace tedge::workload {
 
 struct RequestRecord {
     std::string service;     ///< service key or name
-    std::uint32_t client = 0;
     sim::SimTime sent;
-    bool ok = false;
     sim::SimTime time_total; ///< curl time_total equivalent
+    std::uint32_t client = 0;
     net::NodeId served_by;   ///< node that answered
+    bool ok = false;
 };
+
+// The collector holds one record per replayed request; this field order
+// packs a record into one 64-byte cache line.
+static_assert(sizeof(RequestRecord) == 64);
 
 class MetricsCollector {
 public:
     void add(RequestRecord record);
+    /// Pre-size the record storage for `records` records in total.
+    void reserve(std::size_t records) { records_.reserve(records); }
 
     [[nodiscard]] const std::vector<RequestRecord>& records() const { return records_; }
     [[nodiscard]] std::size_t count() const { return records_.size(); }

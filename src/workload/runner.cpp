@@ -30,9 +30,16 @@ MetricsCollector& TraceRunner::replay(RequestStream& stream,
     // pump holds one pending arrival, but each issued request fans out into
     // a burst of in-flight network/deployment events; cap the hint so a
     // million-request stream does not reserve slots it will never use
-    // concurrently.
+    // concurrently. The collector keeps every record, so it is reserved in
+    // full: growing it by doubling copies the records and briefly holds
+    // both copies, which sets the replay's peak memory.
     if (const auto announced = stream.total()) {
         sim.reserve_events(std::min<std::uint64_t>(*announced, 65536));
+        metrics_.reserve(metrics_.count() + *announced);
+    }
+    std::vector<std::string> tags(stream.service_count());
+    for (std::uint32_t service = 0; service < tags.size(); ++service) {
+        tags[service] = "svc" + std::to_string(service);
     }
 
     // Trace times are relative to the start of the replay, not to the
@@ -49,17 +56,16 @@ MetricsCollector& TraceRunner::replay(RequestStream& stream,
     std::function<void()> fire = [&] {
         const TraceEvent event = *pending;
         pending = stream.next();
-        if (pending) sim.schedule_at(offset + pending->at, fire);
+        if (pending) sim.schedule_at(offset + pending->at, [&fire] { fire(); });
         const auto node = clients_[event.client % clients_.size()];
         const auto& address = options.addresses[event.service];
         const sim::Bytes size =
             options.request_sizes[event.service % options.request_sizes.size()];
-        const std::string tag = "svc" + std::to_string(event.service);
         ++issued;
         last_at = event.at;
-        client.request(node, event.client, address, size, tag);
+        client.request(node, event.client, address, size, tags[event.service]);
     };
-    if (pending) sim.schedule_at(offset + pending->at, fire);
+    if (pending) sim.schedule_at(offset + pending->at, [&fire] { fire(); });
 
     // Drain: predicate-driven -- execute events exactly until every request
     // has completed (or the deadline passes). Streams that know their

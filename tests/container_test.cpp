@@ -9,6 +9,7 @@
 #include "container/puller.hpp"
 #include "container/registry.hpp"
 #include "container/runtime.hpp"
+#include "reply_callbacks.hpp"
 
 namespace tedge::container {
 namespace {
@@ -432,16 +433,17 @@ TEST_F(RuntimeFixture, RequestsQueueBeyondConcurrencyLimit) {
     runtime->start(id, 8080, [] {});
     simulation.run();
 
-    const auto* handler = endpoints.find(node, 8080);
+    const auto handler = endpoints.find(node, 8080);
     ASSERT_NE(handler, nullptr);
     // Issue 4 requests at once against concurrency 2: completions come in
     // two waves of the ~1 ms service time.
+    testkit::ReplyCallbacks replies;
     std::vector<sim::SimTime> completions;
     for (int i = 0; i < 4; ++i) {
-        (*handler)(100, [&](sim::Bytes size) {
+        (*handler)(100, replies([&](sim::Bytes size) {
             EXPECT_EQ(size, 256);
             completions.push_back(simulation.now());
-        });
+        }));
     }
     simulation.run();
     ASSERT_EQ(completions.size(), 4u);

@@ -282,7 +282,7 @@ void request_at(testbed::C3Testbed& tb, net::NodeId client,
                                   if (r.ok) {
                                       ++out.ok;
                                   } else {
-                                      out.errors.push_back(r.error);
+                                      out.errors.emplace_back(r.error);
                                   }
                               });
     });

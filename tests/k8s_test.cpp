@@ -5,7 +5,9 @@
 
 #include <algorithm>
 
+#include "orchestrator/k8s/controller_manager.hpp"
 #include "orchestrator/k8s/k8s_cluster.hpp"
+#include "reply_callbacks.hpp"
 
 namespace tedge::orchestrator::k8s {
 namespace {
@@ -55,6 +57,50 @@ TEST(ApiServer, StoreAccessors) {
 }
 
 // ----------------------------------------------------------- full cluster
+
+// A deleted pod is replaced by its own replicaset only, with two replicasets
+// in the store: the sweep after a deletion syncs every replicaset against
+// the pods it owns.
+TEST(ControllerManager, DeletedPodIsReplacedByItsOwnReplicaSet) {
+    sim::Simulation simulation;
+    ApiServer api(simulation);
+    ControllerManager controllers(simulation, api);
+    controllers.start();
+    for (const auto& [name, replicas] : {std::pair{"a", 2}, std::pair{"b", 1}}) {
+        DeploymentObj deployment;
+        deployment.name = name;
+        deployment.spec.name = name;
+        deployment.replicas = replicas;
+        api.request([&api, deployment] {
+            api.deployments().upsert(deployment.name, deployment);
+        });
+    }
+    simulation.run();
+    const auto owned_by = [&](const std::string& rs) {
+        std::vector<std::string> names;
+        for (const auto& [pod_name, pod] : api.pods().items()) {
+            if (pod.owner_rs == rs) names.push_back(pod_name);
+        }
+        return names;
+    };
+    const auto a_before = owned_by("a-rs");
+    const auto b_before = owned_by("b-rs");
+    ASSERT_EQ(a_before.size(), 2u);
+    ASSERT_EQ(b_before.size(), 1u);
+
+    const std::uint64_t syncs_before = controllers.replicaset_syncs();
+    api.request([&] { api.pods().erase(a_before.front()); });
+    simulation.run();
+
+    const auto a_after = owned_by("a-rs");
+    ASSERT_EQ(a_after.size(), 2u);
+    EXPECT_EQ(std::count(a_after.begin(), a_after.end(), a_before.front()), 0);
+    EXPECT_EQ(std::count(a_after.begin(), a_after.end(), a_before.back()), 1);
+    EXPECT_EQ(owned_by("b-rs"), b_before);
+    // One sweep over both replicasets for the deletion; the replacement
+    // pod's creation triggers no replicaset sync.
+    EXPECT_EQ(controllers.replicaset_syncs() - syncs_before, 2u);
+}
 
 struct K8sFixture : ::testing::Test {
     K8sFixture() {
@@ -180,13 +226,14 @@ TEST_F(K8sFixture, ServicePortForwardsToPod) {
     scale_up_and_wait_ready();
     const auto instances = cluster->ready_instances("svc");
     ASSERT_EQ(instances.size(), 1u);
-    const auto* handler = endpoints.find(node, instances[0].port);
+    const auto handler = endpoints.find(node, instances[0].port);
     ASSERT_NE(handler, nullptr);
+    testkit::ReplyCallbacks replies;
     bool replied = false;
-    (*handler)(100, [&](sim::Bytes size) {
+    (*handler)(100, replies([&](sim::Bytes size) {
         EXPECT_EQ(size, app.response_size);
         replied = true;
-    });
+    }));
     simulation.run_until(simulation.now() + seconds(1));
     EXPECT_TRUE(replied);
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "serverless/wasm_runtime.hpp"
+#include "reply_callbacks.hpp"
 
 namespace tedge::serverless {
 namespace {
@@ -49,10 +50,11 @@ TEST_P(BurstSweep, ColdStartsBoundedByBurstWidth) {
     simulation.run();
     ASSERT_TRUE(deployed);
 
-    const auto* handler = endpoints.find(node, 9000);
+    const auto handler = endpoints.find(node, 9000);
+    testkit::ReplyCallbacks replies;
     int completed = 0;
     for (int i = 0; i < burst; ++i) {
-        (*handler)(64, [&](sim::Bytes) { ++completed; });
+        (*handler)(64, replies([&](sim::Bytes) { ++completed; }));
     }
     simulation.run();
     EXPECT_EQ(completed, burst);
@@ -64,7 +66,7 @@ TEST_P(BurstSweep, ColdStartsBoundedByBurstWidth) {
 
     // A second identical burst is served entirely warm.
     for (int i = 0; i < burst; ++i) {
-        (*handler)(64, [&](sim::Bytes) { ++completed; });
+        (*handler)(64, replies([&](sim::Bytes) { ++completed; }));
     }
     simulation.run();
     EXPECT_EQ(completed, 2 * burst);
@@ -77,10 +79,11 @@ INSTANTIATE_TEST_SUITE_P(Widths, BurstSweep, ::testing::Values(1, 2, 4, 8, 16));
 TEST_F(RuntimeSweepFixture, SequentialRequestsUseOneInstance) {
     runtime->deploy(function("fn"), 9000, [] {});
     simulation.run();
-    const auto* handler = endpoints.find(node, 9000);
+    const auto handler = endpoints.find(node, 9000);
+    testkit::ReplyCallbacks replies;
     for (int i = 0; i < 10; ++i) {
         bool done = false;
-        (*handler)(64, [&](sim::Bytes) { done = true; });
+        (*handler)(64, replies([&](sim::Bytes) { done = true; }));
         simulation.run();
         ASSERT_TRUE(done);
     }
@@ -91,10 +94,13 @@ TEST_F(RuntimeSweepFixture, SequentialRequestsUseOneInstance) {
 TEST_F(RuntimeSweepFixture, CapSerializesExcessLoad) {
     runtime->deploy(function("fn", /*max_instances=*/2), 9000, [] {});
     simulation.run();
-    const auto* handler = endpoints.find(node, 9000);
+    const auto handler = endpoints.find(node, 9000);
+    testkit::ReplyCallbacks replies;
     std::vector<sim::SimTime> completions;
     for (int i = 0; i < 6; ++i) {
-        (*handler)(64, [&](sim::Bytes) { completions.push_back(simulation.now()); });
+        (*handler)(64, replies([&](sim::Bytes) {
+            completions.push_back(simulation.now());
+        }));
     }
     simulation.run();
     ASSERT_EQ(completions.size(), 6u);
@@ -107,11 +113,12 @@ TEST_F(RuntimeSweepFixture, TwoFunctionsAreIsolated) {
     runtime->deploy(function("a"), 9000, [] {});
     runtime->deploy(function("b"), 9001, [] {});
     simulation.run();
-    const auto* ha = endpoints.find(node, 9000);
-    const auto* hb = endpoints.find(node, 9001);
+    const auto ha = endpoints.find(node, 9000);
+    const auto hb = endpoints.find(node, 9001);
+    testkit::ReplyCallbacks replies;
     int done = 0;
-    (*ha)(64, [&](sim::Bytes) { ++done; });
-    (*hb)(64, [&](sim::Bytes) { ++done; });
+    (*ha)(64, replies([&](sim::Bytes) { ++done; }));
+    (*hb)(64, replies([&](sim::Bytes) { ++done; }));
     simulation.run();
     EXPECT_EQ(done, 2);
     EXPECT_EQ(runtime->warm_instances("a"), 1);

@@ -5,6 +5,7 @@
 
 #include "core/edge_platform.hpp"
 #include "serverless/faas_cluster.hpp"
+#include "reply_callbacks.hpp"
 
 namespace tedge::serverless {
 namespace {
@@ -81,15 +82,16 @@ TEST_F(FaasFixture, CreateBindsGatewayAndIsReadyScaleFromZero) {
 TEST_F(FaasFixture, FirstInvocationPaysMillisecondColdStart) {
     pull_and_create();
     const auto port = cluster->instances("fn")[0].port;
-    const auto* handler = endpoints.find(node, port);
+    const auto handler = endpoints.find(node, port);
     ASSERT_NE(handler, nullptr);
 
+    testkit::ReplyCallbacks replies;
     const sim::SimTime t0 = simulation.now();
     sim::SimTime first_latency;
-    (*handler)(100, [&](sim::Bytes size) {
+    (*handler)(100, replies([&](sim::Bytes size) {
         EXPECT_EQ(size, 256);
         first_latency = simulation.now() - t0;
-    });
+    }));
     simulation.run();
     EXPECT_EQ(cluster->runtime().cold_starts(), 1u);
     // Cold start ~6 ms + service -- two orders of magnitude below a
@@ -100,7 +102,9 @@ TEST_F(FaasFixture, FirstInvocationPaysMillisecondColdStart) {
     // Second invocation hits the warm instance: sub-millisecond runtime cost.
     const sim::SimTime t1 = simulation.now();
     sim::SimTime second_latency;
-    (*handler)(100, [&](sim::Bytes) { second_latency = simulation.now() - t1; });
+    (*handler)(100, replies([&](sim::Bytes) {
+        second_latency = simulation.now() - t1;
+    }));
     simulation.run();
     EXPECT_EQ(cluster->runtime().cold_starts(), 1u); // no new cold start
     EXPECT_LT(second_latency, milliseconds(2));
@@ -117,7 +121,8 @@ TEST_F(FaasFixture, ScaleUpPrewarmsAnInstance) {
     // A request now needs no cold start at all.
     const auto port = cluster->instances("fn")[0].port;
     const std::uint64_t cold_before = cluster->runtime().cold_starts();
-    (*endpoints.find(node, port))(100, [](sim::Bytes) {});
+    testkit::ReplyCallbacks replies;
+    (*endpoints.find(node, port))(100, replies([](sim::Bytes) {}));
     simulation.run();
     EXPECT_EQ(cluster->runtime().cold_starts(), cold_before);
 }
@@ -170,10 +175,13 @@ TEST_F(FaasFixture, BacklogQueuesBeyondInstanceCap) {
     simulation.run();
     ASSERT_TRUE(deployed);
 
-    const auto* handler = endpoints.find(node, 9500);
+    const auto handler = endpoints.find(node, 9500);
+    testkit::ReplyCallbacks replies;
     std::vector<sim::SimTime> completions;
     for (int i = 0; i < 3; ++i) {
-        (*handler)(10, [&](sim::Bytes) { completions.push_back(simulation.now()); });
+        (*handler)(10, replies([&](sim::Bytes) {
+            completions.push_back(simulation.now());
+        }));
     }
     simulation.run();
     ASSERT_EQ(completions.size(), 3u);

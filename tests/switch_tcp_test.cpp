@@ -238,6 +238,133 @@ TEST_F(SwitchFixture, ProbeSeesPortStateAtSynArrival) {
     EXPECT_TRUE(open);
 }
 
+// The fixture's 203.0.113.1:80 -> server:8080 redirect, with the port open
+// and a handler answering 512 bytes after 200 us.
+struct ExchangeFixture : SwitchFixture {
+    void SetUp() override {
+        SwitchFixture::SetUp();
+        FlowEntry entry;
+        entry.match.dst_ip = Ipv4{203, 0, 113, 1};
+        entry.action.set_dst_ip = topo.node(server).ip;
+        entry.action.set_dst_port = 8080;
+        entry.action.forward_to = server;
+        ovs->table().install(entry, simulation.now());
+        topo.open_port(server, 8080);
+        endpoints.bind(server, 8080, [&](sim::Bytes, EndpointDirectory::ReplyFn reply) {
+            ++served;
+            simulation.schedule(microseconds(200), [reply] { reply(512); });
+        });
+    }
+
+    const ServiceAddress service{Ipv4{203, 0, 113, 1}, 80};
+    int served = 0;
+};
+
+// The handler is looked up when the SYN leaves the switch and held until
+// the request reaches the server, so an unbind in between (the instance
+// stopping) still serves the request the handshake already accepted.
+TEST_F(ExchangeFixture, HandlerUnboundBeforeServerArrivalStillServes) {
+    HttpResult result;
+    int calls = 0;
+    net->http_request(client, service, 100, [&](const HttpResult& r) {
+        result = r;
+        ++calls;
+    });
+    // Resolution at ~110 us; the request reaches the server at ~700 us.
+    simulation.run_until(microseconds(300));
+    ASSERT_EQ(calls, 0);
+    endpoints.unbind(server, 8080);
+    simulation.run();
+    EXPECT_EQ(calls, 1);
+    EXPECT_TRUE(result.ok) << result.error;
+    EXPECT_EQ(served, 1);
+
+    // A request resolved after the unbind finds no handler.
+    net->http_request(client, service, 100, [&](const HttpResult& r) { result = r; });
+    simulation.run();
+    EXPECT_FALSE(result.ok);
+    EXPECT_EQ(result.error, "no endpoint handler bound");
+}
+
+// Every failure path completes the exchange exactly once, with its reason.
+// The continuation is move-only: it owns a unique_ptr.
+TEST_F(SwitchFixture, EveryFailurePathCompletesExactlyOnce) {
+    const NodeId island = topo.add_host("island", Ipv4{10, 0, 9, 9}); // no links
+    const auto redirect = [&](Ipv4 dst, NodeId node, std::uint16_t port) {
+        FlowEntry entry;
+        entry.match.dst_ip = dst;
+        entry.action.set_dst_ip = topo.node(node).ip;
+        entry.action.set_dst_port = port;
+        entry.action.forward_to = node;
+        ovs->table().install(entry, simulation.now());
+    };
+    redirect(Ipv4{203, 0, 113, 1}, server, 8080); // port closed
+    redirect(Ipv4{203, 0, 113, 2}, island, 80);   // unreachable host
+    redirect(Ipv4{203, 0, 113, 3}, server, 9090); // open, no handler
+    topo.open_port(server, 9090);
+
+    const std::vector<std::pair<ServiceAddress, std::string_view>> cases = {
+        {{Ipv4{203, 0, 113, 1}, 80}, "connection refused"},
+        {{Ipv4{99, 99, 99, 99}, 80}, "packet dropped (no route to destination)"},
+        {{Ipv4{203, 0, 113, 2}, 80}, "no path from client to server"},
+        {{Ipv4{203, 0, 113, 3}, 80}, "no endpoint handler bound"},
+    };
+    std::vector<int> calls(cases.size(), 0);
+    std::vector<HttpResult> results(cases.size());
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        auto owned = std::make_unique<int>(1);
+        net->http_request(client, cases[i].first, 100,
+                          [&, i, owned = std::move(owned)](const HttpResult& r) {
+                              calls[i] += *owned;
+                              results[i] = r;
+                          });
+    }
+    simulation.run();
+
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        EXPECT_EQ(calls[i], 1) << cases[i].second;
+        EXPECT_FALSE(results[i].ok) << cases[i].second;
+        EXPECT_EQ(results[i].error, cases[i].second);
+    }
+    EXPECT_EQ(net->requests_failed(), cases.size());
+}
+
+// A handler that answers one request twice is a bug the exchange reports
+// instead of completing the request a second time.
+TEST_F(ExchangeFixture, SecondReplyToOneRequestThrows) {
+    endpoints.bind(server, 8080, [](sim::Bytes, EndpointDirectory::ReplyFn reply) {
+        reply(1);
+        reply(1);
+    });
+    net->http_request(client, service, 100, [](const HttpResult&) {});
+    EXPECT_THROW(simulation.run(), std::logic_error);
+}
+
+// Exchange and pipeline slots are reused: once the pools have grown to the
+// peak concurrency, further waves of the same size allocate no slot.
+TEST_F(ExchangeFixture, SlotsAreReusedAfterWarmUp) {
+    constexpr int kWave = 8;
+    int completed = 0;
+    const auto wave = [&] {
+        for (int i = 0; i < kWave; ++i) {
+            net->http_request(client, service, 100,
+                              [&](const HttpResult& r) { completed += r.ok; });
+        }
+        simulation.run();
+    };
+    wave();
+    ASSERT_EQ(completed, kWave);
+    const std::size_t exchanges = net->exchange_slots();
+    const std::size_t pipeline = ovs->pipeline_slots();
+    EXPECT_EQ(exchanges, static_cast<std::size_t>(kWave));
+    EXPECT_GE(pipeline, 1u);
+    EXPECT_LE(pipeline, static_cast<std::size_t>(kWave));
+    for (int i = 0; i < 50; ++i) wave();
+    EXPECT_EQ(completed, 51 * kWave);
+    EXPECT_EQ(net->exchange_slots(), exchanges);
+    EXPECT_EQ(ovs->pipeline_slots(), pipeline);
+}
+
 TEST(EndpointDirectory, BindFindUnbind) {
     EndpointDirectory directory;
     const NodeId node{3};
