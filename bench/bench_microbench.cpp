@@ -216,8 +216,10 @@ BENCHMARK(BM_FlowTableChurn)->Arg(1000)->Arg(10000)->Arg(100000);
 /// `n` services with one ready pod each; each iteration flips one pod's
 /// readiness and drains the control loop: the endpoints sync the pod's watch
 /// event triggers, the endpoints write, and the sync that write's watch
-/// event triggers. A sync walks the pods and the services once each, so the
-/// cost grows with n, not with services x pods.
+/// event triggers. The pod write marks only its own service dirty, and a
+/// sync recomputes the dirty services from their label groups, so the cost
+/// per iteration stays flat in n (every service starts dirty, which the
+/// first iteration's sync pays once).
 void BM_EndpointsSync(benchmark::State& state) {
     namespace k8s = orchestrator::k8s;
     const auto n = static_cast<std::size_t>(state.range(0));

@@ -1,7 +1,8 @@
 // The Kubernetes API server: a typed object store with asynchronous request
 // latency and watch fan-out. Every control-loop hop in the cluster crosses
 // this component, which is precisely where the paper's ~3 s Kubernetes
-// scale-up overhead accumulates.
+// scale-up overhead accumulates. Synchronous write hooks let the control
+// loops keep indexes over a store (StoreIndex) that never lag behind it.
 #pragma once
 
 #include <functional>
@@ -24,17 +25,24 @@ struct ApiServerConfig {
 template <typename T>
 class ObjectStore {
 public:
+    using Item = typename std::map<std::string, T>::value_type;
     using Watcher = std::function<void(const WatchEvent&)>;
+
+    /// A synchronous observer of store writes, for state that must agree
+    /// with the store at every instant (a watcher hears of a write only
+    /// `watch_latency` later). `unindex` sees an item just before a write
+    /// replaces or erases it, `index` sees it just after a write stores it;
+    /// an item's address is stable until it is erased. A hook must not
+    /// write to the store.
+    struct WriteHook {
+        std::function<void(const Item&)> unindex;
+        std::function<void(const Item&)> index;
+    };
 
     explicit ObjectStore(sim::Simulation& sim, ApiServerConfig& config)
         : sim_(&sim), config_(&config) {}
 
     [[nodiscard]] const T* get(const std::string& name) const {
-        const auto it = items_.find(name);
-        return it == items_.end() ? nullptr : &it->second;
-    }
-
-    [[nodiscard]] T* get_mutable(const std::string& name) {
         const auto it = items_.find(name);
         return it == items_.end() ? nullptr : &it->second;
     }
@@ -51,16 +59,33 @@ public:
 
     void watch(Watcher watcher) { watchers_.push_back(std::move(watcher)); }
 
+    /// Register `hook` and index the items already stored, in name order.
+    void add_write_hook(WriteHook hook) {
+        for (const Item& item : items_) hook.index(item);
+        hooks_.push_back(std::move(hook));
+    }
+
     // Store-side mutations (already past request latency; used by ApiServer).
     bool upsert(const std::string& name, T item) {
-        const auto [it, inserted] = items_.insert_or_assign(name, std::move(item));
+        auto it = items_.lower_bound(name);
+        const bool inserted = it == items_.end() || it->first != name;
+        if (inserted) {
+            it = items_.emplace_hint(it, name, std::move(item));
+        } else {
+            for (const auto& h : hooks_) h.unindex(*it);
+            it->second = std::move(item);
+        }
+        for (const auto& h : hooks_) h.index(*it);
         notify(WatchEvent{inserted ? WatchEventType::kAdded : WatchEventType::kModified,
                           name});
         return inserted;
     }
 
     bool erase(const std::string& name) {
-        if (items_.erase(name) == 0) return false;
+        const auto it = items_.find(name);
+        if (it == items_.end()) return false;
+        for (const auto& h : hooks_) h.unindex(*it);
+        items_.erase(it);
         notify(WatchEvent{WatchEventType::kDeleted, name});
         return true;
     }
@@ -76,6 +101,7 @@ private:
     ApiServerConfig* config_;
     std::map<std::string, T> items_;
     std::vector<Watcher> watchers_;
+    std::vector<WriteHook> hooks_;
 };
 
 class ApiServer {

@@ -1,8 +1,6 @@
 #include "orchestrator/k8s/controller_manager.hpp"
 
 #include <algorithm>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace tedge::orchestrator::k8s {
@@ -10,12 +8,59 @@ namespace tedge::orchestrator::k8s {
 namespace {
 /// The label every edge-service pod carries and every k8s Service selects on.
 const std::string kServiceLabel = "edge.service";
+/// The one key of the index of selectors without edge.service.
+const std::string kNoServiceKey;
+
+const std::string* find_service_label(const std::map<std::string, std::string>& labels) {
+    const auto it = labels.find(kServiceLabel);
+    return it == labels.end() ? nullptr : &it->second;
+}
+
+const std::string* pod_service_label(const PodObj& pod) {
+    return find_service_label(pod.spec.labels);
+}
+const std::string* pod_owner(const PodObj& pod) { return &pod.owner_rs; }
+const std::string* selector_service(const ServiceObj& svc) {
+    return find_service_label(svc.selector);
+}
+const std::string* unkeyed_selector(const ServiceObj& svc) {
+    return svc.selector.contains(kServiceLabel) ? nullptr : &kNoServiceKey;
+}
+
+constexpr auto by_name = StoreIndex<ServiceObj>::by_name;
 } // namespace
 
 ControllerManager::ControllerManager(sim::Simulation& sim, ApiServer& api,
                                      ControllerManagerConfig config)
     : sim_(sim), api_(api), config_(config),
-      next_pod_port_(config.pod_port_base) {}
+      pods_by_label_(api.pods(), pod_service_label),
+      pods_by_owner_(api.pods(), pod_owner),
+      services_by_selector_(api.services(), selector_service),
+      unkeyed_services_(api.services(), unkeyed_selector),
+      next_pod_port_(config.pod_port_base) {
+    // Every stored service starts dirty; a pod write marks its old and new
+    // label groups, a service write marks the service itself.
+    api_.pods().add_write_hook({[this](const PodItem& item) { mark_dirty_for(item.second); },
+                                [this](const PodItem& item) { mark_dirty_for(item.second); }});
+    api_.services().add_write_hook(
+        {[this](const ServiceItem& item) {
+             const auto it = std::lower_bound(dirty_.begin(), dirty_.end(), &item, by_name);
+             if (it != dirty_.end() && *it == &item) dirty_.erase(it);
+         },
+         [this](const ServiceItem& item) { mark_dirty(&item); }});
+}
+
+void ControllerManager::mark_dirty(const ServiceItem* svc) {
+    const auto it = std::lower_bound(dirty_.begin(), dirty_.end(), svc, by_name);
+    if (it == dirty_.end() || *it != svc) dirty_.insert(it, svc);
+}
+
+void ControllerManager::mark_dirty_for(const PodObj& pod) {
+    if (const std::string* label = pod_service_label(pod)) {
+        for (const ServiceItem* svc : services_by_selector_.group(*label)) mark_dirty(svc);
+    }
+    for (const ServiceItem* svc : unkeyed_services_.group(kNoServiceKey)) mark_dirty(svc);
+}
 
 void ControllerManager::start() {
     if (started_) return;
@@ -73,31 +118,11 @@ void ControllerManager::sync_deployment(const std::string& name) {
     }
 }
 
-void ControllerManager::sync_replicaset(const std::string& name) {
-    std::vector<const PodItem*> pods;
-    for (const PodItem& item : api_.pods().items()) {
-        if (item.second.owner_rs == name) pods.push_back(&item);
-    }
-    sync_replicaset(name, pods);
-}
-
 void ControllerManager::sync_all_replicasets() {
-    // One pass groups the pod store by owner, so the sweep costs
-    // replicasets + pods. The store cannot change inside the sweep: every
-    // write a sync makes goes through ApiServer::request, which schedules it.
-    std::unordered_map<std::string_view, std::vector<const PodItem*>> by_owner;
-    for (const PodItem& item : api_.pods().items()) {
-        by_owner[item.second.owner_rs].push_back(&item);
-    }
-    const std::vector<const PodItem*> none;
-    for (const auto& [name, rs] : api_.replicasets().items()) {
-        const auto group = by_owner.find(name);
-        sync_replicaset(name, group == by_owner.end() ? none : group->second);
-    }
+    for (const auto& [name, rs] : api_.replicasets().items()) sync_replicaset(name);
 }
 
-void ControllerManager::sync_replicaset(const std::string& name,
-                                        const std::vector<const PodItem*>& pods) {
+void ControllerManager::sync_replicaset(const std::string& name) {
     ++replicaset_syncs_;
     const auto* rs = api_.replicasets().get(name);
     if (rs == nullptr) return;
@@ -107,7 +132,7 @@ void ControllerManager::sync_replicaset(const std::string& name,
     // expectations mechanism in kube-controller-manager and keeps two syncs
     // racing within one API round-trip from both acting on stale counts.
     std::vector<const PodObj*> owned;
-    for (const PodItem* item : pods) {
+    for (const PodItem* item : pods_by_owner_.group(name)) {
         const auto& [pod_name, pod] = *item;
         if (pod.phase != PodPhase::kTerminating &&
             pending_terminations_.count(pod_name) == 0) {
@@ -160,50 +185,41 @@ void ControllerManager::sync_replicaset(const std::string& name,
 }
 
 void ControllerManager::sync_endpoints() {
-    // One pass over the pod store: the serving pods (running, ready, bound)
-    // in pod-name order, and the same grouped by their edge.service label.
-    std::vector<const PodItem*> serving;
-    std::unordered_map<std::string_view, std::vector<const PodItem*>> by_service;
-    for (const PodItem& item : api_.pods().items()) {
-        const PodObj& pod = item.second;
-        if (pod.phase != PodPhase::kRunning || !pod.ready) continue;
-        if (!pod.node.valid()) continue;
-        serving.push_back(&item);
-        const auto label = pod.spec.labels.find(kServiceLabel);
-        if (label != pod.spec.labels.end()) by_service[label->second].push_back(&item);
+    // Syncs write only through ApiServer::request, which schedules the
+    // write, so the dirty set cannot change inside this loop. A service
+    // whose endpoints differ stays dirty until its write lands and agrees.
+    std::size_t kept = 0;
+    for (const ServiceItem* item : dirty_) {
+        if (!sync_service(item->second)) dirty_[kept++] = item;
     }
+    dirty_.resize(kept);
+}
 
-    const std::vector<const PodItem*> none;
-    for (const auto& [svc_name, svc] : api_.services().items()) {
-        // A selector naming edge.service can only match that label's group;
-        // any other selector is checked against every serving pod.
-        const std::vector<const PodItem*>* candidates = &serving;
-        if (const auto key = svc.selector.find(kServiceLabel); key != svc.selector.end()) {
-            const auto group = by_service.find(key->second);
-            candidates = group == by_service.end() ? &none : &group->second;
+bool ControllerManager::sync_service(const ServiceObj& svc) {
+    std::vector<EndpointEntry> endpoints;
+    const auto consider = [&](const PodItem& item) {
+        const auto& [pod_name, pod] = item;
+        if (pod.phase != PodPhase::kRunning || !pod.ready || !pod.node.valid()) return;
+        // Selector match: every selector pair must appear in pod labels
+        // (ServiceSpec labels carry edge.service=<name>).
+        for (const auto& [k, v] : svc.selector) {
+            const auto it = pod.spec.labels.find(k);
+            if (it == pod.spec.labels.end() || it->second != v) return;
         }
-        std::vector<EndpointEntry> endpoints;
-        for (const PodItem* item : *candidates) {
-            const auto& [pod_name, pod] = *item;
-            // Selector match: every selector pair must appear in pod labels
-            // (ServiceSpec labels carry edge.service=<name>).
-            bool match = true;
-            for (const auto& [k, v] : svc.selector) {
-                const auto it = pod.spec.labels.find(k);
-                if (it == pod.spec.labels.end() || it->second != v) {
-                    match = false;
-                    break;
-                }
-            }
-            if (!match) continue;
-            endpoints.push_back(EndpointEntry{pod_name, pod.node, pod.pod_port});
-        }
-        if (endpoints != svc.endpoints) {
-            ServiceObj updated = svc;
-            updated.endpoints = std::move(endpoints);
-            api_.request([this, updated] { api_.services().upsert(updated.name, updated); });
-        }
+        endpoints.push_back(EndpointEntry{pod_name, pod.node, pod.pod_port});
+    };
+    // A selector naming edge.service can only match that label's group; any
+    // other selector is checked against the whole pod store.
+    if (const std::string* label = selector_service(svc)) {
+        for (const PodItem* item : pods_by_label_.group(*label)) consider(*item);
+    } else {
+        for (const PodItem& item : api_.pods().items()) consider(item);
     }
+    if (endpoints == svc.endpoints) return true;
+    ServiceObj updated = svc;
+    updated.endpoints = std::move(endpoints);
+    api_.request([this, updated] { api_.services().upsert(updated.name, updated); });
+    return false;
 }
 
 } // namespace tedge::orchestrator::k8s

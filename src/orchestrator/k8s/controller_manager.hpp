@@ -1,20 +1,30 @@
 // kube-controller-manager: the deployment, replicaset, and endpoints
 // control loops. Each loop reacts to watch events after its sync latency and
 // writes desired state back through the API server -- never directly, so
-// every hop pays realistic propagation costs. An endpoints sync indexes the
-// serving pods by their edge.service label once, so it costs services + pods
-// rather than services x pods; the replicaset sweep after a pod deletion
-// groups the pods by owner once, so it costs replicasets + pods.
+// every hop pays realistic propagation costs.
+//
+// The loops read the stores through indexes that write hooks keep current
+// (DESIGN §4b, "A control plane that costs per change"), so a sync costs
+// what changed, not the size of the cluster. The endpoints loop recomputes
+// only dirty services: a service is marked when it is written, when a pod
+// whose edge.service label (before or after the write) its selector names
+// is written, and -- for a selector without edge.service -- when any pod is
+// written. Marks are made at store-write time, because a sync reads the
+// store directly while watch events arrive 25 ms after the write. A sync
+// visits the dirty services in name order and clears one only when its
+// computed endpoints equal its stored ones, so it makes exactly the writes
+// a sync of every service would. The replicaset loop takes each
+// replicaset's pods from an owner index.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "orchestrator/k8s/api_server.hpp"
+#include "orchestrator/k8s/store_index.hpp"
 
 namespace tedge::orchestrator::k8s {
 
@@ -37,21 +47,33 @@ public:
     [[nodiscard]] std::uint64_t replicaset_syncs() const { return replicaset_syncs_; }
 
 private:
-    using PodItem = std::pair<const std::string, PodObj>;
+    using PodItem = ObjectStore<PodObj>::Item;
+    using ServiceItem = ObjectStore<ServiceObj>::Item;
 
     void sync_deployment(const std::string& name);
     /// Sync one replicaset against the pods it owns.
     void sync_replicaset(const std::string& name);
     /// Sync every replicaset in name order (after a pod deletion).
     void sync_all_replicasets();
-    /// `pods`: the store's pods owned by `name`, in store order.
-    void sync_replicaset(const std::string& name,
-                         const std::vector<const PodItem*>& pods);
+    /// Recompute the dirty services' endpoints, in name order.
     void sync_endpoints();
+    /// Write `svc`'s endpoints if they differ from the computed ones;
+    /// returns whether they already agreed.
+    bool sync_service(const ServiceObj& svc);
+    void mark_dirty(const ServiceItem* svc);
+    /// Mark the services whose endpoints a write of `pod` can change.
+    void mark_dirty_for(const PodObj& pod);
 
     sim::Simulation& sim_;
     ApiServer& api_;
     ControllerManagerConfig config_;
+    StoreIndex<PodObj> pods_by_label_;        ///< by edge.service label
+    StoreIndex<PodObj> pods_by_owner_;        ///< by owner_rs
+    StoreIndex<ServiceObj> services_by_selector_;  ///< by selector's edge.service
+    StoreIndex<ServiceObj> unkeyed_services_; ///< selectors without edge.service
+    /// Services whose stored endpoints may differ from the computed ones,
+    /// in name order.
+    std::vector<const ServiceItem*> dirty_;
     // Expectations (as in kube-controller-manager): pod writes requested but
     // not yet observable through the API server. Without them, two syncs of
     // the same replicaset racing within one API round-trip both see the old

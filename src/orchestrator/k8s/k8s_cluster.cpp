@@ -17,6 +17,8 @@ KubeSchedulerConfig scheduler_config(KubeSchedulerConfig cfg,
     return cfg;
 }
 
+const std::string* pod_service_name(const PodObj& pod) { return &pod.spec.name; }
+
 } // namespace
 
 K8sCluster::K8sCluster(std::string name, sim::Simulation& sim, net::Topology& topo,
@@ -29,8 +31,28 @@ K8sCluster::K8sCluster(std::string name, sim::Simulation& sim, net::Topology& to
       api_(sim, config.api), controllers_(sim, api_, config.controllers),
       scheduler_(sim, api_, nodes_,
                  scheduler_config(config.scheduler, config.node_capacity)),
-      log_(sim, "k8s/" + name_) {
+      log_(sim, "k8s/" + name_), pods_by_service_(api_.pods(), pod_service_name) {
     if (nodes_.empty()) throw std::invalid_argument("K8sCluster needs >= 1 node");
+
+    using PodItem = ObjectStore<PodObj>::Item;
+    using ServiceItem = ObjectStore<ServiceObj>::Item;
+    api_.pods().add_write_hook(
+        {[this](const PodItem& item) {
+             const PodObj& pod = item.second;
+             if (pod.phase == PodPhase::kTerminating) return;
+             --live_pods_;
+             live_used_.cpu_millicores -= pod.resources.cpu_millicores;
+             live_used_.memory_bytes -= pod.resources.memory_bytes;
+         },
+         [this](const PodItem& item) {
+             const PodObj& pod = item.second;
+             if (pod.phase == PodPhase::kTerminating) return;
+             ++live_pods_;
+             live_used_ += pod.resources;
+         }});
+    api_.services().add_write_hook(
+        {[this](const ServiceItem& item) { proxy_services_[item.first].svc = nullptr; },
+         [this](const ServiceItem& item) { proxy_services_[item.first].svc = &item.second; }});
 
     KubeletConfig kubelet_config = config.kubelet;
     if (!kubelet_config.allocatable.limited()) {
@@ -194,7 +216,7 @@ void K8sCluster::scale_up(const std::string& name, BoolCallback done) {
     }
     api_.request(
         [this, name] {
-            auto* deployment = api_.deployments().get_mutable(name);
+            const auto* deployment = api_.deployments().get(name);
             if (deployment == nullptr) return;
             DeploymentObj updated = *deployment;
             updated.replicas += 1;
@@ -207,7 +229,7 @@ void K8sCluster::scale_up(const std::string& name, BoolCallback done) {
 void K8sCluster::scale_down(const std::string& name, BoolCallback done) {
     api_.request(
         [this, name] {
-            auto* deployment = api_.deployments().get_mutable(name);
+            const auto* deployment = api_.deployments().get(name);
             if (deployment == nullptr) return;
             DeploymentObj updated = *deployment;
             updated.replicas = std::max(0, updated.replicas - 1);
@@ -265,8 +287,8 @@ std::vector<InstanceInfo> K8sCluster::instances(const std::string& name) const {
     std::vector<InstanceInfo> out;
     const auto* svc = api_.services().get(name);
     const std::uint16_t expose = svc != nullptr ? svc->node_port : 0;
-    for (const auto& [pod_name, pod] : api_.pods().items()) {
-        if (pod.spec.name != name) continue;
+    for (const auto* item : pods_by_service_.group(name)) {
+        const PodObj& pod = item->second;
         if (pod.phase == PodPhase::kTerminating) continue;
         if (!pod.node.valid()) continue;
         InstanceInfo info;
@@ -288,28 +310,14 @@ std::uint16_t K8sCluster::allocate_node_port(std::uint16_t preferred) {
     return port;
 }
 
-std::size_t K8sCluster::total_instances() const {
-    std::size_t count = 0;
-    for (const auto& [name, pod] : api_.pods().items()) {
-        if (pod.phase != PodPhase::kTerminating) ++count;
-    }
-    return count;
-}
-
-ResourceRequest K8sCluster::pods_used() const {
-    ResourceRequest used;
-    for (const auto& [name, pod] : api_.pods().items()) {
-        if (pod.phase != PodPhase::kTerminating) used += pod.resources;
-    }
-    return used;
-}
+std::size_t K8sCluster::total_instances() const { return live_pods_; }
 
 ClusterUtilization K8sCluster::utilization() const {
     ClusterUtilization u;
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         u.capacity += config_.node_capacity;
     }
-    u.used = pods_used();
+    u.used = live_used_;
     if (u.used.cpu_millicores > peak_used_.cpu_millicores) {
         peak_used_.cpu_millicores = u.used.cpu_millicores;
     }
@@ -373,9 +381,10 @@ void K8sCluster::reconcile_proxy(const std::string& svc_name) {
             // Wait until the pod's application is actually listening before
             // the DNAT path can complete a connection.
             const std::uint16_t expose = svc->node_port;
+            const ProxyService* record = &proxy_services_[svc_name];
             alias.poll = sim_.schedule_periodic(config_.proxy_poll,
-                                                [this, svc_name, node, expose] {
-                const auto* s = api_.services().get(svc_name);
+                                                [this, record, svc_name, node, expose] {
+                const ServiceObj* s = record->svc;
                 if (s == nullptr) {
                     auto& a = aliases_[std::make_pair(svc_name, node.value)];
                     a.poll.cancel();
@@ -403,11 +412,12 @@ void K8sCluster::open_alias(const std::string& svc_name, net::NodeId node,
     if (alias.open) return;
     alias.open = true;
     topo_.open_port(node, expose_port);
+    ProxyService* record = &proxy_services_[svc_name];
     endpoints_.bind(node, expose_port,
-                    [this, svc_name, node](sim::Bytes request,
-                                           net::EndpointDirectory::ReplyFn reply) {
+                    [this, record, node](sim::Bytes request,
+                                         net::EndpointDirectory::ReplyFn reply) {
         // DNAT to a ready endpoint on this node (round robin).
-        const auto* svc = api_.services().get(svc_name);
+        const ServiceObj* svc = record->svc;
         if (svc == nullptr || svc->endpoints.empty()) {
             reply(0);
             return;
@@ -421,7 +431,7 @@ void K8sCluster::open_alias(const std::string& svc_name, net::NodeId node,
             reply(0);
             return;
         }
-        auto& cursor = rr_cursor_[svc_name];
+        std::size_t& cursor = record->cursor;
         std::size_t skip = cursor % local;
         ++cursor;
         const EndpointEntry* chosen = nullptr;

@@ -12,6 +12,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "orchestrator/cluster.hpp"
@@ -19,6 +20,7 @@
 #include "orchestrator/k8s/controller_manager.hpp"
 #include "orchestrator/k8s/kube_scheduler.hpp"
 #include "orchestrator/k8s/kubelet.hpp"
+#include "orchestrator/k8s/store_index.hpp"
 #include "simcore/logging.hpp"
 
 namespace tedge::orchestrator::k8s {
@@ -82,6 +84,16 @@ private:
         sim::Simulation::PeriodicHandle poll;
     };
 
+    /// kube-proxy's view of one service, shared by its node aliases: the
+    /// stored object (null while none is stored), which a services write
+    /// hook keeps current, and the round-robin cursor for multi-endpoint
+    /// forwarding. Kept for the cluster's lifetime, so the cursor survives
+    /// a removal and re-creation as before.
+    struct ProxyService {
+        const ServiceObj* svc = nullptr;
+        std::size_t cursor = 0;
+    };
+
     void reconcile_proxy(const std::string& svc_name);
     void open_alias(const std::string& svc_name, net::NodeId node,
                     std::uint16_t expose_port);
@@ -103,8 +115,13 @@ private:
     sim::Logger log_;
     /// (service name, node id) -> alias state
     std::map<std::pair<std::string, std::uint32_t>, ProxyAlias> aliases_;
-    /// round-robin cursor per service for multi-endpoint forwarding
-    std::map<std::string, std::size_t> rr_cursor_;
+    /// Service name -> kube-proxy record; element addresses are stable.
+    std::unordered_map<std::string, ProxyService> proxy_services_;
+    StoreIndex<PodObj> pods_by_service_;  ///< by spec.name
+    /// Count and summed requests of the non-terminating pods (bound or
+    /// pending), kept by a pods write hook.
+    std::size_t live_pods_ = 0;
+    ResourceRequest live_used_;
     std::set<std::uint16_t> used_node_ports_;
     std::uint16_t next_node_port_ = 30000;
     mutable ResourceRequest peak_used_;  ///< high-water mark of pod requests
@@ -112,8 +129,6 @@ private:
     std::uint64_t rejections_ = 0;
 
     std::uint16_t allocate_node_port(std::uint16_t preferred);
-    /// Summed requests of all non-terminating pods (bound or pending).
-    [[nodiscard]] ResourceRequest pods_used() const;
 };
 
 } // namespace tedge::orchestrator::k8s

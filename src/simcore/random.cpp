@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <utility>
 
 namespace tedge::sim {
 namespace {
@@ -122,7 +123,9 @@ std::uint64_t Rng::poisson(double mean) {
     return draw <= 0 ? 0 : static_cast<std::uint64_t>(draw);
 }
 
-std::size_t Rng::weighted_index(const std::vector<double>& weights) {
+namespace {
+
+double checked_total(const std::vector<double>& weights) {
     if (weights.empty()) throw std::invalid_argument("weighted_index: empty");
     double total = 0;
     for (double w : weights) {
@@ -130,12 +133,29 @@ std::size_t Rng::weighted_index(const std::vector<double>& weights) {
         total += w;
     }
     if (total <= 0) throw std::invalid_argument("weighted_index: zero total");
-    double r = uniform(0.0, total);
+    return total;
+}
+
+std::size_t pick_weighted(Rng& rng, const std::vector<double>& weights, double total) {
+    double r = rng.uniform(0.0, total);
     for (std::size_t i = 0; i < weights.size(); ++i) {
         r -= weights[i];
         if (r < 0) return i;
     }
     return weights.size() - 1;
+}
+
+} // namespace
+
+std::size_t Rng::weighted_index(const std::vector<double>& weights) {
+    return pick_weighted(*this, weights, checked_total(weights));
+}
+
+WeightedSampler::WeightedSampler(std::vector<double> weights)
+    : weights_(std::move(weights)), total_(checked_total(weights_)) {}
+
+std::size_t WeightedSampler::operator()(Rng& rng) const {
+    return pick_weighted(rng, weights_, total_);
 }
 
 ZipfDistribution::ZipfDistribution(std::size_t n, double s) {

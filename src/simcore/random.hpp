@@ -75,10 +75,27 @@ public:
 
     /// Pick an index in [0, weights.size()) proportionally to weights.
     /// Requires a non-empty vector with non-negative entries and positive sum.
+    /// Repeated draws from one vector should use a WeightedSampler.
     std::size_t weighted_index(const std::vector<double>& weights);
 
 private:
     std::array<std::uint64_t, 4> s_{};
+};
+
+/// Rng::weighted_index over one weight vector that is validated and summed
+/// once, at construction. Each pick consumes the generator exactly as
+/// weighted_index does and returns the same index: the total is summed in
+/// the same order and the pick keeps the same running subtraction.
+class WeightedSampler {
+public:
+    /// Same requirements as Rng::weighted_index; throws std::invalid_argument.
+    explicit WeightedSampler(std::vector<double> weights);
+
+    std::size_t operator()(Rng& rng) const;
+
+private:
+    std::vector<double> weights_;
+    double total_;
 };
 
 /// Zipf(s, n) sampler over ranks {0, .., n-1}: P(k) proportional to 1/(k+1)^s.

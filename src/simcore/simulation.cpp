@@ -20,38 +20,30 @@ EventHandle Simulation::schedule_at(SimTime at, EventQueue::Callback cb, bool da
     return queue_.push(at, std::move(cb), daemon);
 }
 
-namespace {
-
-// Self-rescheduling tick: each firing enqueues a copy of itself. A copyable
-// struct instead of a lambda capturing a shared_ptr to its own std::function
-// -- that classic formulation is a reference cycle and leaks the closure.
-// Captures the kernel by pointer (kernel is pinned: non-movable, outlives
-// all events).
-struct PeriodicTick {
-    Simulation* sim;
-    SimTime period;
-    std::function<void()> cb;
-    std::shared_ptr<bool> stop;
-    bool daemon;
+// Self-rescheduling tick: each firing moves the shared state into the next
+// event, 16 bytes that fit UniqueFunction's inline buffer. The state does not
+// own a tick, so there is no reference cycle: it is freed once the handle is
+// gone and the last tick has fired or been dropped with the queue.
+struct Simulation::PeriodicTick {
+    std::shared_ptr<PeriodicState> state;
 
     void operator()() {
-        if (*stop) return;
-        cb();
-        if (*stop) return;
-        sim->schedule(period, PeriodicTick{*this}, daemon);
+        auto& s = *state;
+        if (s.stopped) return;
+        s.cb();
+        if (s.stopped) return;
+        s.sim->schedule(s.period, PeriodicTick{std::move(state)}, s.daemon);
     }
 };
-
-} // namespace
 
 Simulation::PeriodicHandle Simulation::schedule_periodic(SimTime period,
                                                          std::function<void()> cb,
                                                          bool daemon) {
     if (period <= SimTime::zero()) throw std::invalid_argument("non-positive period");
     PeriodicHandle handle;
-    handle.stop_ = std::make_shared<bool>(false);
-    schedule(period, PeriodicTick{this, period, std::move(cb), handle.stop_, daemon},
-             daemon);
+    handle.state_ =
+        std::make_shared<PeriodicState>(PeriodicState{this, period, std::move(cb), daemon});
+    schedule(period, PeriodicTick{handle.state_}, daemon);
     return handle;
 }
 

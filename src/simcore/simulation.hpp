@@ -46,17 +46,24 @@ public:
     /// Schedule `cb` at absolute time `at` (must be >= now()).
     EventHandle schedule_at(SimTime at, EventQueue::Callback cb, bool daemon = false);
 
+private:
+    struct PeriodicState;
+
+public:
     /// Schedule a callback that re-arms itself every `period` until the
     /// returned handle is cancelled. The first firing is after `period`.
     /// Pass daemon=true for housekeeping periodics that should not keep
-    /// run() alive once all user events have drained.
+    /// run() alive once all user events have drained. The callback and its
+    /// schedule live in one block that the handle and the pending tick
+    /// share; a tick re-arms by moving its pointer to that block into the
+    /// next event, so a firing allocates nothing of its own.
     class PeriodicHandle {
     public:
-        void cancel() { if (stop_) *stop_ = true; }
-        [[nodiscard]] bool active() const { return stop_ && !*stop_; }
+        void cancel() { if (state_) state_->stopped = true; }
+        [[nodiscard]] bool active() const { return state_ && !state_->stopped; }
     private:
         friend class Simulation;
-        std::shared_ptr<bool> stop_;
+        std::shared_ptr<PeriodicState> state_;
     };
     PeriodicHandle schedule_periodic(SimTime period, std::function<void()> cb,
                                      bool daemon = false);
@@ -156,6 +163,15 @@ public:
     void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
 
 private:
+    struct PeriodicState {
+        Simulation* sim;  // the kernel is pinned: non-movable, outlives its events
+        SimTime period;
+        std::function<void()> cb;
+        bool daemon = false;
+        bool stopped = false;
+    };
+    struct PeriodicTick;
+
     void execute_next();
 
     void note_scheduled(SimTime at, bool daemon) {

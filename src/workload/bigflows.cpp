@@ -23,8 +23,9 @@ BigFlowsStream::BigFlowsStream(const BigFlowsOptions& options)
     const sim::ZipfDistribution zipf(options.services, options.zipf_s);
     std::vector<double> weights(options.services);
     for (std::uint32_t s = 0; s < options.services; ++s) weights[s] = zipf.pmf(s);
+    const sim::WeightedSampler pick(std::move(weights));
     while (assigned < options.requests) {
-        ++counts[rng.weighted_index(weights)];
+        ++counts[pick(rng)];
         ++assigned;
     }
 

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <optional>
+#include <ostream>
+#include <tuple>
 
 #include "orchestrator/k8s/controller_manager.hpp"
 #include "orchestrator/k8s/k8s_cluster.hpp"
@@ -54,6 +58,63 @@ TEST(ApiServer, StoreAccessors) {
     EXPECT_EQ(api.pods().names().front(), "x");
     EXPECT_FALSE(api.pods().erase("zz"));
     EXPECT_TRUE(api.pods().erase("x"));
+}
+
+// Write hooks run inside the write, before any watch event: a hook added
+// late first sees the stored items in name order, then each replace as
+// unindex(old) + index(new) on one stable item, and each erase as unindex.
+TEST(ApiServer, WriteHooksSeeEveryWriteSynchronously) {
+    sim::Simulation simulation;
+    ApiServer api(simulation);
+    PodObj pod;
+    pod.pod_port = 1;
+    api.pods().upsert("b", pod);
+    api.pods().upsert("a", pod);
+    std::vector<std::string> calls;
+    const PodObj* stored_b = api.pods().get("b");
+    api.pods().add_write_hook(
+        {[&](const ObjectStore<PodObj>::Item& item) {
+             calls.push_back("-" + item.first + std::to_string(item.second.pod_port));
+         },
+         [&](const ObjectStore<PodObj>::Item& item) {
+             calls.push_back("+" + item.first + std::to_string(item.second.pod_port));
+         }});
+    pod.pod_port = 2;
+    api.pods().upsert("b", pod);
+    EXPECT_EQ(api.pods().get("b"), stored_b);
+    api.pods().upsert("c", pod);
+    EXPECT_TRUE(api.pods().erase("a"));
+    EXPECT_FALSE(api.pods().erase("zz"));
+    EXPECT_EQ(calls, (std::vector<std::string>{"+a1", "+b1", "-b1", "+b2", "+c2", "-a1"}));
+    EXPECT_FALSE(simulation.has_pending_events()); // no watcher, no events
+}
+
+// A StoreIndex group lists its items in name order, as items() does, and
+// follows key changes and erases.
+TEST(ApiServer, StoreIndexGroupsFollowKeysInNameOrder) {
+    sim::Simulation simulation;
+    ApiServer api(simulation);
+    const auto upsert = [&](const std::string& name, const std::string& owner) {
+        PodObj pod;
+        pod.name = name;
+        pod.owner_rs = owner;
+        api.pods().upsert(name, pod);
+    };
+    upsert("p3", "x");
+    upsert("p1", "x");
+    StoreIndex<PodObj> by_owner(api.pods(), [](const PodObj& p) { return &p.owner_rs; });
+    upsert("p2", "x");
+    upsert("p1", "y");
+    upsert("p0", "x");
+    api.pods().erase("p3");
+    const auto names = [&](const std::string& owner) {
+        std::vector<std::string> out;
+        for (const auto* item : by_owner.group(owner)) out.push_back(item->first);
+        return out;
+    };
+    EXPECT_EQ(names("x"), (std::vector<std::string>{"p0", "p2"}));
+    EXPECT_EQ(names("y"), (std::vector<std::string>{"p1"}));
+    EXPECT_TRUE(names("z").empty());
 }
 
 // ----------------------------------------------------------- full cluster
@@ -410,6 +471,232 @@ TEST_F(K8sFixture, EndpointsFollowReadyPodsAcrossInterleavedScaling) {
     EXPECT_GE(max_by_app, 1u);
     EXPECT_LT(api.services().get("all")->endpoints.size(), max_endpoints);
 }
+
+// ------------------------------------- endpoints: dirty set vs full scan
+
+/// The endpoints loop as a full scan: on the same triggers and latency as
+/// ControllerManager's, every sync recomputes every service from the whole
+/// pod store and writes each one whose stored endpoints differ.
+class FullScanEndpoints {
+public:
+    FullScanEndpoints(sim::Simulation& sim, ApiServer& api, sim::SimTime latency)
+        : sim_(sim), api_(api), latency_(latency) {
+        api_.pods().watch([this](const WatchEvent&) { schedule(); });
+        api_.services().watch([this](const WatchEvent& event) {
+            if (event.type != WatchEventType::kDeleted) schedule();
+        });
+    }
+
+private:
+    void schedule() { sim_.schedule(latency_, [this] { sync(); }); }
+
+    void sync() {
+        for (const auto& [name, svc] : api_.services().items()) {
+            auto endpoints = brute_force_endpoints(api_, svc);
+            if (endpoints == svc.endpoints) continue;
+            ServiceObj updated = svc;
+            updated.endpoints = std::move(endpoints);
+            api_.request([this, updated] { api_.services().upsert(updated.name, updated); });
+        }
+    }
+
+    sim::Simulation& sim_;
+    ApiServer& api_;
+    sim::SimTime latency_;
+};
+
+/// Leaves every pod unbound, so the scheduler writes nothing.
+class HoldPolicy final : public PodPlacementPolicy {
+public:
+    std::optional<net::NodeId> pick(const PodObj&, const std::vector<net::NodeId>&,
+                                    const ApiServer&) override {
+        return std::nullopt;
+    }
+};
+
+struct ServiceWrite {
+    sim::SimTime at;
+    std::string service;
+    std::vector<EndpointEntry> endpoints;
+    bool operator==(const ServiceWrite&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const ServiceWrite& w) {
+    os << w.at.seconds() << "s " << w.service << " [";
+    for (const auto& ep : w.endpoints) os << ' ' << ep.pod;
+    return os << " ]";
+}
+
+/// Every write to `api`'s services store, as the store sees it.
+void record_service_writes(sim::Simulation& sim, ApiServer& api,
+                           std::vector<ServiceWrite>& log) {
+    api.services().add_write_hook(
+        {[](const ObjectStore<ServiceObj>::Item&) {},
+         [&sim, &log](const ObjectStore<ServiceObj>::Item& item) {
+             log.push_back({sim.now(), item.first, item.second.endpoints});
+         }});
+}
+
+struct EndpointsDifferential : K8sFixture, ::testing::WithParamInterface<std::uint64_t> {};
+
+// Seeded scripts of pod and service writes and erases, a few milliseconds
+// apart -- less than the 8 ms request, 25 ms watch and 40 ms sync latencies,
+// so syncs land between a write and its watch event -- go to the production
+// K8sCluster's store and to a second ApiServer run by FullScanEndpoints. The
+// endpoints writes (time, service, endpoints) and request counts must agree,
+// and after every step the cluster's index-fed queries must equal brute
+// force over its pod store. Pods sit on nodes outside the cluster or none,
+// under a scheduler policy that binds nothing, so no other loop writes.
+TEST_P(EndpointsDifferential, DirtySetWritesWhatAFullScanWrites) {
+    sim::Rng rng(GetParam());
+    cluster->scheduler().register_policy("hold", std::make_unique<HoldPolicy>());
+    ApiServer& api = cluster->api();
+    sim::Simulation ref_sim;
+    ApiServer ref_api(ref_sim);
+    FullScanEndpoints full_scan(ref_sim, ref_api, ControllerManagerConfig{}.endpoints_sync);
+    std::vector<ServiceWrite> writes;
+    std::vector<ServiceWrite> ref_writes;
+    record_service_writes(simulation, api, writes);
+    record_service_writes(ref_sim, ref_api, ref_writes);
+
+    const std::vector<std::string> groups = {"a", "b", "c"};
+    const std::vector<std::string> apps = {"x", "y"};
+    const std::vector<net::NodeId> nodes = {net::NodeId{}, net::NodeId{node.value + 100},
+                                            net::NodeId{node.value + 101}};
+    const auto pick = [&rng](const auto& options) {
+        return options[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(options.size()) - 1))];
+    };
+    const auto random_pod = [&](const std::string& name) {
+        PodObj pod;
+        pod.name = name;
+        pod.owner_rs = pick(groups) + "-rs";
+        pod.scheduler_name = "hold";
+        pod.spec.name = pick(groups);
+        if (rng.chance(0.8)) pod.spec.labels["edge.service"] = pick(groups);
+        if (rng.chance(0.6)) pod.spec.labels["app"] = pick(apps);
+        pod.node = pick(nodes);
+        pod.phase = static_cast<PodPhase>(rng.uniform_int(0, 3));
+        pod.ready = rng.chance(0.6);
+        pod.pod_port = static_cast<std::uint16_t>(rng.uniform_int(20000, 20003));
+        pod.resources = {static_cast<std::uint64_t>(rng.uniform_int(0, 500)),
+                         static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20))};
+        return pod;
+    };
+    const auto flip = [&](PodObj pod) {
+        switch (rng.uniform_int(0, 4)) {
+            case 0: pod.phase = static_cast<PodPhase>(rng.uniform_int(0, 3)); break;
+            case 1: pod.ready = !pod.ready; break;
+            case 2: pod.node = pick(nodes); break;
+            case 3:
+                if (rng.chance(0.3)) pod.spec.labels.erase("edge.service");
+                else pod.spec.labels["edge.service"] = pick(groups);
+                break;
+            default: pod.spec.name = pick(groups); break;
+        }
+        return pod;
+    };
+    const auto random_service = [&](const std::string& name) {
+        ServiceObj svc;
+        svc.name = name;
+        svc.node_port = static_cast<std::uint16_t>(rng.uniform_int(31000, 31005));
+        const auto shape = rng.uniform_int(0, 9);
+        if (shape < 6) svc.selector["edge.service"] = pick(groups);
+        if (shape >= 4 && shape < 9) svc.selector["app"] = pick(apps);
+        // Usually keep what is stored; sometimes store stale endpoints.
+        if (const auto* stored = api.services().get(name)) svc.endpoints = stored->endpoints;
+        if (rng.chance(0.3)) svc.endpoints = {{"p0", pick(nodes), 20000}};
+        return svc;
+    };
+    // A script write goes to both stores now, or through both API servers.
+    const auto apply = [&](const std::function<void(ApiServer&)>& write) {
+        if (rng.chance(0.5)) {
+            write(api);
+            write(ref_api);
+        } else {
+            api.request([&api, write] { write(api); });
+            ref_api.request([&ref_api, write] { write(ref_api); });
+        }
+    };
+    // The pod-store queries, by brute force over the store.
+    const auto expect_queries_match = [&] {
+        std::size_t live = 0;
+        ResourceRequest used;
+        for (const auto& [name, pod] : api.pods().items()) {
+            if (pod.phase == PodPhase::kTerminating) continue;
+            ++live;
+            used += pod.resources;
+        }
+        ASSERT_EQ(cluster->total_instances(), live);
+        ASSERT_EQ(cluster->utilization().used, used);
+        for (const auto& service : groups) {
+            const auto* svc = api.services().get(service);
+            const std::uint16_t expose = svc != nullptr ? svc->node_port : 0;
+            using Instance = std::tuple<net::NodeId, std::uint16_t, bool, sim::SimTime>;
+            std::vector<Instance> want;
+            for (const auto& [name, pod] : api.pods().items()) {
+                if (pod.spec.name != service || pod.phase == PodPhase::kTerminating ||
+                    !pod.node.valid()) {
+                    continue;
+                }
+                const std::uint16_t port = expose != 0 ? expose : pod.spec.expose_port;
+                want.emplace_back(pod.node, port, topo.port_open(pod.node, port), pod.phase_since);
+            }
+            std::vector<Instance> got;
+            for (const auto& info : cluster->instances(service)) {
+                ASSERT_EQ(info.service, service);
+                got.emplace_back(info.node, info.port, info.ready, info.since);
+            }
+            ASSERT_EQ(got, want) << "instances of " << service;
+        }
+    };
+
+    const std::vector<std::string> services = {"a", "b", "c", "d", "e"};
+    std::size_t script_service_writes = 0;
+    std::size_t compared = 0;
+    sim::SimTime now = simulation.now();
+    for (int step = 0; step < 1500; ++step) {
+        now += milliseconds(rng.uniform_int(1, 12));
+        simulation.run_until(now);
+        ref_sim.run_until(now);
+        SCOPED_TRACE(::testing::Message() << "step " << step << " at " << now.seconds() << " s");
+        const auto op = rng.uniform_int(0, 99);
+        const std::string pod_name = "p" + std::to_string(rng.uniform_int(0, 11));
+        const std::string svc_name = pick(services);
+        if (op < 45) {
+            const PodObj* stored = api.pods().get(pod_name);
+            PodObj pod = stored != nullptr && rng.chance(0.7) ? flip(*stored) : random_pod(pod_name);
+            pod.phase_since = now;
+            apply([pod](ApiServer& a) { a.pods().upsert(pod.name, pod); });
+        } else if (op < 55) {
+            apply([pod_name](ApiServer& a) { a.pods().erase(pod_name); });
+        } else if (op < 72) {
+            const ServiceObj svc = random_service(svc_name);
+            apply([svc](ApiServer& a) { a.services().upsert(svc.name, svc); });
+            ++script_service_writes;
+        } else if (op < 76) {
+            apply([svc_name](ApiServer& a) { a.services().erase(svc_name); });
+        }
+        ASSERT_NO_FATAL_FAILURE(expect_queries_match());
+        ASSERT_EQ(api.pods().size(), ref_api.pods().size());
+        ASSERT_EQ(api.request_count(), ref_api.request_count());
+        for (; compared < std::min(writes.size(), ref_writes.size()); ++compared) {
+            ASSERT_EQ(writes[compared], ref_writes[compared]) << "service write " << compared;
+        }
+    }
+    simulation.run_until(now + seconds(2));
+    ref_sim.run_until(now + seconds(2));
+    EXPECT_EQ(writes, ref_writes);
+    EXPECT_EQ(api.request_count(), ref_api.request_count());
+    for (const auto& [name, svc] : api.services().items()) {
+        EXPECT_EQ(svc.endpoints, brute_force_endpoints(api, svc)) << "service " << name;
+    }
+    // The controllers wrote often, not just the script.
+    EXPECT_GT(writes.size(), script_service_writes + 100);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EndpointsDifferential,
+                         ::testing::Values(21, 22, 23, 24, 25, 26, 27, 28));
 
 TEST_F(K8sFixture, ScaleUpUnknownServiceReportsFalse) {
     bool result = true;

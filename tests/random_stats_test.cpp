@@ -115,6 +115,33 @@ TEST(Rng, WeightedIndexRespectsWeights) {
     EXPECT_THROW(rng.weighted_index({-1.0, 2.0}), std::invalid_argument);
 }
 
+// The sampler validates and sums once; every pick must equal weighted_index's
+// on the same generator state, including zero weights, a single weight, and
+// a heavy tail where the running subtraction walks far.
+TEST(Rng, WeightedSamplerPicksExactlyAsWeightedIndex) {
+    const ZipfDistribution zipf(420, 1.1);
+    std::vector<double> zipf_weights(420);
+    for (std::size_t k = 0; k < zipf_weights.size(); ++k) zipf_weights[k] = zipf.pmf(k);
+    const std::vector<std::vector<double>> vectors = {
+        {1.0, 0.0, 3.0}, {5.0}, {0.0, 0.0, 2.5, 0.0}, {0.1, 0.2, 0.3, 0.4, 1e-9, 7.0},
+        zipf_weights, std::vector<double>(100, 1.0 / 3.0)};
+    for (const auto& weights : vectors) {
+        const WeightedSampler sampler(weights);
+        for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+            Rng by_index(seed);
+            Rng by_sampler(seed);
+            for (int i = 0; i < 5000; ++i) {
+                ASSERT_EQ(sampler(by_sampler), by_index.weighted_index(weights))
+                    << "seed " << seed << " draw " << i << " of " << weights.size();
+            }
+            EXPECT_EQ(by_sampler(), by_index()); // same stream position after
+        }
+    }
+    EXPECT_THROW(WeightedSampler{std::vector<double>{}}, std::invalid_argument);
+    EXPECT_THROW((WeightedSampler{{0.0, 0.0}}), std::invalid_argument);
+    EXPECT_THROW((WeightedSampler{{-1.0, 2.0}}), std::invalid_argument);
+}
+
 class ZipfSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(ZipfSweep, PmfSumsToOneAndIsMonotone) {
