@@ -6,9 +6,6 @@
 //
 //   * flows/s            -- flows made resident per wall-clock second of
 //                           the fill (the gated quantity)
-//   * kernel events/s    -- workload events the kernel carried per
-//                           wall-clock second of the fill (equal to flows/s
-//                           in exact mode, far lower in hybrid mode)
 //   * install latency    -- wall-clock packet-in -> flow-install, sampled
 //                           every 64th event (p50/p95/p99)
 //   * lookup / idle ns   -- flows_for_service() and the per-(service,
@@ -29,26 +26,14 @@
 // a central controller domain receiving periodic digests over the
 // conservative lookahead link -- under ShardedSimulation.
 //
-// The sweep has a fidelity dimension (--fidelity, default "both"): exact
-// rows drive every flow through the per-packet path as before; hybrid rows
-// (DESIGN §9) replay a FluidPoissonStream -- each service's first flow is an
-// exact cold start, the rest arrive as per-epoch aggregate batches admitted
-// via FlowMemory::admit_fluid -- so the kernel carries O(services) events
-// per epoch instead of one per flow. Hybrid rows extend the sweep to 10M and
-// 100M resident flows (serial kernel only; skipped under --quick). Flows/s
-// is the common unit of both modes, so the hybrid/exact ratio is the
-// control-plane speedup. When both fidelities sweep the 1M x 8 point, the
-// run fails unless hybrid is >= 10x exact.
-//
 // Sharded rows run the production channel coordinator (DESIGN §8) and
 // record its per-run lane accounting -- total lane busy/blocked wall time,
 // the null-message count, and the channel plane's wakeup/park/suppression/
 // demand counters -- so the shard-scaling table can attribute (lack of)
 // speedup to synchronization stalls vs lock contention.
 //
-// Flags: --quick (skip the 1M row and the 10M/100M hybrid points: CI),
+// Flags: --quick (skip the 1M row: CI),
 //        --shards <csv> (shard counts to sweep, default 1,2,8),
-//        --fidelity exact|hybrid|both (default both),
 //        --out <file>, --baseline <file>.
 #include <algorithm>
 #include <chrono>
@@ -121,8 +106,6 @@ net::ServiceAddress address_for(std::uint32_t service) {
 constexpr std::uint32_t kClusters = 2;
 constexpr sim::SimTime kIdleTimeout = sim::seconds(600);
 constexpr sim::SimTime kScanPeriod = sim::seconds(5);
-/// Batch grid of the hybrid rows' FluidPoissonStream.
-constexpr sim::SimTime kEpochPeriod = sim::milliseconds(100);
 /// Site-to-controller access latency: the partition's minimum cut-link
 /// latency, i.e. the conservative lookahead of the sharded sweep points.
 constexpr sim::SimTime kAccessLatency = sim::milliseconds(25);
@@ -163,25 +146,15 @@ std::optional<R> run_forked(const std::function<R()>& fn) {
 
 // ------------------------------------------------------------- sweep point
 
-/// How a sweep point fills the table: kExact drives every flow through the
-/// per-packet path, kHybrid admits warm arrivals in bulk (admit_fluid).
-enum class Fidelity { kExact, kHybrid };
-
-const char* to_string(Fidelity fidelity) {
-    return fidelity == Fidelity::kHybrid ? "hybrid" : "exact";
-}
-
 struct SweepPoint {
     std::size_t flows = 0;
     std::uint32_t services = 0;
     std::size_t shards = 1;  ///< 1 = serial kernel, > 1 = sharded control plane
-    Fidelity fidelity = Fidelity::kExact;
 };
 
 /// POD result shipped from the forked child back over the pipe.
 struct PointResult {
-    double flows_per_s = 0;          ///< flows made resident per fill second
-    double kernel_events_per_s = 0;  ///< kernel_events per fill second
+    double flows_per_s = 0;  ///< flows made resident per fill second
     double install_p50_ns = 0;
     double install_p95_ns = 0;
     double install_p99_ns = 0;
@@ -204,7 +177,6 @@ struct PointResult {
     std::uint64_t digests = 0;      ///< digests the controller received
     std::uint32_t cores_used = 1;      ///< worker threads the point could use
     std::uint32_t hw_concurrency = 0;  ///< std::thread::hardware_concurrency()
-    std::uint64_t kernel_events = 0;   ///< workload events the kernel carried
 };
 
 std::uint32_t hw_threads() {
@@ -305,8 +277,6 @@ PointResult run_point_once(const SweepPoint& point) {
     sim.run_while([&] { return installed < point.flows; });
     const double fill_s = elapsed_s(fill_start);
     result.flows_per_s = static_cast<double>(point.flows) / fill_s;
-    result.kernel_events = point.flows;
-    result.kernel_events_per_s = static_cast<double>(result.kernel_events) / fill_s;
     result.peak_live_flows = memory.size();
 
     std::sort(install_ns.begin(), install_ns.end());
@@ -344,138 +314,6 @@ PointResult run_point_once(const SweepPoint& point) {
 
     // Expiry: advance past the idle timeout and let the periodic scan drain
     // the whole table, firing the per-(service, cluster) idle notifications.
-    const auto expire_start = Clock::now();
-    sim.run_until(sim.now() + kIdleTimeout + kScanPeriod * 3);
-    result.expire_per_s =
-        static_cast<double>(point.flows) / elapsed_s(expire_start);
-    result.idle_notifications = idle_events;
-    result.rss_kb = peak_rss_kb();
-    result.cores_used = 1;
-    result.hw_concurrency = hw_threads();
-    return result;
-}
-
-/// Hybrid-fidelity fill (DESIGN §9): each service's first flow is an exact
-/// cold start through the per-packet path (recall miss -> memorize), every
-/// later arrival reaches the FlowMemory as a per-epoch aggregate batch
-/// (admit_fluid), driven by a FluidPoissonStream. The table ends up with the
-/// same `point.flows` resident flows and fires the same per-(service,
-/// cluster) idle notifications as the exact fill, but the kernel carries
-/// O(services x epochs) events instead of one per flow.
-PointResult run_point_hybrid_once(const SweepPoint& point) {
-    PointResult result;
-
-    sim::Simulation sim;
-    sim.reserve_events(4096);
-    sdn::FlowMemory memory(sim, {kIdleTimeout, kScanPeriod});
-    memory.reserve(point.services);  // exact pool: one cold flow per service
-    std::uint64_t idle_events = 0;
-    memory.set_idle_service_callback(
-        [&](const std::string&, const std::string&) { ++idle_events; });
-
-    std::vector<std::string> service_names(point.services);
-    std::vector<net::ServiceAddress> addresses(point.services);
-    for (std::uint32_t s = 0; s < point.services; ++s) {
-        service_names[s] = "svc" + std::to_string(s);
-        addresses[s] = address_for(s);
-    }
-    std::vector<std::string> cluster_names(kClusters);
-    for (std::uint32_t c = 0; c < kClusters; ++c) {
-        cluster_names[c] = "edge" + std::to_string(c);
-    }
-
-    workload::FluidPoissonStream::Options stream_options;
-    stream_options.services = point.services;
-    stream_options.clients = 1024;
-    stream_options.limit = point.flows;
-    stream_options.total_rate_per_s = static_cast<double>(point.flows) / 60.0;
-    stream_options.seed = 42;
-    stream_options.epoch_period = kEpochPeriod;
-    workload::FluidPoissonStream stream(stream_options);
-
-    // Batches are rare (O(services) per epoch), so every event is sampled --
-    // the install percentiles price the per-batch control-plane work.
-    std::vector<double> install_ns;
-    std::vector<bool> warm(point.services, false);
-    std::size_t installed = 0;        // flows resident so far
-    std::uint64_t kernel_events = 0;  // workload events through the kernel
-    std::optional<workload::TraceEvent> pending = stream.next();
-    std::function<void()> fire = [&] {
-        const workload::TraceEvent event = *pending;
-        pending = stream.next();
-        if (pending) sim.schedule_at(pending->at, [&fire] { fire(); });
-
-        const std::uint32_t cluster = event.client % kClusters;
-        const auto start = Clock::now();
-        if (!warm[event.service]) {
-            // Exact cold start: the decision the control plane must resolve
-            // per-packet in either fidelity.
-            warm[event.service] = true;
-            const net::Ipv4 client_ip{0xc0000000u +
-                                      static_cast<std::uint32_t>(installed)};
-            const auto hit = memory.recall(client_ip, addresses[event.service]);
-            if (!hit) {
-                sdn::MemorizedFlow flow;
-                flow.client_ip = client_ip;
-                flow.service_address = addresses[event.service];
-                flow.service_name = service_names[event.service];
-                flow.instance_node = net::NodeId{event.service};
-                flow.instance_port = 8000;
-                flow.cluster = cluster_names[cluster];
-                flow.created = sim.now();
-                flow.last_used = sim.now();
-                memory.memorize(flow);
-            }
-        } else {
-            memory.admit_fluid(service_names[event.service],
-                               cluster_names[cluster], event.count);
-        }
-        install_ns.push_back(
-            std::chrono::duration<double, std::nano>(Clock::now() - start)
-                .count());
-        installed += event.count;
-        ++kernel_events;
-    };
-    if (pending) sim.schedule_at(pending->at, fire);
-
-    const auto fill_start = Clock::now();
-    sim.run_while([&] { return installed < point.flows; });
-    const double fill_s = elapsed_s(fill_start);
-    result.flows_per_s = static_cast<double>(point.flows) / fill_s;
-    result.kernel_events_per_s = static_cast<double>(kernel_events) / fill_s;
-    result.peak_live_flows = memory.size();
-    result.kernel_events = kernel_events;
-
-    std::sort(install_ns.begin(), install_ns.end());
-    result.install_p50_ns = percentile(install_ns, 0.50);
-    result.install_p95_ns = percentile(install_ns, 0.95);
-    result.install_p99_ns = percentile(install_ns, 0.99);
-
-    constexpr std::size_t kPasses = 4096;
-    volatile std::size_t sink = 0;
-    auto start = Clock::now();
-    for (std::size_t pass = 0; pass < kPasses; ++pass) {
-        for (std::uint32_t s = 0; s < point.services; ++s) {
-            sink = sink + memory.flows_for_service(service_names[s]);
-        }
-    }
-    result.lookup_ns = std::chrono::duration<double, std::nano>(
-                           Clock::now() - start)
-                           .count() /
-                       static_cast<double>(kPasses * point.services);
-    start = Clock::now();
-    for (std::size_t pass = 0; pass < kPasses; ++pass) {
-        for (std::uint32_t s = 0; s < point.services; ++s) {
-            for (std::uint32_t c = 0; c < kClusters; ++c) {
-                sink = sink + memory.flows_for_service(service_names[s],
-                                                       cluster_names[c]);
-            }
-        }
-    }
-    result.idle_check_ns =
-        std::chrono::duration<double, std::nano>(Clock::now() - start).count() /
-        static_cast<double>(kPasses * point.services * kClusters);
-
     const auto expire_start = Clock::now();
     sim.run_until(sim.now() + kIdleTimeout + kScanPeriod * 3);
     result.expire_per_s =
@@ -597,8 +435,6 @@ PointResult run_point_sharded_once(const SweepPoint& point) {
     sharded.run();  // drains every pump; digest daemons ride along
     const double fill_s = elapsed_s(fill_start);
     result.flows_per_s = static_cast<double>(point.flows) / fill_s;
-    result.kernel_events = point.flows;
-    result.kernel_events_per_s = static_cast<double>(result.kernel_events) / fill_s;
     std::vector<double> install_ns;
     install_ns.reserve(point.flows / 64 + num_shards);
     for (const auto& shard : shards) {
@@ -683,9 +519,6 @@ PointResult run_point_sharded_once(const SweepPoint& point) {
 /// the same amount, so the RSS number is unaffected by repetition.
 PointResult run_point(const SweepPoint& point) {
     const auto once = [&point] {
-        if (point.fidelity == Fidelity::kHybrid) {
-            return run_point_hybrid_once(point);
-        }
         return point.shards > 1 ? run_point_sharded_once(point)
                                 : run_point_once(point);
     };
@@ -705,10 +538,8 @@ std::string json_point(const SweepPoint& point, const PointResult& result) {
     out << "    {\"flows\": " << point.flows
         << ", \"services\": " << point.services
         << ", \"shards\": " << point.shards
-        << ", \"fidelity\": \"" << to_string(point.fidelity)
-        << "\", \"cores_used\": " << result.cores_used
+        << ", \"cores_used\": " << result.cores_used
         << ", \"hw_concurrency\": " << result.hw_concurrency
-        << ", \"kernel_events\": " << result.kernel_events
         << ", \"sync_rounds\": " << result.sync_rounds
         << ", \"null_messages\": " << result.null_messages
         << ", \"wakeups\": " << result.wakeups
@@ -722,8 +553,6 @@ std::string json_point(const SweepPoint& point, const PointResult& result) {
         << ", \"digests\": " << result.digests
         << ", \"flows_per_s\": "
         << static_cast<std::uint64_t>(result.flows_per_s)
-        << ", \"kernel_events_per_s\": "
-        << static_cast<std::uint64_t>(result.kernel_events_per_s)
         << ", \"install_p50_ns\": "
         << static_cast<std::uint64_t>(result.install_p50_ns)
         << ", \"install_p95_ns\": "
@@ -750,25 +579,11 @@ std::optional<double> extract_number(const std::string& line,
     return std::strtod(line.c_str() + at + needle.size(), nullptr);
 }
 
-/// Extract the quoted string following `"key": "` on `line`; nullopt if
-/// absent.
-std::optional<std::string> extract_string(const std::string& line,
-                                          const std::string& key) {
-    const std::string needle = "\"" + key + "\": \"";
-    const auto at = line.find(needle);
-    if (at == std::string::npos) return std::nullopt;
-    const auto start = at + needle.size();
-    const auto end = line.find('"', start);
-    if (end == std::string::npos) return std::nullopt;
-    return line.substr(start, end - start);
-}
+using BaselineKey = std::tuple<std::size_t, std::uint32_t, std::size_t>;
 
-using BaselineKey =
-    std::tuple<std::size_t, std::uint32_t, std::size_t, std::string>;
-
-/// flows/s per (flows, services, shards, fidelity) point parsed from a
+/// flows/s per (flows, services, shards) point parsed from a
 /// BENCH_scale.json. Every line carrying a "flows" field is a point and must
-/// carry all four key fields plus flows_per_s, and no two points may share a
+/// carry all three key fields plus flows_per_s, and no two points may share a
 /// key; a violation throws std::runtime_error naming the file and line (a
 /// baseline written by an older bench_scale must be regenerated).
 std::map<BaselineKey, double> parse_baseline(const std::string& path) {
@@ -792,18 +607,12 @@ std::map<BaselineKey, double> parse_baseline(const std::string& path) {
             if (!value) throw missing(key);
             return *value;
         };
-        const auto string = [&](const char* key) {
-            auto value = extract_string(line, key);
-            if (!value) throw missing(key);
-            return std::move(*value);
-        };
         const BaselineKey key{static_cast<std::size_t>(*flows),
                               static_cast<std::uint32_t>(number("services")),
-                              static_cast<std::size_t>(number("shards")),
-                              string("fidelity")};
+                              static_cast<std::size_t>(number("shards"))};
         if (!baseline.emplace(key, number("flows_per_s")).second) {
-            throw error("repeats the key (flows, services, shards, fidelity) "
-                        "of an earlier point");
+            throw error("repeats the key (flows, services, shards) of an "
+                        "earlier point");
         }
     }
     return baseline;
@@ -837,7 +646,6 @@ int main(int argc, char** argv) {
     std::string out_path = "BENCH_scale.json";
     std::string baseline_path;
     std::string shards_arg = "1,2,8";
-    std::string fidelity_arg = "both";
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--quick") {
@@ -848,11 +656,8 @@ int main(int argc, char** argv) {
             baseline_path = argv[++i];
         } else if (arg == "--shards" && i + 1 < argc) {
             shards_arg = argv[++i];
-        } else if (arg == "--fidelity" && i + 1 < argc) {
-            fidelity_arg = argv[++i];
         } else {
             std::cerr << "usage: bench_scale [--quick] [--shards <csv>] "
-                         "[--fidelity exact|hybrid|both] "
                          "[--out <file>] [--baseline <file>]\n";
             return 2;
         }
@@ -863,125 +668,56 @@ int main(int argc, char** argv) {
                   << "' (expected comma-separated positive integers)\n";
         return 2;
     }
-    std::vector<Fidelity> fidelities;
-    if (fidelity_arg == "exact") {
-        fidelities = {Fidelity::kExact};
-    } else if (fidelity_arg == "hybrid") {
-        fidelities = {Fidelity::kHybrid};
-    } else if (fidelity_arg == "both") {
-        fidelities = {Fidelity::kExact, Fidelity::kHybrid};
-    } else {
-        std::cerr << "unknown --fidelity '" << fidelity_arg
-                  << "' (expected exact, hybrid, or both)\n";
-        return 2;
-    }
 
     print_header("scale",
                  "control-plane scale sweep: concurrent flows x services -> "
                  "flows/s, install latency, peak RSS");
 
-    const std::vector<std::size_t> base_flow_counts =
+    const std::vector<std::size_t> flow_counts =
         quick ? std::vector<std::size_t>{10'000, 100'000}
               : std::vector<std::size_t>{10'000, 100'000, 1'000'000};
     const std::vector<std::uint32_t> service_counts = {1, 8, 64};
 
     std::vector<std::pair<SweepPoint, PointResult>> results;
-    workload::TextTable table({"fidelity", "shards", "flows", "services",
-                               "flows/s", "kernel ev/s", "install p50",
-                               "install p99", "lookup ns", "idle ns",
-                               "peak RSS MB"});
-    for (const auto fidelity : fidelities) {
-        for (const auto shards : *shard_counts) {
-            // The hybrid fast path is a serial-kernel feature.
-            if (shards > 1 && fidelity == Fidelity::kHybrid) continue;
-            std::vector<std::size_t> flow_counts = base_flow_counts;
-            if (fidelity == Fidelity::kHybrid && shards == 1 && !quick) {
-                // The fluid rows the exact path cannot reach.
-                flow_counts.push_back(10'000'000);
-                flow_counts.push_back(100'000'000);
-            }
-            for (const auto flows : flow_counts) {
-                for (const auto services : service_counts) {
-                    const SweepPoint point{flows, services, shards, fidelity};
-                    const auto result = run_forked<PointResult>(
-                        [point] { return run_point(point); });
-                    if (!result) {
-                        std::cerr << "point " << flows << "x" << services
-                                  << " (shards " << shards << ", "
-                                  << to_string(fidelity)
-                                  << ") failed (child died)\n";
-                        return 1;
-                    }
-                    if (result->peak_live_flows != flows ||
-                        result->idle_notifications == 0) {
-                        std::cerr << "point " << flows << "x" << services
-                                  << " (shards " << shards << ", "
-                                  << to_string(fidelity)
-                                  << ") invalid: live="
-                                  << result->peak_live_flows
-                                  << " idle_notifications="
-                                  << result->idle_notifications << "\n";
-                        return 1;
-                    }
-                    results.emplace_back(point, *result);
-                    table.add_row(
-                        {to_string(fidelity), std::to_string(shards),
-                         std::to_string(flows), std::to_string(services),
-                         workload::TextTable::num(result->flows_per_s, 0),
-                         workload::TextTable::num(result->kernel_events_per_s,
-                                                  0),
-                         workload::TextTable::num(result->install_p50_ns, 0) +
-                             " ns",
-                         workload::TextTable::num(result->install_p99_ns, 0) +
-                             " ns",
-                         workload::TextTable::num(result->lookup_ns, 0),
-                         workload::TextTable::num(result->idle_check_ns, 0),
-                         workload::TextTable::num(
-                             static_cast<double>(result->rss_kb) / 1024.0, 1)});
+    workload::TextTable table({"shards", "flows", "services", "flows/s",
+                               "install p50", "install p99", "lookup ns",
+                               "idle ns", "peak RSS MB"});
+    for (const auto shards : *shard_counts) {
+        for (const auto flows : flow_counts) {
+            for (const auto services : service_counts) {
+                const SweepPoint point{flows, services, shards};
+                const auto result = run_forked<PointResult>(
+                    [point] { return run_point(point); });
+                if (!result) {
+                    std::cerr << "point " << flows << "x" << services
+                              << " (shards " << shards
+                              << ") failed (child died)\n";
+                    return 1;
                 }
+                if (result->peak_live_flows != flows ||
+                    result->idle_notifications == 0) {
+                    std::cerr << "point " << flows << "x" << services
+                              << " (shards " << shards << ") invalid: live="
+                              << result->peak_live_flows
+                              << " idle_notifications="
+                              << result->idle_notifications << "\n";
+                    return 1;
+                }
+                results.emplace_back(point, *result);
+                table.add_row(
+                    {std::to_string(shards), std::to_string(flows),
+                     std::to_string(services),
+                     workload::TextTable::num(result->flows_per_s, 0),
+                     workload::TextTable::num(result->install_p50_ns, 0) + " ns",
+                     workload::TextTable::num(result->install_p99_ns, 0) + " ns",
+                     workload::TextTable::num(result->lookup_ns, 0),
+                     workload::TextTable::num(result->idle_check_ns, 0),
+                     workload::TextTable::num(
+                         static_cast<double>(result->rss_kb) / 1024.0, 1)});
             }
         }
     }
     std::cout << table.str() << "\n";
-
-    // Hybrid vs exact at shared points: flows per wall-clock second in both
-    // modes, so the ratio is the control-plane speedup the fluid fast path
-    // buys. The 1M x 8 point carries a hard >= 10x acceptance gate.
-    if (fidelities.size() == 2) {
-        workload::TextTable speedup({"flows", "services", "exact flows/s",
-                                     "hybrid flows/s", "speedup",
-                                     "kernel events"});
-        bool gate_failed = false;
-        for (const auto& [point, result] : results) {
-            if (point.fidelity != Fidelity::kHybrid || point.shards != 1) {
-                continue;
-            }
-            double exact_flows = 0;
-            for (const auto& [p, r] : results) {
-                if (p.fidelity == Fidelity::kExact && p.shards == 1 &&
-                    p.flows == point.flows && p.services == point.services) {
-                    exact_flows = r.flows_per_s;
-                }
-            }
-            if (exact_flows <= 0) continue;
-            const double ratio = result.flows_per_s / exact_flows;
-            speedup.add_row(
-                {std::to_string(point.flows), std::to_string(point.services),
-                 workload::TextTable::num(exact_flows, 0),
-                 workload::TextTable::num(result.flows_per_s, 0),
-                 workload::TextTable::num(ratio, 1) + "x",
-                 std::to_string(result.kernel_events)});
-            if (point.flows == 1'000'000 && point.services == 8 &&
-                ratio < 10.0) {
-                gate_failed = true;
-            }
-        }
-        std::cout << "hybrid vs exact, fill flows/s:\n" << speedup.str() << "\n";
-        if (gate_failed) {
-            std::cerr << "HYBRID GATE: < 10x exact at the 1M x 8 point\n";
-            return 1;
-        }
-    }
 
     // Shard-scaling view: flows/s vs the serial kernel at the same point.
     // Column positions are read by the CI shard-efficiency gate.
@@ -991,20 +727,18 @@ int main(int argc, char** argv) {
                                      "sync rounds", "nulls", "wakeups",
                                      "parks/lane", "parked ms/lane", "busy ms",
                                      "blocked ms", "digests"});
-        for (const auto flows : base_flow_counts) {
+        for (const auto flows : flow_counts) {
             for (const auto services : service_counts) {
                 double serial_flows = 0;
                 for (const auto& [point, result] : results) {
-                    if (point.fidelity == Fidelity::kExact &&
-                        point.shards == 1 && point.flows == flows &&
+                    if (point.shards == 1 && point.flows == flows &&
                         point.services == services) {
                         serial_flows = result.flows_per_s;
                     }
                 }
                 if (serial_flows <= 0) continue;
                 for (const auto& [point, result] : results) {
-                    if (point.fidelity != Fidelity::kExact ||
-                        point.flows != flows || point.services != services) {
+                    if (point.flows != flows || point.services != services) {
                         continue;
                     }
                     // Speedup normalized by the cores the point could use: a
@@ -1043,7 +777,7 @@ int main(int argc, char** argv) {
                 }
             }
         }
-        std::cout << "shard scaling, fill flows/s (exact):\n"
+        std::cout << "shard scaling, fill flows/s:\n"
                   << scaling.str() << "\n";
     }
 
@@ -1077,14 +811,12 @@ int main(int argc, char** argv) {
         double log_ratio_sum = 0;
         std::size_t compared = 0;
         for (const auto& [point, result] : results) {
-            const auto it = baseline.find({point.flows, point.services,
-                                           point.shards,
-                                           to_string(point.fidelity)});
+            const auto it = baseline.find(
+                {point.flows, point.services, point.shards});
             if (it == baseline.end() || it->second <= 0) continue;
             const double ratio = result.flows_per_s / it->second;
             std::cout << "  " << point.flows << "x" << point.services
-                      << " (shards " << point.shards << ", "
-                      << to_string(point.fidelity)
+                      << " (shards " << point.shards
                       << "): " << workload::TextTable::num(ratio, 2)
                       << "x baseline\n";
             log_ratio_sum += std::log(ratio);

@@ -22,12 +22,9 @@ std::vector<Layer> ImageStore::missing_layers(const Image& image) const {
 }
 
 bool ImageStore::has_image(const ImageRef& ref) const {
-    const auto it = images_.find(ref);
-    if (it == images_.end()) return false;
-    for (const auto& layer : it->second.layers) {
-        if (!has_layer(layer.digest)) return false;
-    }
-    return true;
+    // Tagging requires every layer, and gc() keeps every layer a tagged
+    // image references, so a tagged image is always complete.
+    return images_.contains(ref);
 }
 
 void ImageStore::tag_image(const Image& image) {

@@ -26,7 +26,7 @@ public:
     /// Layers of `image` not yet present locally, in image order.
     [[nodiscard]] std::vector<Layer> missing_layers(const Image& image) const;
 
-    /// True iff all layers are present AND the image is tagged.
+    /// True iff the image is tagged (a tagged image has all its layers).
     [[nodiscard]] bool has_image(const ImageRef& ref) const;
 
     /// Record the image manifest locally (after a successful pull).

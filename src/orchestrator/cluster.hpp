@@ -63,7 +63,6 @@ struct ServiceSpec {
 
 /// A running (or starting) service instance inside a cluster.
 struct InstanceInfo {
-    std::string service;
     net::NodeId node;
     std::uint16_t port = 0;   ///< where the instance accepts traffic
     bool ready = false;       ///< accepting connections end to end

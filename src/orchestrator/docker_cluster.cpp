@@ -260,7 +260,6 @@ std::vector<InstanceInfo> DockerCluster::instances(const std::string& name) cons
     const auto& svc = it->second;
     if (svc.state != SvcState::kRunning && svc.state != SvcState::kStarting) return out;
     InstanceInfo info;
-    info.service = name;
     info.node = node_;
     info.port = svc.host_port;
     info.ready = topo_.port_open(node_, svc.host_port);

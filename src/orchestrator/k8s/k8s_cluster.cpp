@@ -292,7 +292,6 @@ std::vector<InstanceInfo> K8sCluster::instances(const std::string& name) const {
         if (pod.phase == PodPhase::kTerminating) continue;
         if (!pod.node.valid()) continue;
         InstanceInfo info;
-        info.service = name;
         info.node = pod.node;
         info.port = expose != 0 ? expose : pod.spec.expose_port;
         info.ready = topo_.port_open(pod.node, info.port);

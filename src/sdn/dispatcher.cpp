@@ -186,7 +186,6 @@ void Dispatcher::dispatch(net::OvsSwitch& source, const net::PacketIn& event,
             const auto* svc = registry_.lookup(dst);
             if (svc != nullptr) {
                 orchestrator::InstanceInfo instance;
-                instance.service = remembered->service_name;
                 instance.node = remembered->instance_node;
                 instance.port = remembered->instance_port;
                 instance.ready = true;

@@ -183,37 +183,6 @@ void FlowMemory::bump_counters(const FlowRec& rec, std::int64_t delta) {
     }
 }
 
-void FlowMemory::bump_counters_by(sim::SymbolId service, sim::SymbolId cluster,
-                                  std::uint64_t count, bool add) {
-    if (count == 0) return;
-    const Key64 pair = pack_pair(service, cluster);
-    if (add) {
-        pair_counts_[pair] += static_cast<std::size_t>(count);
-        service_counts_[service] += static_cast<std::size_t>(count);
-        return;
-    }
-    auto pair_it = pair_counts_.find(pair);
-    if (pair_it != pair_counts_.end()) {
-        pair_it->second -= std::min(pair_it->second,
-                                    static_cast<std::size_t>(count));
-        if (pair_it->second == 0) pair_counts_.erase(pair_it);
-    }
-    auto svc_it = service_counts_.find(service);
-    if (svc_it != service_counts_.end()) {
-        svc_it->second -= std::min(svc_it->second,
-                                   static_cast<std::size_t>(count));
-        if (svc_it->second == 0) service_counts_.erase(svc_it);
-    }
-}
-
-FlowMemory::FluidCohort& FlowMemory::cohort_for(sim::SymbolId service,
-                                                sim::SymbolId cluster) {
-    FluidCohort& cohort = cohorts_[pack_pair(service, cluster)];
-    cohort.service = service;
-    cohort.cluster = cluster;
-    return cohort;
-}
-
 MemorizedFlow FlowMemory::materialize(Key64 key, const FlowRec& rec) const {
     MemorizedFlow flow;
     flow.client_ip = net::Ipv4{static_cast<std::uint32_t>(key >> 32)};
@@ -284,30 +253,6 @@ FlowMemory::recall(net::Ipv4 client_ip, const net::ServiceAddress& service) {
     return materialize(entry.key, entry.rec);
 }
 
-void FlowMemory::admit_fluid(std::string_view service_name,
-                             std::string_view cluster, std::uint64_t count) {
-    if (count == 0) return;
-    const auto service = symbols_.intern(service_name);
-    const auto cluster_id = symbols_.intern(cluster);
-    cohort_for(service, cluster_id).anonymous_live += count;
-    fluid_anonymous_ += count;
-    bump_counters_by(service, cluster_id, count, /*add=*/true);
-    file_fluid_expiry(pack_pair(service, cluster_id), count);
-    if (auto* m = sim_.metrics()) {
-        m->counter("sdn.flow_memory.fluid_admissions").inc(count);
-    }
-}
-
-std::uint64_t FlowMemory::fluid_flows(std::string_view service_name,
-                                      std::string_view cluster) const {
-    const auto service = symbols_.find(service_name);
-    const auto cluster_id = symbols_.find(cluster);
-    if (!service || !cluster_id) return 0;
-    const auto it = cohorts_.find(pack_pair(*service, *cluster_id));
-    if (it == cohorts_.end()) return 0;
-    return it->second.anonymous_live;
-}
-
 const MemorizedFlow*
 FlowMemory::peek(net::Ipv4 client_ip, const net::ServiceAddress& service) const {
     const auto address_id = find_address(service);
@@ -331,17 +276,6 @@ std::size_t FlowMemory::forget_service(std::string_view service_name) {
         } else {
             ++index;
         }
-    }
-    // Anonymous cohort members have no pool record: drop them from the fused
-    // counters now and let their filed expiry runs cancel as stale later.
-    for (auto& [pair, cohort] : cohorts_) {
-        if (cohort.service != *service || cohort.anonymous_live == 0) continue;
-        const std::uint64_t n = cohort.anonymous_live;
-        cohort.anonymous_forgotten += n;
-        cohort.anonymous_live = 0;
-        fluid_anonymous_ -= n;
-        bump_counters_by(cohort.service, cohort.cluster, n, /*add=*/false);
-        removed += static_cast<std::size_t>(n);
     }
     return removed;
 }
@@ -455,40 +389,20 @@ void FlowMemory::file_expiry(Key64 key, FlowRec& rec) {
     const std::uint64_t bucket = bucket_for(rec.last_used + config_.idle_timeout);
     if (rec.expiry_bucket == bucket) return; // already filed at this deadline
     rec.expiry_bucket = bucket;
-    bucket_node(bucket).items.push_back(ExpiryItem{key, 0});
-}
-
-void FlowMemory::file_fluid_expiry(Key64 pair, std::uint64_t count) {
-    const std::uint64_t bucket = bucket_for(sim_.now() + config_.idle_timeout);
-    ExpiryBucket& node = bucket_node(bucket);
-    // Consecutive admissions to the same cohort within one scan quantum are
-    // one run: per-bucket filing cost is O(live cohorts), not O(flows).
-    if (!node.items.empty() && node.items.back().count > 0 &&
-        node.items.back().key == pair) {
-        node.items.back().count += count;
-        return;
-    }
-    node.items.push_back(ExpiryItem{pair, count});
+    bucket_node(bucket).items.push_back(key);
 }
 
 void FlowMemory::fire_bucket(std::uint64_t bucket) {
     const auto it = expiry_buckets_.find(bucket);
     if (it == expiry_buckets_.end()) return;
-    const std::vector<ExpiryItem> items = std::move(it->second.items);
+    const std::vector<Key64> keys = std::move(it->second.items);
     if (cached_bucket_ == bucket) cached_bucket_node_ = nullptr;
     expiry_buckets_.erase(it); // re-files below may re-occupy this map
     const sim::SimTime now = sim_.now();
     std::vector<Key64> expired_pairs;
     std::unordered_map<Key64, bool> seen;
     std::size_t removed = 0;
-    for (const ExpiryItem& item : items) {
-        if (item.count > 0) {
-            // A run of anonymous cohort flows. They are never touched after
-            // admission, so the whole run expires here.
-            drain_fluid(item.key, item.count, expired_pairs, seen, removed);
-            continue;
-        }
-        const Key64 key = item.key;
+    for (const Key64 key : keys) {
         const std::size_t slot = find_slot(key);
         if (slot == kNpos) continue; // erased (stale recall/forget) since filing
         const std::size_t index = index_at(slot);
@@ -512,28 +426,6 @@ void FlowMemory::fire_bucket(std::uint64_t bucket) {
     finish_expiry(expired_pairs, removed);
 }
 
-void FlowMemory::drain_fluid(Key64 pair, std::uint64_t count,
-                             std::vector<Key64>& expired_pairs,
-                             std::unordered_map<Key64, bool>& seen,
-                             std::size_t& removed) {
-    const auto it = cohorts_.find(pair);
-    if (it == cohorts_.end()) return;
-    FluidCohort& cohort = it->second;
-    // Filed runs for members forget_service() already removed are stale;
-    // cancel them in filing (FIFO) order before touching live members.
-    const std::uint64_t cancelled = std::min(count, cohort.anonymous_forgotten);
-    cohort.anonymous_forgotten -= cancelled;
-    const std::uint64_t n = std::min(count - cancelled, cohort.anonymous_live);
-    if (n == 0) return;
-    cohort.anonymous_live -= n;
-    fluid_anonymous_ -= n;
-    bump_counters_by(cohort.service, cohort.cluster, n, /*add=*/false);
-    removed += static_cast<std::size_t>(n);
-    if (idle_cb_ && seen.emplace(pair, true).second) {
-        expired_pairs.push_back(pair);
-    }
-}
-
 std::size_t FlowMemory::expire() {
     const sim::SimTime now = sim_.now();
     // (service, cluster) pairs that lost at least one flow this sweep, in
@@ -553,32 +445,6 @@ std::size_t FlowMemory::expire() {
             ++removed;
         } else {
             ++index;
-        }
-    }
-    // Anonymous cohort members record their deadlines only through filed
-    // runs, quantized to bucket instants (the observable-expiry contract of
-    // bucketed expiry). A manual sweep drains every run whose bucket instant
-    // has been reached, in bucket order; pool keys stay for their events.
-    if (fluid_anonymous_ > 0) {
-        const auto due =
-            static_cast<std::uint64_t>(now.ns() / config_.scan_period.ns());
-        std::vector<std::uint64_t> due_buckets;
-        for (const auto& [bucket, pending] : expiry_buckets_) {
-            if (bucket <= due) due_buckets.push_back(bucket);
-        }
-        std::sort(due_buckets.begin(), due_buckets.end());
-        for (const std::uint64_t bucket : due_buckets) {
-            auto& items = expiry_buckets_[bucket].items;
-            std::size_t kept = 0;
-            for (const ExpiryItem& item : items) {
-                if (item.count > 0) {
-                    drain_fluid(item.key, item.count, expired_pairs, seen,
-                                removed);
-                } else {
-                    items[kept++] = item;
-                }
-            }
-            items.resize(kept);
         }
     }
     finish_expiry(expired_pairs, removed);

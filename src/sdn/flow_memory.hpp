@@ -36,17 +36,6 @@
 // deadline. With this, a million idle flows cost one kernel event and one
 // O(batch) sweep per occupied bucket rather than O(pool) work every
 // scan_period tick.
-//
-// Bulk admission (DESIGN §9): admit_fluid() adds a batch of n flows, none
-// of which will be individually recalled, as anonymous members of their
-// (service, cluster) *fluid cohort*. They have no per-flow record at all: a
-// batch is one cohort-counter bump plus one run-length drain entry in the
-// deadline bucket its admission instant files under, interleaved with pool
-// keys in filing order so idle notifications fire at the same instants and
-// in the same order n memorize() calls would produce. The live-flow
-// counters behind flows_for_service() fuse both populations, so the
-// Dispatcher, autoscaler and idle checks read one number. bench_scale's
-// hybrid rows fill 10M-100M resident flows this way.
 #pragma once
 
 #include <array>
@@ -118,8 +107,6 @@ public:
     peek(net::Ipv4 client_ip, const net::ServiceAddress& service) const;
 
     /// Drop all flows towards a service instance (e.g. after scale-down).
-    /// Pool records are erased, anonymous cohort members are cancelled
-    /// against their filed expiry drains.
     std::size_t forget_service(std::string_view service_name);
 
     // -------------------------------------------------- client-scoped state
@@ -140,23 +127,8 @@ public:
     bool forget_flow(net::Ipv4 client_ip, const net::ServiceAddress& service,
                      bool notify_if_idle);
 
-    // ------------------------------------------------------ bulk admission
-    /// Admit `count` flows into the (service, cluster) fluid cohort as of
-    /// now() -- equivalent to `count` memorize() calls of flows that are
-    /// never individually recalled, at O(1) cost: cohort counters plus one
-    /// run-length expiry drain.
-    void admit_fluid(std::string_view service_name, std::string_view cluster,
-                     std::uint64_t count);
-
-    /// Live anonymous cohort members, total and per cohort.
-    [[nodiscard]] std::uint64_t fluid_flows() const { return fluid_anonymous_; }
-    [[nodiscard]] std::uint64_t fluid_flows(std::string_view service_name,
-                                            std::string_view cluster) const;
-
-    /// Number of live memorized flows, pool records and cohort members.
-    [[nodiscard]] std::size_t size() const {
-        return pool_.size() + static_cast<std::size_t>(fluid_anonymous_);
-    }
+    /// Number of live memorized flows.
+    [[nodiscard]] std::size_t size() const { return pool_.size(); }
 
     /// Live flows currently referencing `service_name` (across all
     /// clusters). O(1): answered from the maintained counter.
@@ -245,9 +217,6 @@ private:
     void client_index_remove(Key64 key);
 
     void bump_counters(const FlowRec& rec, std::int64_t delta);
-    /// Fused-counter bulk update for anonymous cohort members.
-    void bump_counters_by(sim::SymbolId service, sim::SymbolId cluster,
-                          std::uint64_t count, bool add);
     [[nodiscard]] MemorizedFlow materialize(Key64 key, const FlowRec& rec) const;
 
     /// Quantized expiry bucket whose firing instant (bucket * scan_period)
@@ -256,10 +225,6 @@ private:
     /// File the flow under its current deadline's bucket, scheduling the
     /// bucket's kernel event if this is its first occupant.
     void file_expiry(Key64 key, FlowRec& rec);
-    /// File a run of `count` anonymous cohort flows admitted now() under
-    /// their deadline bucket (merged into the bucket's last item when it is
-    /// a drain for the same cohort).
-    void file_fluid_expiry(Key64 pair, std::uint64_t count);
     /// Expire/re-file everything filed under `bucket` (the bucket's event).
     void fire_bucket(std::uint64_t bucket);
     /// Shared tail of fire_bucket()/expire(): idle notifications + metrics.
@@ -349,19 +314,11 @@ private:
     /// goes.
     std::unordered_map<std::uint32_t, std::vector<Key64>> client_keys_;
 
-    /// One filed expiry: a pool flow key (count == 0), or a run of `count`
-    /// anonymous cohort flows keyed by their (service, cluster) pair. Runs
-    /// sit in the same vector as keys, in filing order, so a bucket's sweep
-    /// emits idle notifications in the order per-flow records would have.
-    struct ExpiryItem {
-        Key64 key = 0;
-        std::uint64_t count = 0;
-    };
-
-    /// Flows awaiting expiry, grouped by quantized deadline. One daemon
-    /// kernel event per non-empty bucket (cancelled on destruction).
+    /// Flow keys awaiting expiry, grouped by quantized deadline, in filing
+    /// order. One daemon kernel event per non-empty bucket (cancelled on
+    /// destruction).
     struct ExpiryBucket {
-        std::vector<ExpiryItem> items;
+        std::vector<Key64> items;
         sim::EventHandle event;
     };
     std::unordered_map<std::uint64_t, ExpiryBucket> expiry_buckets_;
@@ -376,30 +333,6 @@ private:
     // map lookup. Cleared when that bucket fires.
     std::uint64_t cached_bucket_ = 0;
     ExpiryBucket* cached_bucket_node_ = nullptr;
-
-    // ------------------------------------------------------- fluid cohorts
-    /// Per-(service, cluster) population of anonymous (admit_fluid) flows.
-    struct FluidCohort {
-        sim::SymbolId service = sim::kInvalidSymbol;
-        sim::SymbolId cluster = sim::kInvalidSymbol;
-        std::uint64_t anonymous_live = 0;
-        /// Anonymous members removed out-of-band (forget_service) whose
-        /// filed expiry drains are now stale; drains cancel against this
-        /// in filing (FIFO) order before removing live members.
-        std::uint64_t anonymous_forgotten = 0;
-    };
-
-    [[nodiscard]] FluidCohort& cohort_for(sim::SymbolId service,
-                                          sim::SymbolId cluster);
-    /// Expire up to `count` anonymous members of cohort `pair` (one filed
-    /// drain run), feeding the shared idle-notification dedup.
-    void drain_fluid(Key64 pair, std::uint64_t count,
-                     std::vector<Key64>& expired_pairs,
-                     std::unordered_map<Key64, bool>& seen,
-                     std::size_t& removed);
-
-    std::unordered_map<Key64, FluidCohort> cohorts_;
-    std::uint64_t fluid_anonymous_ = 0;
 
     IdleServiceCallback idle_cb_;
     std::uint64_t hits_ = 0;

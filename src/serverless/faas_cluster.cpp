@@ -151,7 +151,6 @@ FaasCluster::instances(const std::string& name) const {
     const auto it = gateway_ports_.find(name);
     if (it == gateway_ports_.end() || !runtime_.deployed(name)) return out;
     orchestrator::InstanceInfo info;
-    info.service = name;
     info.node = node_;
     info.port = it->second;
     info.ready = topo_.port_open(node_, it->second);

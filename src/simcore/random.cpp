@@ -105,24 +105,6 @@ bool Rng::chance(double p) {
     return uniform01() < p;
 }
 
-std::uint64_t Rng::poisson(double mean) {
-    if (mean < 0) throw std::invalid_argument("poisson: mean < 0");
-    if (mean == 0) return 0;
-    if (mean < 32.0) {
-        // Knuth: count uniforms until their product drops below e^-mean.
-        const double threshold = std::exp(-mean);
-        std::uint64_t count = 0;
-        double product = uniform01();
-        while (product > threshold) {
-            ++count;
-            product *= uniform01();
-        }
-        return count;
-    }
-    const double draw = std::round(normal(mean, std::sqrt(mean)));
-    return draw <= 0 ? 0 : static_cast<std::uint64_t>(draw);
-}
-
 namespace {
 
 double checked_total(const std::vector<double>& weights) {

@@ -66,13 +66,6 @@ public:
     /// Bernoulli trial.
     bool chance(double p);
 
-    /// Poisson count with the given mean (mean >= 0). Exact (Knuth product)
-    /// for small means; large means use the normal approximation, whose
-    /// relative error is O(1/sqrt(mean)) -- negligible at the batch sizes
-    /// workload::FluidPoissonStream draws. Either branch consumes a
-    /// deterministic position-stable slice of the stream for a given mean.
-    std::uint64_t poisson(double mean);
-
     /// Pick an index in [0, weights.size()) proportionally to weights.
     /// Requires a non-empty vector with non-negative entries and positive sum.
     /// Repeated draws from one vector should use a WeightedSampler.

@@ -64,76 +64,6 @@ PoissonStream::Options PoissonStream::shard_options(const Options& base,
     return options;
 }
 
-FluidPoissonStream::FluidPoissonStream(const Options& options)
-    : options_(options), rng_(options.seed) {
-    if (options_.services == 0 || options_.clients == 0) {
-        throw std::invalid_argument(
-            "FluidPoissonStream: need >= 1 service and client");
-    }
-    if (options_.total_rate_per_s <= 0) {
-        throw std::invalid_argument("FluidPoissonStream: rate must be positive");
-    }
-    if (options_.epoch_period.ns() <= 0) {
-        throw std::invalid_argument(
-            "FluidPoissonStream: epoch period must be positive");
-    }
-    const sim::ZipfDistribution zipf(options_.services, options_.zipf_s);
-    rate_per_s_.resize(options_.services);
-    last_at_.resize(options_.services);
-    heap_.reserve(options_.services);
-    for (std::uint32_t s = 0; s < options_.services; ++s) {
-        rate_per_s_[s] = options_.total_rate_per_s * zipf.pmf(s);
-        heap_.push_back(Arrival{
-            sim::from_seconds(rng_.exponential(1.0 / rate_per_s_[s])), s,
-            /*cold=*/true});
-    }
-    std::make_heap(heap_.begin(), heap_.end(), later);
-}
-
-sim::SimTime FluidPoissonStream::next_boundary(sim::SimTime at) const {
-    const std::int64_t period = options_.epoch_period.ns();
-    return sim::nanoseconds((at.ns() / period + 1) * period);
-}
-
-std::optional<TraceEvent> FluidPoissonStream::next() {
-    while (flows_emitted_ < options_.limit) {
-        std::pop_heap(heap_.begin(), heap_.end(), later);
-        const Arrival arrival = heap_.back();
-        const std::uint32_t s = arrival.service;
-        const std::size_t budget = options_.limit - flows_emitted_;
-
-        TraceEvent event;
-        event.at = arrival.at;
-        event.service = s;
-        event.client = static_cast<std::uint32_t>(rng_.uniform_int(
-            0, static_cast<std::int64_t>(options_.clients) - 1));
-
-        if (arrival.cold) {
-            // The service's exact first flow; from here on it is warm and
-            // aggregates at epoch boundaries, starting with the partial
-            // window (t0, next boundary].
-            event.count = 1;
-            last_at_[s] = arrival.at;
-            heap_.back() = Arrival{next_boundary(arrival.at), s, /*cold=*/false};
-            std::push_heap(heap_.begin(), heap_.end(), later);
-            ++flows_emitted_;
-            return event;
-        }
-
-        const double window_s = (arrival.at - last_at_[s]).seconds();
-        const std::uint64_t drawn = rng_.poisson(rate_per_s_[s] * window_s);
-        last_at_[s] = arrival.at;
-        heap_.back() =
-            Arrival{arrival.at + options_.epoch_period, s, /*cold=*/false};
-        std::push_heap(heap_.begin(), heap_.end(), later);
-        if (drawn == 0) continue; // empty window: no event, no kernel cost
-        event.count = std::min<std::uint64_t>(drawn, budget);
-        flows_emitted_ += event.count;
-        return event;
-    }
-    return std::nullopt;
-}
-
 StreamPump::StreamPump(sim::Simulation& sim, RequestStream& stream,
                        Handler on_event)
     : sim_(&sim), stream_(&stream), on_event_(std::move(on_event)) {}

@@ -133,69 +133,6 @@ private:
     std::size_t emitted_ = 0;
 };
 
-/// Batched variant of PoissonStream for bulk admission (DESIGN §9): each
-/// service's *first* arrival is an exact per-flow event at its true Poisson
-/// time (the cold start the control plane must resolve per-packet), after
-/// which the service is warm and its arrivals collapse into per-epoch
-/// batches for FlowMemory::admit_fluid -- one TraceEvent per (epoch
-/// boundary, service) whose `count` is a Poisson draw over the elapsed
-/// window. The kernel therefore carries O(services) events per epoch
-/// instead of one per flow, which is what lets bench_scale sweep to
-/// 10M-100M resident flows. Batch counts are clamped so the total number
-/// of flows emitted (sum of counts) equals `limit` exactly. Deterministic
-/// per seed; zero-count windows are skipped without emission.
-class FluidPoissonStream final : public RequestStream {
-public:
-    struct Options {
-        std::uint32_t services = 42;
-        std::uint32_t clients = 20;
-        double zipf_s = 0.9;             ///< service popularity skew
-        double total_rate_per_s = 100.0; ///< aggregate arrival rate
-        std::size_t limit = 10'000;      ///< flows to emit (sum of counts)
-        std::uint64_t seed = 1;
-        /// Batch grid: a warm service emits at most one event per period.
-        sim::SimTime epoch_period = sim::milliseconds(100);
-    };
-
-    explicit FluidPoissonStream(const Options& options);
-
-    std::optional<TraceEvent> next() override;
-    [[nodiscard]] std::uint32_t service_count() const override {
-        return options_.services;
-    }
-    [[nodiscard]] std::uint32_t client_count() const override {
-        return options_.clients;
-    }
-    [[nodiscard]] std::optional<std::size_t> total() const override {
-        return std::nullopt; // TraceEvent count is data-dependent
-    }
-    [[nodiscard]] std::optional<sim::SimTime> horizon() const override {
-        return std::nullopt;
-    }
-    /// Flows emitted so far (sum of event counts).
-    [[nodiscard]] std::size_t flows_emitted() const { return flows_emitted_; }
-
-private:
-    struct Arrival {
-        sim::SimTime at;
-        std::uint32_t service;
-        bool cold;  ///< true: the service's exact first flow, not a batch
-    };
-    [[nodiscard]] static bool later(const Arrival& a, const Arrival& b) {
-        if (a.at != b.at) return a.at > b.at;
-        return a.service > b.service;
-    }
-    /// First epoch boundary strictly after `at`.
-    [[nodiscard]] sim::SimTime next_boundary(sim::SimTime at) const;
-
-    Options options_;
-    sim::Rng rng_;
-    std::vector<double> rate_per_s_;   ///< per-service arrival rate
-    std::vector<sim::SimTime> last_at_; ///< window start of the next batch
-    std::vector<Arrival> heap_;
-    std::size_t flows_emitted_ = 0;
-};
-
 /// Pump a RequestStream through a kernel one pending arrival at a time (the
 /// TraceRunner pattern, packaged): exactly one workload event is in the
 /// queue at any moment, and the re-arm closure captures a single pointer so

@@ -17,11 +17,9 @@ struct TraceEvent {
     sim::SimTime at;
     std::uint32_t client = 0;   ///< client index (maps to an RPi node)
     std::uint32_t service = 0;  ///< service index (maps to a registered address)
-    /// Flows this event carries. 1 for ordinary per-request events; > 1 for
-    /// the batches FluidPoissonStream emits for bulk admission
-    /// (workload/stream.hpp). CSV round-trips ignore it.
-    std::uint64_t count = 1;
 };
+// BigFlowsStream buffers whole traces of these; keep the record compact.
+static_assert(sizeof(TraceEvent) == 16, "TraceEvent grew: re-check the layout");
 
 class Trace {
 public:

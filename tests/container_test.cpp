@@ -2,7 +2,9 @@
 // store, registries, the pull engine, and the container runtime.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <set>
 
 #include "container/image.hpp"
 #include "container/image_store.hpp"
@@ -10,6 +12,7 @@
 #include "container/registry.hpp"
 #include "container/runtime.hpp"
 #include "reply_callbacks.hpp"
+#include "simcore/random.hpp"
 
 namespace tedge::container {
 namespace {
@@ -152,6 +155,65 @@ TEST(ImageStore, TagRequiresLayersPresent) {
     EXPECT_THROW(store.tag_image(image), std::logic_error);
     EXPECT_FALSE(store.has_image(image.ref));
     EXPECT_EQ(store.find_image(image.ref), nullptr);
+}
+
+TEST(ImageStore, HasImageIsTaggedWithAllLayersUnderRandomOps) {
+    // Images drawn from one small layer pool share layers. Random add_layer /
+    // tag_image / remove_image / gc sequences must keep has_image() equal to
+    // "tagged and every layer present" after every step.
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        sim::Rng rng(seed);
+        std::vector<Layer> pool;
+        for (int i = 0; i < 8; ++i) {
+            pool.push_back(Layer{"sha256:layer" + std::to_string(i),
+                                 static_cast<sim::Bytes>(100 * (i + 1))});
+        }
+        std::vector<Image> images;
+        for (int i = 0; i < 6; ++i) {
+            Image image;
+            image.ref = *ImageRef::parse("img" + std::to_string(i) + ":1");
+            std::set<std::size_t> picked;
+            const auto layers = rng.uniform_int(1, 4);
+            while (static_cast<std::int64_t>(picked.size()) < layers) {
+                picked.insert(static_cast<std::size_t>(rng.uniform_int(0, 7)));
+            }
+            for (const auto p : picked) image.layers.push_back(pool[p]);
+            images.push_back(image);
+        }
+
+        ImageStore store;
+        std::set<std::size_t> tagged;
+        const auto complete = [&](const Image& image) {
+            return std::all_of(image.layers.begin(), image.layers.end(),
+                               [&](const Layer& l) { return store.has_layer(l.digest); });
+        };
+        for (int step = 0; step < 400; ++step) {
+            const auto op = rng.uniform_int(0, 99);
+            const auto i = static_cast<std::size_t>(rng.uniform_int(0, 5));
+            if (op < 40) {
+                store.add_layer(pool[static_cast<std::size_t>(rng.uniform_int(0, 7))]);
+            } else if (op < 65) {
+                if (complete(images[i])) {
+                    store.tag_image(images[i]);
+                    tagged.insert(i);
+                } else {
+                    EXPECT_THROW(store.tag_image(images[i]), std::logic_error);
+                }
+            } else if (op < 85) {
+                EXPECT_EQ(store.remove_image(images[i].ref), tagged.erase(i) > 0);
+            } else {
+                store.gc();
+            }
+            for (std::size_t k = 0; k < images.size(); ++k) {
+                const bool is_tagged = store.find_image(images[k].ref) != nullptr;
+                ASSERT_EQ(is_tagged, tagged.contains(k))
+                    << "seed " << seed << " step " << step;
+                ASSERT_EQ(store.has_image(images[k].ref),
+                          is_tagged && complete(images[k]))
+                    << "seed " << seed << " step " << step << " image " << k;
+            }
+        }
+    }
 }
 
 TEST(ImageStore, AddLayerIsIdempotent) {

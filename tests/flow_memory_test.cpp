@@ -72,6 +72,27 @@ TEST_F(FlowMemoryFixture, PeriodicScanExpiresStaleFlows) {
     EXPECT_EQ(memory.size(), 0u);
 }
 
+TEST_F(FlowMemoryFixture, ExpiresExactlyOnBucketBoundary) {
+    // idle_timeout = 60 s lands exactly on an expiry-bucket boundary
+    // (60 s / 5 s scan): the flow must expire at exactly 60 s, not one scan
+    // period later, with one idle notification.
+    std::vector<std::pair<std::string, sim::SimTime>> idle;
+    memory.set_idle_service_callback(
+        [&](const std::string& service, const std::string&) {
+            idle.emplace_back(service, simulation.now());
+        });
+    memory.memorize(make_flow("svc", 1));
+
+    simulation.run_until(seconds(59));
+    EXPECT_EQ(memory.size(), 1u);
+    EXPECT_TRUE(idle.empty());
+    simulation.run_until(seconds(60));
+    EXPECT_EQ(memory.size(), 0u);
+    ASSERT_EQ(idle.size(), 1u);
+    EXPECT_EQ(idle[0].first, "svc");
+    EXPECT_EQ(idle[0].second, seconds(60));
+}
+
 TEST_F(FlowMemoryFixture, IdleCallbackFiresOncePerService) {
     std::vector<std::pair<std::string, std::string>> idle;
     memory.set_idle_service_callback(

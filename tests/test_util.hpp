@@ -64,7 +64,7 @@ public:
     /// Convenience: add an instance of `service` at this cluster's location.
     void add_instance(const std::string& service, bool ready,
                       std::uint16_t port = 8080) {
-        orchestrator::InstanceInfo info;
+        FakeInstance info;
         info.service = service;
         info.node = location_;
         info.port = port;
@@ -77,7 +77,12 @@ public:
     bool fail_pull = false;
     bool fail_create = false;
     bool fail_scale = false;
-    std::vector<orchestrator::InstanceInfo> instance_list;
+    /// An instance plus the service it belongs to (InstanceInfo carries no
+    /// service name: a cluster answers instances() for one name at a time).
+    struct FakeInstance : orchestrator::InstanceInfo {
+        std::string service;
+    };
+    std::vector<FakeInstance> instance_list;
     std::vector<std::string> created_services;
     int pulls = 0, creates = 0, scale_ups = 0, scale_downs = 0, removes = 0,
         deletes = 0;
