@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -264,6 +265,54 @@ BENCHMARK(BM_EndpointsSync)->Arg(126)->Arg(1260);
 // --------------------------------------------------------------------------
 // The warm request path.
 
+/// A ready Docker nginx instance on C3 and one client of it, with a
+/// MetricsRegistry attached. The client's first request takes the packet-in
+/// and installs its switch entry, whose idle timeout is `switch_idle`;
+/// FlowMemory keeps the flow for the whole run.
+struct NginxClient {
+    explicit NginxClient(sim::SimTime switch_idle) {
+        testbed::C3Options options;
+        options.with_k8s = false;
+        options.controller.dispatcher.switch_idle_timeout = switch_idle;
+        options.controller.flow_memory.idle_timeout = sim::seconds(1'000'000);
+        tb = testbed::build_c3(options);
+        auto& platform = tb->platform;
+        platform.simulation().set_metrics(&registry);
+        const auto& spec = platform.register_service(nginx.address, nginx.yaml).spec;
+        platform.deployment_engine().ensure(
+            *platform.clusters().front(), spec, {},
+            [&](bool ok, const orchestrator::InstanceInfo&) { ready = ok; });
+        platform.simulation().run_while([&] { return !ready; });
+        client = std::make_unique<workload::HttpClient>(platform.network(), collector);
+        request();
+    }
+
+    /// One request, run to completion.
+    void request() {
+        client->request(tb->clients.front(), 0, nginx.address, nginx.request_size,
+                        "svc0");
+        tb->platform.simulation().run();
+    }
+
+    /// Report `allocations` (counted since the first timed iteration) per
+    /// request, and fail the benchmark if any request failed.
+    void report(benchmark::State& state, std::uint64_t allocations) const {
+        const auto requests = static_cast<double>(state.iterations());
+        state.counters["allocs_per_request"] =
+            static_cast<double>(testkit::allocations() - allocations) / requests;
+        state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+        if (!ready || collector.failures() != 0) state.SkipWithError("request failed");
+        benchmark::DoNotOptimize(collector.count());
+    }
+
+    sim::MetricsRegistry registry;  // outlives the testbed that points at it
+    std::unique_ptr<testbed::C3Testbed> tb;
+    const testbed::TestService& nginx = testbed::service_by_key("nginx");
+    bool ready = false;
+    workload::MetricsCollector collector;
+    std::unique_ptr<workload::HttpClient> client;
+};
+
 /// One HTTP request per iteration, through the full Simulation loop, from a
 /// client whose switch entry is installed to a ready Docker nginx instance,
 /// with a MetricsRegistry attached: HttpClient -> TcpNet -> OvsSwitch table
@@ -271,41 +320,33 @@ BENCHMARK(BM_EndpointsSync)->Arg(126)->Arg(1260);
 /// global operator new per request, the record vector's amortized growth
 /// included.
 void BM_WarmHttpRequest(benchmark::State& state) {
-    sim::MetricsRegistry registry;
-    testbed::C3Options options;
-    options.with_k8s = false;
-    options.controller.dispatcher.switch_idle_timeout = sim::seconds(1'000'000);
-    options.controller.flow_memory.idle_timeout = sim::seconds(1'000'000);
-    const auto tb = testbed::build_c3(options);
-    auto& platform = tb->platform;
-    auto& simulation = platform.simulation();
-    simulation.set_metrics(&registry);
-    const auto& nginx = testbed::service_by_key("nginx");
-    const auto& spec = platform.register_service(nginx.address, nginx.yaml).spec;
-    bool ready = false;
-    platform.deployment_engine().ensure(
-        *platform.clusters().front(), spec, {},
-        [&](bool ok, const orchestrator::InstanceInfo&) { ready = ok; });
-    simulation.run_while([&] { return !ready; });
-
-    workload::MetricsCollector collector;
-    workload::HttpClient client(platform.network(), collector);
-    const auto request = [&] {
-        client.request(tb->clients.front(), 0, nginx.address, nginx.request_size,
-                       "svc0");
-        simulation.run();
-    };
-    request(); // the packet-in request installs the client's switch entry
+    NginxClient nginx(sim::seconds(1'000'000));
     const std::uint64_t allocations = testkit::allocations();
-    for (auto _ : state) request();
-    const auto requests = static_cast<double>(state.iterations());
-    state.counters["allocs_per_request"] =
-        static_cast<double>(testkit::allocations() - allocations) / requests;
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-    if (!ready || collector.failures() != 0) state.SkipWithError("request failed");
-    benchmark::DoNotOptimize(collector.count());
+    for (auto _ : state) nginx.request();
+    nginx.report(state, allocations);
 }
 BENCHMARK(BM_WarmHttpRequest);
+
+/// The same request, 10 ms of simulated time after the previous one, while
+/// the client's switch entry idles out after 5 ms: every iteration is a
+/// table miss, a packet-in, a FlowMemory hit, a flow install and the
+/// packet-out that releases the request.
+void BM_PacketInRequest(benchmark::State& state) {
+    NginxClient nginx(sim::milliseconds(5));
+    auto& simulation = nginx.tb->platform.simulation();
+    const std::uint64_t packet_ins = nginx.tb->platform.ingress().packet_in_count();
+    const std::uint64_t allocations = testkit::allocations();
+    for (auto _ : state) {
+        simulation.run_until(simulation.now() + sim::milliseconds(10));
+        nginx.request();
+    }
+    nginx.report(state, allocations);
+    const auto iterations = static_cast<std::uint64_t>(state.iterations());
+    if (nginx.tb->platform.ingress().packet_in_count() - packet_ins != iterations) {
+        state.SkipWithError("a request did not take the packet-in");
+    }
+}
+BENCHMARK(BM_PacketInRequest);
 
 // --------------------------------------------------------------------------
 // Everything else.

@@ -120,6 +120,11 @@ template <typename R>
 std::optional<R> run_forked(const std::function<R()>& fn) {
     int fds[2];
     if (pipe(fds) != 0) return std::nullopt;
+    // The child inherits the stdio buffers: empty them first, or a child
+    // that flushes prints the parent's pending output (the sweep header)
+    // a second time.
+    std::cout.flush();
+    std::fflush(nullptr);
     const pid_t pid = fork();
     if (pid < 0) return std::nullopt;
     if (pid == 0) {

@@ -43,7 +43,7 @@ void DeploymentEngine::ensure(orchestrator::Cluster& cluster,
     job->record.service = spec.name;
     job->record.cluster = cluster.name();
     job->record.started = sim_.now();
-    ++inflight_per_cluster_[cluster.name()];
+    ++inflight_per_cluster_[&cluster];
     if (auto* tr = sim_.tracer()) {
         const sim::SpanId span = tr->begin("deploy");
         tr->arg(span, "service", spec.name);
@@ -209,7 +209,7 @@ void DeploymentEngine::finish(const std::shared_ptr<Job>& job, bool ok,
             .add(job->record.total().ms());
     }
 
-    const auto cluster_it = inflight_per_cluster_.find(job->record.cluster);
+    const auto cluster_it = inflight_per_cluster_.find(job->cluster);
     if (cluster_it != inflight_per_cluster_.end() && cluster_it->second > 0) {
         if (--cluster_it->second == 0) inflight_per_cluster_.erase(cluster_it);
     }

@@ -87,8 +87,8 @@ public:
     /// Deployments currently in flight against `cluster` -- the early load
     /// signal schedulers need before any instance is visible (a deployment
     /// spends seconds in Pull with total_instances() still reading zero).
-    [[nodiscard]] std::size_t inflight_for(const std::string& cluster) const {
-        const auto it = inflight_per_cluster_.find(cluster);
+    [[nodiscard]] std::size_t inflight_for(const orchestrator::Cluster& cluster) const {
+        const auto it = inflight_per_cluster_.find(&cluster);
         return it == inflight_per_cluster_.end() ? 0 : it->second;
     }
 
@@ -108,7 +108,7 @@ private:
     sim::SimTime instance_poll_;
     std::vector<DeploymentRecord> records_;
     std::map<std::string, std::vector<Callback>> inflight_; ///< key: cluster|service
-    std::map<std::string, std::size_t> inflight_per_cluster_;
+    std::map<const orchestrator::Cluster*, std::size_t> inflight_per_cluster_;
 };
 
 } // namespace tedge::core

@@ -8,6 +8,7 @@
 #include <functional>
 
 #include "net/tcp.hpp"
+#include "simcore/slot_pool.hpp"
 
 namespace tedge::core {
 
@@ -33,12 +34,24 @@ public:
     [[nodiscard]] std::uint64_t timeouts() const { return timeouts_; }
 
 private:
-    void probe_once(net::NodeId host, std::uint16_t port, sim::SimTime started,
-                    std::function<void(bool, sim::SimTime)> done);
+    /// One wait_ready() call until it reports. Its probes and sleeps capture
+    /// only the slot, so a wait allocates nothing after it starts.
+    struct Wait {
+        net::NodeId host;
+        std::uint16_t port = 0;
+        sim::SimTime started;
+        std::function<void(bool, sim::SimTime)> done;
+    };
+
+    void probe_once(std::uint32_t slot);
+    void on_answer(std::uint32_t slot, bool open);
+    /// Free the slot, then report to the waiter.
+    void finish(std::uint32_t slot, bool ok, sim::SimTime waited);
 
     net::TcpNet& net_;
     net::NodeId from_;
     PortProberConfig config_;
+    sim::SlotPool<Wait> waits_;
     std::uint64_t probes_ = 0;
     std::uint64_t timeouts_ = 0;
 };

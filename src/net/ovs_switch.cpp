@@ -14,6 +14,50 @@ Resolution dropped() {
 
 } // namespace
 
+void OvsSwitch::BufferIndex::insert(std::uint64_t id, std::uint32_t slot) {
+    if ((used_ + 1) * 2 > cells_.size()) grow();
+    const std::size_t mask = cells_.size() - 1;
+    std::size_t i = id & mask;  // ids are sequential: they spread on their own
+    while (cells_[i].id != 0) i = (i + 1) & mask;
+    cells_[i] = Cell{id, slot};
+    ++used_;
+}
+
+std::optional<std::uint32_t> OvsSwitch::BufferIndex::take(std::uint64_t id) {
+    if (used_ == 0 || id == 0) return std::nullopt;
+    const std::size_t mask = cells_.size() - 1;
+    std::size_t hole = id & mask;
+    while (cells_[hole].id != id) {
+        if (cells_[hole].id == 0) return std::nullopt;
+        hole = (hole + 1) & mask;
+    }
+    const std::uint32_t slot = cells_[hole].slot;
+    --used_;
+    // Backward shift: pull each later member of the probe run into the hole
+    // unless that would move it in front of its home cell.
+    for (std::size_t j = (hole + 1) & mask; cells_[j].id != 0; j = (j + 1) & mask) {
+        const std::size_t home = cells_[j].id & mask;
+        if (((j - home) & mask) >= ((j - hole) & mask)) {
+            cells_[hole] = cells_[j];
+            hole = j;
+        }
+    }
+    cells_[hole].id = 0;
+    return slot;
+}
+
+void OvsSwitch::BufferIndex::grow() {
+    std::vector<Cell> old = std::move(cells_);
+    cells_.assign(old.empty() ? 16 : old.size() * 2, Cell{});
+    const std::size_t mask = cells_.size() - 1;
+    for (const Cell& cell : old) {
+        if (cell.id == 0) continue;
+        std::size_t i = cell.id & mask;
+        while (cells_[i].id != 0) i = (i + 1) & mask;
+        cells_[i] = cell;
+    }
+}
+
 OvsSwitch::OvsSwitch(sim::Simulation& sim, Topology& topo, NodeId self, Config config)
     : sim_(sim), topo_(topo), self_(self), config_(config) {}
 
@@ -67,37 +111,44 @@ void OvsSwitch::process(std::uint32_t slot) {
         return;
     }
     const std::uint64_t id = next_buffer_id_++;
-    buffered_.emplace(id, slot);
+    pipeline_[slot].buffer_id = id;
+    buffered_.insert(id, slot);
     ++packet_ins_;
-    sim_.schedule(config_.channel_latency,
-                  [this, id, packet] { controller_(PacketIn{id, packet}); });
+    sim_.schedule(config_.channel_latency, [this, slot] {
+        const InPipeline& buffered = pipeline_[slot];
+        controller_(PacketIn{buffered.buffer_id, buffered.packet});
+    });
 }
 
 void OvsSwitch::flow_mod(const FlowMod& mod) {
-    sim_.schedule(config_.channel_latency,
-                  [this, mod] { table_.install(mod.entry, sim_.now()); });
+    const std::uint32_t slot = flow_mods_.acquire();
+    flow_mods_[slot] = mod.entry;
+    sim_.schedule(config_.channel_latency, [this, slot] { install(slot); });
+}
+
+void OvsSwitch::install(std::uint32_t slot) {
+    table_.install(flow_mods_[slot], sim_.now());
+    flow_mods_.release(slot);
 }
 
 void OvsSwitch::packet_out(const PacketOut& out) {
     sim_.schedule(config_.channel_latency, [this, out] {
-        const auto it = buffered_.find(out.buffer_id);
-        if (it == buffered_.end()) return; // already handled or never existed
-        const std::uint32_t slot = it->second;
-        buffered_.erase(it);
+        const auto slot = buffered_.take(out.buffer_id);
+        if (!slot) return; // already handled or never existed
         if (out.drop) {
-            complete(slot, dropped());
+            complete(*slot, dropped());
             return;
         }
-        const Packet& packet = pipeline_[slot].packet;
+        const Packet& packet = pipeline_[*slot].packet;
         if (out.use_table) {
             if (const auto entry = table_.lookup(packet, sim_.now())) {
-                complete(slot, resolve(packet, entry->action));
+                complete(*slot, resolve(packet, entry->action));
                 return;
             }
             // Controller released the packet but no rule matched (e.g. the
             // rule already expired); fall back to the original destination.
         }
-        complete(slot, resolve(packet, {}));
+        complete(*slot, resolve(packet, {}));
     });
 }
 

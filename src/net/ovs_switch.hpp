@@ -11,7 +11,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <optional>
+#include <vector>
 
 #include "net/flow_table.hpp"
 #include "net/openflow.hpp"
@@ -96,10 +97,35 @@ private:
     struct InPipeline {
         Packet packet;
         ResolveCallback done;
+        std::uint64_t buffer_id = 0;  ///< set while buffered for the controller
+    };
+
+    /// Buffer id -> pipeline slot of the packets awaiting the controller:
+    /// open addressing with linear probing and backward-shift deletion, so
+    /// a warm buffer allocates nothing. Ids start at 1; 0 marks a free cell.
+    class BufferIndex {
+    public:
+        void insert(std::uint64_t id, std::uint32_t slot);
+        /// Remove `id` and return its slot; empty if `id` is not buffered
+        /// (already released, or never issued).
+        std::optional<std::uint32_t> take(std::uint64_t id);
+        [[nodiscard]] std::size_t size() const { return used_; }
+
+    private:
+        struct Cell {
+            std::uint64_t id = 0;
+            std::uint32_t slot = 0;
+        };
+        void grow();
+
+        std::vector<Cell> cells_;  ///< power-of-two size, at most half full
+        std::size_t used_ = 0;
     };
 
     /// The table lookup, `pipeline_delay` after submit().
     void process(std::uint32_t slot);
+    /// A flow-mod reached the switch: install the entry held in `slot`.
+    void install(std::uint32_t slot);
     /// Where `packet` goes under `action`; an empty action forwards it to
     /// its original destination.
     [[nodiscard]] Resolution resolve(Packet packet, const FlowAction& action) const;
@@ -113,7 +139,9 @@ private:
     FlowTable table_;
     PacketInHandler controller_;
     sim::SlotPool<InPipeline> pipeline_;
-    std::unordered_map<std::uint64_t, std::uint32_t> buffered_; ///< buffer id -> slot
+    BufferIndex buffered_;
+    /// Flow-mods crossing the control channel; their events capture the slot.
+    sim::SlotPool<FlowEntry> flow_mods_;
     std::uint64_t next_buffer_id_ = 1;
     std::uint64_t packet_ins_ = 0;
     std::uint64_t buffer_overflows_ = 0;

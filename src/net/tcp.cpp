@@ -173,20 +173,30 @@ void TcpNet::finish(std::uint32_t slot, std::string_view error) {
     done(result);
 }
 
-void TcpNet::probe(NodeId from, NodeId host, std::uint16_t port,
-                   std::function<void(bool open)> done) {
+void TcpNet::probe(NodeId from, NodeId host, std::uint16_t port, ProbeDone done) {
     const auto path = topo_.path(from, host);
+    const std::uint32_t slot = probes_.acquire();
+    probes_[slot].done = std::move(done);
     if (!path) {
-        sim_.schedule(sim::SimTime::zero(), [done = std::move(done)] { done(false); });
+        sim_.schedule(sim::SimTime::zero(), [this, slot] { answer_probe(slot, false); });
         return;
     }
+    probes_[slot].host = host;
+    probes_[slot].port = port;
+    probes_[slot].latency = path->latency;
     // The answer (SYN-ACK or RST) reflects the port state at the moment the
     // SYN *arrives*, one one-way latency from now.
-    sim_.schedule(path->latency, [this, host, port, latency = path->latency,
-                                  done = std::move(done)] {
-        const bool open = topo_.port_open(host, port, Proto::kTcp);
-        sim_.schedule(latency, [open, done] { done(open); });
+    sim_.schedule(path->latency, [this, slot] {
+        const Probe& p = probes_[slot];
+        const bool open = topo_.port_open(p.host, p.port, Proto::kTcp);
+        sim_.schedule(p.latency, [this, slot, open] { answer_probe(slot, open); });
     });
+}
+
+void TcpNet::answer_probe(std::uint32_t slot, bool open) {
+    ProbeDone done = std::move(probes_[slot].done);
+    probes_.release(slot);
+    done(open);
 }
 
 } // namespace tedge::net

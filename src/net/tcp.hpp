@@ -118,6 +118,8 @@ public:
     using Config = TcpNetConfig;
     /// Completion of one exchange; fires exactly once per http_request.
     using Done = sim::UniqueFunction<void(const HttpResult&)>;
+    /// Answer to one probe; fires exactly once per probe. Moved, never copied.
+    using ProbeDone = sim::UniqueFunction<void(bool open)>;
 
     TcpNet(sim::Simulation& sim, Topology& topo, OvsSwitch& ingress,
            EndpointDirectory& endpoints, Config config = {});
@@ -143,8 +145,7 @@ public:
     /// TCP port probe from `from` directly to `host` (no switch involved):
     /// a SYN and its answer. `open` reports whether the port accepted.
     /// Completion takes one RTT between the nodes.
-    void probe(NodeId from, NodeId host, std::uint16_t port,
-               std::function<void(bool open)> done);
+    void probe(NodeId from, NodeId host, std::uint16_t port, ProbeDone done);
 
     [[nodiscard]] sim::Simulation& simulation() { return sim_; }
     [[nodiscard]] Topology& topology() { return topo_; }
@@ -170,6 +171,14 @@ private:
         std::uint32_t generation = 0;  ///< bumped by each reply: handles are single-use
     };
 
+    /// A probe between its SYN and the answer; its events capture the slot.
+    struct Probe {
+        NodeId host;
+        std::uint16_t port = 0;
+        sim::SimTime latency;  ///< one way, from the prober to `host`
+        ProbeDone done;
+    };
+
     /// The ingress switch a client currently enters through; primary-ingress
     /// fallback (counted) when unattached.
     [[nodiscard]] OvsSwitch& resolve_ingress(NodeId client);
@@ -182,6 +191,8 @@ private:
     /// Complete the exchange (`error` empty on success), free its slot and
     /// fire its continuation.
     void finish(std::uint32_t slot, std::string_view error);
+    /// The probe's answer reached the prober: free its slot and report.
+    void answer_probe(std::uint32_t slot, bool open);
     /// Concatenated client -> ingress -> dest path: the data path always
     /// traverses the client's current cell. Equal to the direct shortest
     /// path in single-ingress topologies (every route crosses the gNB
@@ -202,6 +213,7 @@ private:
     std::uint64_t unattached_fallbacks_ = 0;
     std::uint16_t next_ephemeral_ = 32768;
     sim::SlotPool<Exchange> exchanges_;
+    sim::SlotPool<Probe> probes_;
 };
 
 } // namespace tedge::net

@@ -119,9 +119,18 @@ public:
     virtual void remove_service(const std::string& name, BoolCallback done) = 0;
     virtual void delete_image(const ServiceSpec& spec) = 0;
 
+    /// Append the current instances (running or starting) of a service to
+    /// `out`. The dispatcher fills its reused scheduling context this way,
+    /// so a warm decision allocates nothing.
+    virtual void append_instances(const std::string& name,
+                                  std::vector<InstanceInfo>& out) const = 0;
+
     /// Current instances (running or starting) of a service.
-    [[nodiscard]] virtual std::vector<InstanceInfo>
-    instances(const std::string& name) const = 0;
+    [[nodiscard]] std::vector<InstanceInfo> instances(const std::string& name) const {
+        std::vector<InstanceInfo> out;
+        append_instances(name, out);
+        return out;
+    }
 
     /// Total service instances currently placed on the cluster (running or
     /// starting, across all services) -- the load signal schedulers use.

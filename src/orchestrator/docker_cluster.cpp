@@ -253,19 +253,18 @@ void DockerCluster::delete_image(const ServiceSpec& spec) {
     store_.gc();
 }
 
-std::vector<InstanceInfo> DockerCluster::instances(const std::string& name) const {
-    std::vector<InstanceInfo> out;
+void DockerCluster::append_instances(const std::string& name,
+                                     std::vector<InstanceInfo>& out) const {
     const auto it = services_.find(name);
-    if (it == services_.end()) return out;
+    if (it == services_.end()) return;
     const auto& svc = it->second;
-    if (svc.state != SvcState::kRunning && svc.state != SvcState::kStarting) return out;
+    if (svc.state != SvcState::kRunning && svc.state != SvcState::kStarting) return;
     InstanceInfo info;
     info.node = node_;
     info.port = svc.host_port;
     info.ready = topo_.port_open(node_, svc.host_port);
     info.since = svc.state_since;
     out.push_back(info);
-    return out;
 }
 
 std::uint16_t DockerCluster::allocate_host_port(std::uint16_t preferred) {

@@ -5,14 +5,15 @@
 // the first request in well under a second.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 
 #include "orchestrator/cluster.hpp"
 #include "simcore/logging.hpp"
 #include "simcore/simulation.hpp"
+#include "simcore/symbol_table.hpp"
 
 namespace tedge::orchestrator {
 
@@ -43,8 +44,8 @@ public:
     void scale_down(const std::string& name, BoolCallback done) override;
     void remove_service(const std::string& name, BoolCallback done) override;
     void delete_image(const ServiceSpec& spec) override;
-    [[nodiscard]] std::vector<InstanceInfo>
-    instances(const std::string& name) const override;
+    void append_instances(const std::string& name,
+                          std::vector<InstanceInfo>& out) const override;
     [[nodiscard]] std::size_t total_instances() const override;
     [[nodiscard]] ClusterUtilization utilization() const override;
     [[nodiscard]] AdmissionReason admits(const ServiceSpec& spec) const override;
@@ -82,7 +83,9 @@ private:
     container::ContainerRuntime runtime_;
     sim::Logger log_;
     ResourceLedger ledger_;  ///< reserved by starting/running services
-    std::map<std::string, Service> services_;
+    /// Hashed by name: the dispatcher asks it for every scheduling decision.
+    std::unordered_map<std::string, Service, sim::StringHash, std::equal_to<>>
+        services_;
     std::set<std::uint16_t> used_ports_;
     std::uint16_t next_port_ = 8000;
 };

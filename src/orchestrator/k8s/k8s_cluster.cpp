@@ -36,6 +36,7 @@ K8sCluster::K8sCluster(std::string name, sim::Simulation& sim, net::Topology& to
 
     using PodItem = ObjectStore<PodObj>::Item;
     using ServiceItem = ObjectStore<ServiceObj>::Item;
+    using DeploymentItem = ObjectStore<DeploymentObj>::Item;
     api_.pods().add_write_hook(
         {[this](const PodItem& item) {
              const PodObj& pod = item.second;
@@ -51,8 +52,13 @@ K8sCluster::K8sCluster(std::string name, sim::Simulation& sim, net::Topology& to
              live_used_ += pod.resources;
          }});
     api_.services().add_write_hook(
-        {[this](const ServiceItem& item) { proxy_services_[item.first].svc = nullptr; },
-         [this](const ServiceItem& item) { proxy_services_[item.first].svc = &item.second; }});
+        {[this](const ServiceItem& item) { records_[item.first].svc = nullptr; },
+         [this](const ServiceItem& item) { records_[item.first].svc = &item.second; }});
+    api_.deployments().add_write_hook(
+        {[this](const DeploymentItem& item) { records_[item.first].deployment = nullptr; },
+         [this](const DeploymentItem& item) {
+             records_[item.first].deployment = &item.second;
+         }});
 
     KubeletConfig kubelet_config = config.kubelet;
     if (!kubelet_config.allocatable.limited()) {
@@ -187,7 +193,8 @@ void K8sCluster::create_service(const ServiceSpec& spec, BoolCallback done) {
 }
 
 bool K8sCluster::has_service(const std::string& name) const {
-    return api_.deployments().get(name) != nullptr;
+    const auto it = records_.find(name);
+    return it != records_.end() && it->second.deployment != nullptr;
 }
 
 void K8sCluster::scale_up(const std::string& name, BoolCallback done) {
@@ -283,9 +290,10 @@ void K8sCluster::delete_image(const ServiceSpec& spec) {
     }
 }
 
-std::vector<InstanceInfo> K8sCluster::instances(const std::string& name) const {
-    std::vector<InstanceInfo> out;
-    const auto* svc = api_.services().get(name);
+void K8sCluster::append_instances(const std::string& name,
+                                  std::vector<InstanceInfo>& out) const {
+    const auto record = records_.find(name);
+    const ServiceObj* svc = record != records_.end() ? record->second.svc : nullptr;
     const std::uint16_t expose = svc != nullptr ? svc->node_port : 0;
     for (const auto* item : pods_by_service_.group(name)) {
         const PodObj& pod = item->second;
@@ -298,7 +306,6 @@ std::vector<InstanceInfo> K8sCluster::instances(const std::string& name) const {
         info.since = pod.phase_since;
         out.push_back(info);
     }
-    return out;
 }
 
 std::uint16_t K8sCluster::allocate_node_port(std::uint16_t preferred) {
@@ -380,7 +387,7 @@ void K8sCluster::reconcile_proxy(const std::string& svc_name) {
             // Wait until the pod's application is actually listening before
             // the DNAT path can complete a connection.
             const std::uint16_t expose = svc->node_port;
-            const ProxyService* record = &proxy_services_[svc_name];
+            const ServiceRecord* record = &records_[svc_name];
             alias.poll = sim_.schedule_periodic(config_.proxy_poll,
                                                 [this, record, svc_name, node, expose] {
                 const ServiceObj* s = record->svc;
@@ -411,7 +418,7 @@ void K8sCluster::open_alias(const std::string& svc_name, net::NodeId node,
     if (alias.open) return;
     alias.open = true;
     topo_.open_port(node, expose_port);
-    ProxyService* record = &proxy_services_[svc_name];
+    ServiceRecord* record = &records_[svc_name];
     endpoints_.bind(node, expose_port,
                     [this, record, node](sim::Bytes request,
                                          net::EndpointDirectory::ReplyFn reply) {

@@ -58,8 +58,8 @@ public:
     void scale_down(const std::string& name, BoolCallback done) override;
     void remove_service(const std::string& name, BoolCallback done) override;
     void delete_image(const ServiceSpec& spec) override;
-    [[nodiscard]] std::vector<InstanceInfo>
-    instances(const std::string& name) const override;
+    void append_instances(const std::string& name,
+                          std::vector<InstanceInfo>& out) const override;
     [[nodiscard]] std::size_t total_instances() const override;
     [[nodiscard]] ClusterUtilization utilization() const override;
     [[nodiscard]] AdmissionReason admits(const ServiceSpec& spec) const override;
@@ -84,13 +84,15 @@ private:
         sim::Simulation::PeriodicHandle poll;
     };
 
-    /// kube-proxy's view of one service, shared by its node aliases: the
-    /// stored object (null while none is stored), which a services write
-    /// hook keeps current, and the round-robin cursor for multi-endpoint
-    /// forwarding. Kept for the cluster's lifetime, so the cursor survives
-    /// a removal and re-creation as before.
-    struct ProxyService {
+    /// One service name's record, hashed by name: the stored Service and
+    /// Deployment objects (null while none is stored), which write hooks
+    /// keep current, and kube-proxy's round-robin cursor for
+    /// multi-endpoint forwarding, shared by the service's node aliases.
+    /// Kept for the cluster's lifetime, so the cursor survives a removal
+    /// and re-creation as before.
+    struct ServiceRecord {
         const ServiceObj* svc = nullptr;
+        const DeploymentObj* deployment = nullptr;
         std::size_t cursor = 0;
     };
 
@@ -115,8 +117,8 @@ private:
     sim::Logger log_;
     /// (service name, node id) -> alias state
     std::map<std::pair<std::string, std::uint32_t>, ProxyAlias> aliases_;
-    /// Service name -> kube-proxy record; element addresses are stable.
-    std::unordered_map<std::string, ProxyService> proxy_services_;
+    /// Service name -> record; element addresses are stable.
+    std::unordered_map<std::string, ServiceRecord> records_;
     StoreIndex<PodObj> pods_by_service_;  ///< by spec.name
     /// Count and summed requests of the non-terminating pods (bound or
     /// pending), kept by a pods write hook.

@@ -1,11 +1,22 @@
 #include "sdn/dispatcher.hpp"
 
+#include <cassert>
 #include <functional>
+#include <string_view>
 
-#include "simcore/metrics_registry.hpp"
 #include "simcore/tracer.hpp"
 
 namespace tedge::sdn {
+namespace {
+
+constexpr std::array<std::string_view, 10> kSeriesNames = {
+    "sdn.packet_ins",     "sdn.flow_memory.hits", "sdn.flow_memory.misses",
+    "sdn.flow_installs",  "sdn.cloud_fallbacks",  "sdn.deploy_retries",
+    "sdn.handovers",      "sdn.resteers",         "sdn.migrations",
+    "sdn.migrations_completed",
+};
+
+} // namespace
 
 Dispatcher::Dispatcher(sim::Simulation& sim, net::Topology& topo,
                        net::OvsSwitch& ingress, ServiceRegistry& registry,
@@ -18,7 +29,12 @@ Dispatcher::Dispatcher(sim::Simulation& sim, net::Topology& topo,
       sessions_(sessions), clusters_(std::move(clusters)), config_(config),
       log_(sim, "dispatcher"),
       continuity_(make_continuity_policy(config_.continuity)) {
+    static_assert(kSeriesNames.size() == kSeriesCount);
     switches_.push_back(&ingress_);
+    cluster_ids_.reserve(clusters_.size());
+    for (const auto* cluster : clusters_) {
+        cluster_ids_.push_back(memory_.intern(cluster->name()));
+    }
 }
 
 void Dispatcher::set_continuity_policy(std::unique_ptr<ContinuityPolicy> policy) {
@@ -42,42 +58,84 @@ std::optional<net::NodeId> Dispatcher::client_location(net::Ipv4 client) const {
     return sessions_.location(client);
 }
 
-ScheduleContext Dispatcher::build_context(net::NodeId client,
-                                          const orchestrator::ServiceSpec& spec,
-                                          const std::string* exclude_cluster) const {
-    ScheduleContext ctx;
+sim::MetricsRegistry::Counter* Dispatcher::counter(Series series) {
+    sim::MetricsRegistry* registry = sim_.metrics();
+    if (registry == nullptr) return nullptr;
+    if (bound_registry_ != registry) {
+        bound_registry_ = registry;
+        bound_.fill(nullptr);
+    }
+    sim::MetricsRegistry::Counter*& handle = bound_[series];
+    if (handle == nullptr) handle = &registry->counter(kSeriesNames[series]);
+    return handle;
+}
+
+const ServiceFlowKeys& Dispatcher::flow_keys(ServiceRegistry::Entry& entry,
+                                             const net::ServiceAddress& address) {
+    ServiceFlowKeys& keys = entry.flow_keys;
+    if (keys.memory != &memory_) {
+        const std::string& name = entry.service.spec.name;
+        keys.memory = &memory_;
+        keys.service = memory_.intern(name);
+        keys.address = memory_.address_id(address);
+        keys.cookie = cookie_for(name);
+    }
+    return keys;
+}
+
+sim::SymbolId Dispatcher::cluster_id(const orchestrator::Cluster& cluster) {
+    for (std::size_t i = 0; i < clusters_.size(); ++i) {
+        if (clusters_[i] == &cluster) return cluster_ids_[i];
+    }
+    return memory_.intern(cluster.name());
+}
+
+const ScheduleContext& Dispatcher::build_context(net::NodeId client,
+                                                 const orchestrator::ServiceSpec& spec,
+                                                 const orchestrator::Cluster* exclude) {
+    assert(!deciding_ && "the scheduling context was refilled during a decision");
+    ScheduleContext& ctx = context_;
     ctx.client = client;
     ctx.spec = &spec;
     ctx.topo = &topo_;
+    std::size_t count = 0;
     for (auto* cluster : clusters_) {
-        if (exclude_cluster != nullptr && cluster->name() == *exclude_cluster) {
-            continue;
-        }
-        ScheduleContext::ClusterState state;
+        if (cluster == exclude) continue;
+        if (count == ctx.states.size()) ctx.states.emplace_back();
+        ScheduleContext::ClusterState& state = ctx.states[count++];
         state.cluster = cluster;
-        state.instances = cluster->instances(spec.name);
+        state.instances.clear();
+        cluster->append_instances(spec.name, state.instances);
         state.has_image = cluster->has_image(spec);
         state.has_service = cluster->has_service(spec.name);
         state.utilization = cluster->utilization();
-        state.inflight_deploys = engine_.inflight_for(cluster->name());
+        state.inflight_deploys = engine_.inflight_for(*cluster);
         state.admission = cluster->admits(spec);
-        ctx.states.push_back(std::move(state));
     }
+    ctx.states.resize(count);
     return ctx;
+}
+
+ScheduleResult Dispatcher::decide() {
+    deciding_ = true;
+    ScheduleResult result = scheduler_.decide(context_);
+    deciding_ = false;
+    return result;
 }
 
 void Dispatcher::install_and_release(net::OvsSwitch& source,
                                      const net::PacketIn& event,
-                                     const orchestrator::ServiceSpec& spec,
+                                     const ServiceFlowKeys& keys,
                                      const orchestrator::InstanceInfo& instance,
-                                     const std::string& cluster_name) {
+                                     sim::SymbolId cluster) {
+    const sim::SymbolTable& symbols = memory_.symbols();
     if (auto* tr = sim_.tracer()) {
         const auto span = tr->begin("flow.install");
-        tr->arg(span, "service", spec.name);
-        tr->arg(span, "cluster", cluster_name);
+        tr->arg(span, "service", symbols.name(keys.service));
+        tr->arg(span, "cluster", symbols.name(cluster));
         tr->end(span);
     }
-    if (auto* m = sim_.metrics()) m->counter("sdn.flow_installs").inc();
+    if (auto* c = counter(kFlowInstalls)) c->inc();
     net::FlowEntry entry;
     entry.match.src_ip = event.packet.src_ip;
     entry.match.dst_ip = event.packet.dst_ip;
@@ -88,21 +146,15 @@ void Dispatcher::install_and_release(net::OvsSwitch& source,
     entry.action.forward_to = instance.node;
     entry.priority = config_.flow_priority;
     entry.idle_timeout = config_.switch_idle_timeout;
-    entry.cookie = cookie_for(spec.name);
+    entry.cookie = keys.cookie;
 
-    MemorizedFlow flow;
-    flow.client_ip = event.packet.src_ip;
-    flow.service_address = event.packet.dst();
-    flow.service_name = spec.name;
-    flow.instance_node = instance.node;
-    flow.instance_port = instance.port;
-    flow.cluster = cluster_name;
-    memory_.memorize(flow);
-    sessions_.note_served_by(event.packet.src_ip, cluster_name);
+    memory_.memorize(event.packet.src_ip, keys.address,
+                     FlowTarget{keys.service, cluster, instance.node, instance.port});
+    sessions_.note_served_by(event.packet.src_ip, symbols.wrap(cluster));
 
     // Lazy: FlowMatch::str() runs per packet-in only when debug is on.
     log_.debug([&] {
-        return "install " + entry.match.str() + " -> " + cluster_name + " node " +
+        return "install " + entry.match.str() + " -> " + symbols.name(cluster) + " node " +
                std::to_string(instance.node.value) + ":" +
                std::to_string(instance.port);
     });
@@ -115,7 +167,7 @@ void Dispatcher::release_to_cloud(net::OvsSwitch& source,
                                   const net::PacketIn& event, bool install_flow) {
     ++stats_.cloud_fallbacks;
     if (auto* tr = sim_.tracer()) tr->instant("cloud.fallback");
-    if (auto* m = sim_.metrics()) m->counter("sdn.cloud_fallbacks").inc();
+    if (auto* c = counter(kCloudFallbacks)) c->inc();
     log_.debug([&] { return "cloud fallback for " + event.packet.dst().str(); });
     if (install_flow && config_.install_cloud_flows) {
         net::FlowEntry entry;
@@ -153,7 +205,7 @@ void Dispatcher::handle_packet_in(net::OvsSwitch& source,
     // Everything the dispatch schedules (deployment, probes, flow mods)
     // nests under the packet-in span.
     const sim::Tracer::Scope scope(tr, pin_span);
-    if (auto* m = sim_.metrics()) m->counter("sdn.packet_ins").inc();
+    if (auto* c = counter(kPacketIns)) c->inc();
     dispatch(source, event, pin_span);
     if (tr != nullptr) tr->end(pin_span);
 }
@@ -167,52 +219,51 @@ void Dispatcher::dispatch(net::OvsSwitch& source, const net::PacketIn& event,
     sessions_.observe_packet(event.packet.src_ip, source.node());
 
     const auto dst = event.packet.dst();
+    ServiceRegistry::Entry* registered = registry_.find(dst);
+    const ServiceFlowKeys* keys =
+        registered != nullptr ? &flow_keys(*registered, dst) : nullptr;
 
     // 1. FlowMemory: a previously-installed flow can be restored instantly
     //    -- provided the instance still accepts traffic.
-    const auto remembered = memory_.recall(event.packet.src_ip, dst);
+    const auto remembered = keys != nullptr
+                                ? memory_.recall(event.packet.src_ip, keys->address)
+                                : memory_.recall(event.packet.src_ip, dst);
     if (auto* tr = sim_.tracer()) {
         const auto recall = tr->begin("flow_memory.recall");
         tr->arg(recall, "result", remembered ? "hit" : "miss");
         tr->end(recall);
     }
-    if (auto* m = sim_.metrics()) {
-        m->counter(remembered ? "sdn.flow_memory.hits" : "sdn.flow_memory.misses")
-            .inc();
-    }
+    if (auto* c = counter(remembered ? kMemoryHits : kMemoryMisses)) c->inc();
     if (remembered) {
         if (topo_.port_open(remembered->instance_node, remembered->instance_port)) {
             ++stats_.memory_hits;
-            const auto* svc = registry_.lookup(dst);
-            if (svc != nullptr) {
+            if (keys != nullptr) {
                 orchestrator::InstanceInfo instance;
                 instance.node = remembered->instance_node;
                 instance.port = remembered->instance_port;
                 instance.ready = true;
-                install_and_release(source, event, svc->spec, instance,
-                                    remembered->cluster);
+                install_and_release(source, event, *keys, instance, remembered->cluster);
                 return;
             }
         }
         // Instance vanished or service unregistered: fall through.
-        memory_.forget_service(remembered->service_name);
+        memory_.forget_service(remembered->service);
     }
 
     // 2. Only registered services are redirected.
-    const auto* svc = registry_.lookup(dst);
-    if (svc == nullptr) {
+    if (registered == nullptr) {
         ++stats_.unregistered;
         source.packet_out(net::PacketOut{event.buffer_id, /*use_table=*/false,
                                          /*drop=*/false});
         return;
     }
-    const orchestrator::ServiceSpec& spec = svc->spec;
+    const orchestrator::ServiceSpec& spec = registered->service.spec;
 
     // 3./4. Gather system state, ask the Global Scheduler.
-    const auto ctx = build_context(event.packet.ingress, spec);
+    build_context(event.packet.ingress, spec);
     sim::SpanId decide_span = 0;
     if (auto* tr = sim_.tracer()) decide_span = tr->begin("schedule.decide");
-    const ScheduleResult result = scheduler_.decide(ctx);
+    const ScheduleResult result = decide();
     if (auto* tr = sim_.tracer()) {
         tr->arg(decide_span, "fast",
                 result.fast && result.fast->cluster ? result.fast->cluster->name()
@@ -241,13 +292,12 @@ void Dispatcher::dispatch(net::OvsSwitch& source, const net::PacketIn& event,
         release_to_cloud(source, event, /*install_flow=*/true);
         return;
     }
-    auto* fast_cluster = result.fast->cluster;
-    const std::string cluster_name = fast_cluster->name();
+    orchestrator::Cluster* fast_cluster = result.fast->cluster;
 
     if (result.fast->instance && result.fast->instance->ready) {
         ++stats_.redirected_ready;
-        install_and_release(source, event, spec, *result.fast->instance,
-                            cluster_name);
+        install_and_release(source, event, *keys, *result.fast->instance,
+                            cluster_id(*fast_cluster));
         return;
     }
 
@@ -256,7 +306,7 @@ void Dispatcher::dispatch(net::OvsSwitch& source, const net::PacketIn& event,
     core::DeployOptions options;
     options.wait_ready = true;
     engine_.ensure(*fast_cluster, spec, options,
-                   [this, &source, event, spec, cluster_name, pin_span](
+                   [this, &source, event, spec, keys = *keys, fast_cluster, pin_span](
                        bool ok, const orchestrator::InstanceInfo& instance) {
         // Re-anchor on the packet-in span: the callback executes deep in
         // the deployment chain, but the install belongs to the packet-in.
@@ -266,43 +316,43 @@ void Dispatcher::dispatch(net::OvsSwitch& source, const net::PacketIn& event,
             // One cluster failing (admission, pull error, timeout) must not
             // strand the client on the cloud while a sibling edge cluster
             // could serve: re-ask the scheduler without the failed cluster.
-            retry_dispatch(source, event, spec, cluster_name, pin_span);
+            retry_dispatch(source, event, spec, keys, *fast_cluster, pin_span);
             return;
         }
-        install_and_release(source, event, spec, instance, cluster_name);
+        install_and_release(source, event, keys, instance, cluster_id(*fast_cluster));
     });
 }
 
 void Dispatcher::retry_dispatch(net::OvsSwitch& source, const net::PacketIn& event,
                                 const orchestrator::ServiceSpec& spec,
-                                const std::string& failed_cluster,
+                                const ServiceFlowKeys& keys,
+                                const orchestrator::Cluster& failed,
                                 sim::SpanId pin_span) {
-    const auto ctx = build_context(event.packet.ingress, spec, &failed_cluster);
-    const ScheduleResult result = scheduler_.decide(ctx);
+    build_context(event.packet.ingress, spec, &failed);
+    const ScheduleResult result = decide();
     if (!result.fast || result.fast->cluster == nullptr ||
-        result.fast->cluster->name() == failed_cluster) {
+        result.fast->cluster == &failed) {
         release_to_cloud(source, event, /*install_flow=*/false);
         return;
     }
     ++stats_.deploy_retries;
-    if (auto* m = sim_.metrics()) m->counter("sdn.deploy_retries").inc();
+    if (auto* c = counter(kDeployRetries)) c->inc();
     auto* alternate = result.fast->cluster;
-    const std::string alternate_name = alternate->name();
     log_.debug([&] {
-        return "retry " + spec.name + ": " + failed_cluster + " failed, trying " +
-               alternate_name;
+        return "retry " + spec.name + ": " + failed.name() + " failed, trying " +
+               alternate->name();
     });
 
     if (result.fast->instance && result.fast->instance->ready) {
         ++stats_.retry_successes;
-        install_and_release(source, event, spec, *result.fast->instance,
-                            alternate_name);
+        install_and_release(source, event, keys, *result.fast->instance,
+                            cluster_id(*alternate));
         return;
     }
     core::DeployOptions options;
     options.wait_ready = true;
     engine_.ensure(*alternate, spec, options,
-                   [this, &source, event, spec, alternate_name, pin_span](
+                   [this, &source, event, keys, alternate, pin_span](
                        bool ok, const orchestrator::InstanceInfo& instance) {
         const sim::Tracer::Scope scope(sim_.tracer(), pin_span);
         if (!ok) {
@@ -312,13 +362,13 @@ void Dispatcher::retry_dispatch(net::OvsSwitch& source, const net::PacketIn& eve
             return;
         }
         ++stats_.retry_successes;
-        install_and_release(source, event, spec, instance, alternate_name);
+        install_and_release(source, event, keys, instance, cluster_id(*alternate));
     });
 }
 
 void Dispatcher::on_handover(const UeSession& session, net::NodeId old_ingress) {
     ++stats_.handovers;
-    if (auto* m = sim_.metrics()) m->counter("sdn.handovers").inc();
+    if (auto* c = counter(kHandovers)) c->inc();
     log_.debug([&] {
         return "handover client " + session.ip.str() + ": node " +
                std::to_string(old_ingress.value) + " -> " +
@@ -348,14 +398,14 @@ void Dispatcher::decide_continuity(const UeSession& session,
     // Ask the scheduler where this flow would go if it arrived fresh at the
     // *new* cell. Proximity is judged from the cell, not the client node:
     // the client still carries radio links to previously-visited cells.
-    const auto ctx = build_context(session.ingress, spec);
-    const ScheduleResult result = scheduler_.decide(ctx);
+    const ScheduleContext& ctx = build_context(session.ingress, spec);
+    const ScheduleResult result = decide();
     if (!result.fast || result.fast->cluster == nullptr) return;
     auto* target = result.fast->cluster;
     if (target->name() == flow.cluster) {
         // Best candidate is where the flow already lives: keep it.
         ++stats_.resteers;
-        if (auto* m = sim_.metrics()) m->counter("sdn.resteers").inc();
+        if (auto* c = counter(kResteers)) c->inc();
         return;
     }
 
@@ -388,7 +438,7 @@ void Dispatcher::decide_continuity(const UeSession& session,
 
     if (continuity_->decide(cctx) == ContinuityAction::kResteer) {
         ++stats_.resteers;
-        if (auto* m = sim_.metrics()) m->counter("sdn.resteers").inc();
+        if (auto* c = counter(kResteers)) c->inc();
         return;
     }
 
@@ -396,7 +446,7 @@ void Dispatcher::decide_continuity(const UeSession& session,
     // flow over only once the instance is ready. Until then the old instance
     // keeps serving -- the client never waits on the migration.
     ++stats_.migrations;
-    if (auto* m = sim_.metrics()) m->counter("sdn.migrations").inc();
+    if (auto* c = counter(kMigrations)) c->inc();
     const std::uint64_t epoch = session.epoch;
     const net::Ipv4 client = session.ip;
     const net::ServiceAddress addr = flow.service_address;
@@ -418,7 +468,7 @@ void Dispatcher::decide_continuity(const UeSession& session,
             return;
         }
         ++stats_.migrations_completed;
-        if (auto* m = sim_.metrics()) m->counter("sdn.migrations_completed").inc();
+        if (auto* c = counter(kMigrationsCompleted)) c->inc();
         // Cut over: drop the memorized flow (notifying the old instance's
         // idle hook if this was its last user) and evict the installed
         // entries everywhere, so the next packet re-dispatches -- and the

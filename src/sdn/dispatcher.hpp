@@ -10,8 +10,16 @@
 //             -> FAST needs deployment -> deploy, hold the packet, probe the
 //                port, then redirect (on-demand deployment WITH waiting)
 //             -> FAST empty -> release toward the cloud
+//
+// The dispatcher builds, hashes and compares no service or cluster name per
+// packet-in: a service's FlowMemory ids and flow cookie are resolved at its
+// first packet-in and cached in its registry entry, and each cluster's id
+// once per Dispatcher. Every decision refills one ScheduleContext the
+// Dispatcher owns (the clusters answer it from tables hashed by service
+// name), so a warm packet-in allocates nothing.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -24,6 +32,7 @@
 #include "sdn/service_registry.hpp"
 #include "sdn/session_plane.hpp"
 #include "simcore/logging.hpp"
+#include "simcore/metrics_registry.hpp"
 #include "simcore/tracer.hpp"
 
 namespace tedge::sdn {
@@ -108,13 +117,28 @@ public:
     }
 
 private:
+    /// The `sdn.*` counters the dispatcher writes.
+    enum Series : std::size_t {
+        kPacketIns,
+        kMemoryHits,
+        kMemoryMisses,
+        kFlowInstalls,
+        kCloudFallbacks,
+        kDeployRetries,
+        kHandovers,
+        kResteers,
+        kMigrations,
+        kMigrationsCompleted,
+        kSeriesCount,
+    };
+
     /// The packet-in decision body; `pin_span` is the enclosing trace span.
     void dispatch(net::OvsSwitch& source, const net::PacketIn& event,
                   sim::SpanId pin_span);
     void install_and_release(net::OvsSwitch& source, const net::PacketIn& event,
-                             const orchestrator::ServiceSpec& spec,
+                             const ServiceFlowKeys& keys,
                              const orchestrator::InstanceInfo& instance,
-                             const std::string& cluster_name);
+                             sim::SymbolId cluster);
     void release_to_cloud(net::OvsSwitch& source, const net::PacketIn& event,
                           bool install_flow);
     /// One deploy-and-wait failed: re-ask the scheduler with the failed
@@ -122,17 +146,33 @@ private:
     /// cloud fallback.
     void retry_dispatch(net::OvsSwitch& source, const net::PacketIn& event,
                         const orchestrator::ServiceSpec& spec,
-                        const std::string& failed_cluster, sim::SpanId pin_span);
-    /// `client` is the node proximity is judged from: the packet's ingress on
-    /// the dispatch path, the *new* cell on the handover path (the client's
-    /// own node still carries links to previously-visited cells, which would
-    /// distort the decision).
-    ScheduleContext build_context(net::NodeId client,
-                                  const orchestrator::ServiceSpec& spec,
-                                  const std::string* exclude_cluster = nullptr) const;
+                        const ServiceFlowKeys& keys,
+                        const orchestrator::Cluster& failed, sim::SpanId pin_span);
+    /// Refill the dispatcher's scheduling context for one decision. The
+    /// context stays valid until the next call. `client` is the node
+    /// proximity is judged from: the packet's ingress on the dispatch path,
+    /// the *new* cell on the handover path (the client's own node still
+    /// carries links to previously-visited cells, which would distort the
+    /// decision).
+    const ScheduleContext& build_context(net::NodeId client,
+                                         const orchestrator::ServiceSpec& spec,
+                                         const orchestrator::Cluster* exclude = nullptr);
+    /// Ask the scheduler about the context build_context() just filled.
+    ScheduleResult decide();
+    /// The packet-in keys of a registered service, resolved against this
+    /// dispatcher's FlowMemory on first use.
+    const ServiceFlowKeys& flow_keys(ServiceRegistry::Entry& entry,
+                                     const net::ServiceAddress& address);
+    /// The FlowMemory id of a cluster's name.
+    sim::SymbolId cluster_id(const orchestrator::Cluster& cluster);
     /// Continuity decision for one (client, flow) pair after a handover.
     void decide_continuity(const UeSession& session, net::NodeId old_ingress,
                            const MemorizedFlow& flow);
+    /// The counter of `series` in the attached registry, or null when none
+    /// is attached. Each is bound on first use and kept while the same
+    /// registry stays attached, so a series enters the dump only once
+    /// something is recorded in it.
+    sim::MetricsRegistry::Counter* counter(Series series);
     static std::uint64_t cookie_for(const std::string& service);
 
     sim::Simulation& sim_;
@@ -145,10 +185,15 @@ private:
     GlobalScheduler& scheduler_;
     SessionPlane& sessions_;
     std::vector<orchestrator::Cluster*> clusters_;
+    std::vector<sim::SymbolId> cluster_ids_;  ///< FlowMemory ids, by clusters_ index
     DispatcherConfig config_;
     DispatcherStats stats_;
     sim::Logger log_;
     std::unique_ptr<ContinuityPolicy> continuity_;
+    ScheduleContext context_;  ///< refilled by every build_context()
+    bool deciding_ = false;    ///< the scheduler is reading context_
+    sim::MetricsRegistry* bound_registry_ = nullptr;
+    std::array<sim::MetricsRegistry::Counter*, kSeriesCount> bound_{};
 };
 
 } // namespace tedge::sdn

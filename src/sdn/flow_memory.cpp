@@ -30,7 +30,7 @@ FlowMemory::~FlowMemory() {
     for (auto& [bucket, pending] : expiry_buckets_) pending.event.cancel();
 }
 
-std::uint32_t FlowMemory::intern_address(const net::ServiceAddress& address) {
+std::uint32_t FlowMemory::address_id(const net::ServiceAddress& address) {
     if (const auto it = address_ids_.find(address); it != address_ids_.end()) {
         return it->second;
     }
@@ -106,16 +106,18 @@ void FlowMemory::insert(Key64 key, const FlowRec& rec) {
     pending_slot_ = kNpos;
     const std::uint8_t t = tag_at(slot);
     if (t != kEmptyTag && t != kTombstoneTag) {
-        const std::uint32_t index = index_at(slot);
-        bump_counters(pool_[index].rec, -1);
+        FlowRec& current = pool_[index_at(slot)].rec;
+        const bool moved = current.target.service != rec.target.service ||
+                           current.target.cluster != rec.target.cluster;
+        if (moved) bump_counters(current.target, -1);
         // Preserve the entry's current expiry filing across the overwrite:
         // it still refers to this key, and file_expiry() below re-files only
         // if the refreshed deadline lands in a different bucket.
-        const std::uint64_t filed = pool_[index].rec.expiry_bucket;
-        pool_[index].rec = rec;
-        pool_[index].rec.expiry_bucket = filed;
-        bump_counters(rec, +1);
-        file_expiry(key, pool_[index].rec);
+        const std::uint64_t filed = current.expiry_bucket;
+        current = rec;
+        current.expiry_bucket = filed;
+        if (moved) bump_counters(rec.target, +1);
+        file_expiry(key, current);
         return;
     }
     if (t == kTombstoneTag) --tombstones_;
@@ -125,7 +127,7 @@ void FlowMemory::insert(Key64 key, const FlowRec& rec) {
     tag_at(slot) = tag_of(key);
     index_at(slot) = static_cast<std::uint32_t>(pool_.size());
     pool_.push_back(Entry{key, rec, static_cast<std::uint32_t>(slot)});
-    bump_counters(rec, +1);
+    bump_counters(rec.target, +1);
     // Only fresh insertions touch the client index: an overwrite (above)
     // keeps the same key, so the index already holds it.
     client_index_add(key);
@@ -146,11 +148,10 @@ void FlowMemory::client_index_remove(Key64 key) {
     if (pos == keys.end()) return;
     *pos = keys.back();
     keys.pop_back();
-    if (keys.empty()) client_keys_.erase(it);
 }
 
 void FlowMemory::erase_entry(std::size_t index) {
-    bump_counters(pool_[index].rec, -1);
+    bump_counters(pool_[index].rec.target, -1);
     client_index_remove(pool_[index].key);
     tag_at(pool_[index].slot) = kTombstoneTag;
     ++tombstones_;
@@ -165,47 +166,56 @@ void FlowMemory::erase_entry(std::size_t index) {
     pool_.pop_back();
 }
 
-void FlowMemory::bump_counters(const FlowRec& rec, std::int64_t delta) {
-    if (delta > 0) {
-        ++pair_counts_[pack_pair(rec.service, rec.cluster)];
-        ++service_counts_[rec.service];
-    } else {
-        auto pair_it = pair_counts_.find(pack_pair(rec.service, rec.cluster));
-        if (pair_it != pair_counts_.end() && --pair_it->second == 0) {
-            // Keep zero entries out of the map so its size stays bounded by
-            // the number of *live* (service, cluster) combinations.
-            pair_counts_.erase(pair_it);
-        }
-        auto svc_it = service_counts_.find(rec.service);
-        if (svc_it != service_counts_.end() && --svc_it->second == 0) {
-            service_counts_.erase(svc_it);
-        }
+void FlowMemory::bump_counters(const FlowTarget& target, std::int64_t delta) {
+    if (target.service >= service_counts_.size()) {
+        service_counts_.resize(std::size_t{target.service} + 1, 0);
     }
+    std::size_t& pair = pair_counts_[pack_pair(target.service, target.cluster)];
+    std::size_t& service = service_counts_[target.service];
+    if (delta > 0) {
+        ++pair;
+        ++service;
+    } else {
+        if (pair > 0) --pair;
+        if (service > 0) --service;
+    }
+}
+
+std::size_t FlowMemory::pair_count(Key64 pair) const {
+    const auto it = pair_counts_.find(pair);
+    return it == pair_counts_.end() ? 0 : it->second;
 }
 
 MemorizedFlow FlowMemory::materialize(Key64 key, const FlowRec& rec) const {
     MemorizedFlow flow;
     flow.client_ip = net::Ipv4{static_cast<std::uint32_t>(key >> 32)};
     flow.service_address = addresses_[static_cast<std::uint32_t>(key)];
-    flow.service_name = symbols_.name(rec.service);
-    flow.instance_node = rec.instance_node;
-    flow.instance_port = rec.instance_port;
-    flow.cluster = symbols_.name(rec.cluster);
+    flow.service_name = symbols_.name(rec.target.service);
+    flow.instance_node = rec.target.instance_node;
+    flow.instance_port = rec.target.instance_port;
+    flow.cluster = symbols_.name(rec.target.cluster);
     flow.created = rec.created;
     flow.last_used = rec.last_used;
     return flow;
 }
 
-void FlowMemory::memorize(const MemorizedFlow& flow) {
+void FlowMemory::memorize(net::Ipv4 client_ip, std::uint32_t address_id,
+                          const FlowTarget& target, sim::SimTime created) {
+    if (address_id >= addresses_.size() || target.service >= symbols_.size() ||
+        target.cluster >= symbols_.size()) {
+        throw std::invalid_argument("FlowMemory::memorize: id not issued by this memory");
+    }
     FlowRec rec;
-    rec.service = symbols_.intern(flow.service_name);
-    rec.cluster = symbols_.intern(flow.cluster);
-    rec.instance_node = flow.instance_node;
-    rec.instance_port = flow.instance_port;
-    rec.created = flow.created == sim::SimTime::zero() ? sim_.now() : flow.created;
+    rec.target = target;
+    rec.created = created == sim::SimTime::zero() ? sim_.now() : created;
     rec.last_used = sim_.now();
-    insert(pack_key(flow.client_ip.value(), intern_address(flow.service_address)),
-           rec);
+    insert(pack_key(client_ip.value(), address_id), rec);
+}
+
+void FlowMemory::memorize(const MemorizedFlow& flow) {
+    const FlowTarget target{intern(flow.service_name), intern(flow.cluster),
+                            flow.instance_node, flow.instance_port};
+    memorize(flow.client_ip, address_id(flow.service_address), target, flow.created);
 }
 
 void FlowMemory::prefetch(net::Ipv4 client_ip,
@@ -220,21 +230,26 @@ void FlowMemory::prefetch(net::Ipv4 client_ip,
 #endif
 }
 
-std::optional<MemorizedFlow>
+std::optional<FlowTarget>
 FlowMemory::recall(net::Ipv4 client_ip, const net::ServiceAddress& service) {
     const auto address_id = find_address(service);
     if (!address_id) {
         ++misses_;
         return std::nullopt;
     }
-    const Key64 key = pack_key(client_ip.value(), *address_id);
-    // probe(), not find_slot(): on a miss it lands on the insertion slot,
-    // which feeds the one-entry pending cache consumed by insert().
+    return recall(client_ip, *address_id);
+}
+
+std::optional<FlowTarget> FlowMemory::recall(net::Ipv4 client_ip,
+                                             std::uint32_t address_id) {
+    const Key64 key = pack_key(client_ip.value(), address_id);
+    // probe(), not find_slot(): on a miss it lands on the insertion slot.
+    // Either slot feeds the one-entry pending cache consumed by insert().
     const std::size_t slot = probe(key);
+    pending_key_ = key;
+    pending_slot_ = slot;
     const std::uint8_t t = tag_at(slot);
     if (t == kEmptyTag || t == kTombstoneTag) {
-        pending_key_ = key;
-        pending_slot_ = slot;
         ++misses_;
         return std::nullopt;
     }
@@ -250,7 +265,7 @@ FlowMemory::recall(net::Ipv4 client_ip, const net::ServiceAddress& service) {
     }
     entry.rec.last_used = sim_.now();
     ++hits_;
-    return materialize(entry.key, entry.rec);
+    return entry.rec.target;
 }
 
 const MemorizedFlow*
@@ -266,11 +281,14 @@ FlowMemory::peek(net::Ipv4 client_ip, const net::ServiceAddress& service) const 
 
 std::size_t FlowMemory::forget_service(std::string_view service_name) {
     const auto service = symbols_.find(service_name);
-    if (!service) return 0;
+    return service ? forget_service(*service) : 0;
+}
+
+std::size_t FlowMemory::forget_service(sim::SymbolId service) {
     std::size_t removed = 0;
     std::size_t index = 0;
     while (index < pool_.size()) {
-        if (pool_[index].rec.service == *service) {
+        if (pool_[index].rec.target.service == service) {
             erase_entry(index); // swap-remove: re-examine the same index
             ++removed;
         } else {
@@ -326,13 +344,13 @@ bool FlowMemory::forget_flow(net::Ipv4 client_ip,
     const std::size_t slot = find_slot(pack_key(client_ip.value(), *address_id));
     if (slot == kNpos) return false;
     const std::size_t index = index_at(slot);
-    const Key64 pair =
-        pack_pair(pool_[index].rec.service, pool_[index].rec.cluster);
+    const FlowTarget& target = pool_[index].rec.target;
+    const Key64 pair = pack_pair(target.service, target.cluster);
     erase_entry(index);
     // Not routed through finish_expiry(): this flow was *removed*, not
     // expired, so the expiry counter must not move -- but the old instance
     // may still have just lost its last user.
-    if (notify_if_idle && idle_cb_ && !pair_counts_.contains(pair)) {
+    if (notify_if_idle && idle_cb_ && pair_count(pair) == 0) {
         if (auto* m = sim_.metrics()) {
             m->counter("sdn.flow_memory.idle_notifications").inc();
         }
@@ -344,9 +362,8 @@ bool FlowMemory::forget_flow(net::Ipv4 client_ip,
 
 std::size_t FlowMemory::flows_for_service(std::string_view service_name) const {
     const auto service = symbols_.find(service_name);
-    if (!service) return 0;
-    const auto it = service_counts_.find(*service);
-    return it == service_counts_.end() ? 0 : it->second;
+    if (!service || *service >= service_counts_.size()) return 0;
+    return service_counts_[*service];
 }
 
 std::size_t FlowMemory::flows_for_service(std::string_view service_name,
@@ -354,8 +371,7 @@ std::size_t FlowMemory::flows_for_service(std::string_view service_name,
     const auto service = symbols_.find(service_name);
     const auto cluster_id = symbols_.find(cluster);
     if (!service || !cluster_id) return 0;
-    const auto it = pair_counts_.find(pack_pair(*service, *cluster_id));
-    return it == pair_counts_.end() ? 0 : it->second;
+    return pair_count(pack_pair(*service, *cluster_id));
 }
 
 std::uint64_t FlowMemory::bucket_for(sim::SimTime deadline) const {
@@ -409,7 +425,7 @@ void FlowMemory::fire_bucket(std::uint64_t bucket) {
         FlowRec& rec = pool_[index].rec;
         if (rec.expiry_bucket != bucket) continue; // re-filed, or key reused
         if (now - rec.last_used >= config_.idle_timeout) {
-            const Key64 pair = pack_pair(rec.service, rec.cluster);
+            const Key64 pair = pack_pair(rec.target.service, rec.target.cluster);
             if (idle_cb_ && seen.emplace(pair, true).second) {
                 expired_pairs.push_back(pair);
             }
@@ -437,7 +453,7 @@ std::size_t FlowMemory::expire() {
     while (index < pool_.size()) {
         const FlowRec& rec = pool_[index].rec;
         if (now - rec.last_used >= config_.idle_timeout) {
-            const Key64 pair = pack_pair(rec.service, rec.cluster);
+            const Key64 pair = pack_pair(rec.target.service, rec.target.cluster);
             if (idle_cb_ && seen.emplace(pair, true).second) {
                 expired_pairs.push_back(pair);
             }
@@ -460,7 +476,7 @@ void FlowMemory::finish_expiry(const std::vector<Key64>& expired_pairs,
         // cluster A, or A's instance would never be torn down. The counter
         // makes this check O(1) per expired pair.
         for (const Key64 pair : expired_pairs) {
-            if (pair_counts_.contains(pair)) continue; // still has live flows
+            if (pair_count(pair) != 0) continue; // still has live flows
             if (auto* m = sim_.metrics()) {
                 m->counter("sdn.flow_memory.idle_notifications").inc();
             }

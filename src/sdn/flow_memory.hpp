@@ -25,6 +25,13 @@
 // maintained on every insert/erase, making flows_for_service() and the idle
 // check O(1) instead of an O(n) scan over all memorized flows.
 //
+// The packet-in path speaks ids only: the dispatcher resolves a service's
+// name and address to this memory's ids once (address_id(), intern()),
+// recall() answers a trivially copyable FlowTarget, and memorize() takes
+// one, so no name is built, hashed or compared per packet-in. MemorizedFlow
+// is the named view for cold callers; its memorize() is a wrapper over the
+// id form.
+//
 // Expiry is batched into deadline buckets instead of a periodic full-pool
 // scan. Time is quantized into scan_period-wide buckets; a flow whose idle
 // deadline (last_used + idle_timeout) rounds up into bucket b is filed under
@@ -44,6 +51,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -53,6 +61,16 @@
 #include "simcore/symbol_table.hpp"
 
 namespace tedge::sdn {
+
+/// Where a memorized flow goes, by id: its service, and the cluster instance
+/// serving it. The ids belong to one FlowMemory's symbol table.
+struct FlowTarget {
+    sim::SymbolId service = sim::kInvalidSymbol;
+    sim::SymbolId cluster = sim::kInvalidSymbol;
+    net::NodeId instance_node;
+    std::uint16_t instance_port = 0;
+};
+static_assert(std::is_trivially_copyable_v<FlowTarget>);
 
 /// The caller-facing view of one memorized flow. Materialized on demand from
 /// the packed internal record; the strings are the interned spellings.
@@ -85,11 +103,25 @@ public:
     FlowMemory(sim::Simulation& sim, Config config);
     ~FlowMemory();
 
-    /// Record (or refresh) a flow.
+    /// The id of a service or cluster name, interned on first use.
+    [[nodiscard]] sim::SymbolId intern(std::string_view name) {
+        return symbols_.intern(name);
+    }
+    /// The id of a service address, interned on first use.
+    [[nodiscard]] std::uint32_t address_id(const net::ServiceAddress& address);
+
+    /// Record (or refresh) a flow of `client_ip` to the service address
+    /// `address_id`. A zero `created` stamps the flow as created now.
+    void memorize(net::Ipv4 client_ip, std::uint32_t address_id,
+                  const FlowTarget& target, sim::SimTime created = sim::SimTime::zero());
+    /// Record (or refresh) a flow given by name.
     void memorize(const MemorizedFlow& flow);
 
     /// Look up a live flow and touch its idle timer.
-    [[nodiscard]] std::optional<MemorizedFlow>
+    [[nodiscard]] std::optional<FlowTarget> recall(net::Ipv4 client_ip,
+                                                   std::uint32_t address_id);
+    /// The same, by address: an address never memorized is a miss.
+    [[nodiscard]] std::optional<FlowTarget>
     recall(net::Ipv4 client_ip, const net::ServiceAddress& service);
 
     /// Warm the probe line for an upcoming recall()/memorize() of this flow.
@@ -107,6 +139,7 @@ public:
     peek(net::Ipv4 client_ip, const net::ServiceAddress& service) const;
 
     /// Drop all flows towards a service instance (e.g. after scale-down).
+    std::size_t forget_service(sim::SymbolId service);
     std::size_t forget_service(std::string_view service_name);
 
     // -------------------------------------------------- client-scoped state
@@ -163,10 +196,7 @@ public:
 private:
     /// Packed per-flow record; client ip and service address live in the key.
     struct FlowRec {
-        sim::SymbolId service = sim::kInvalidSymbol;
-        sim::SymbolId cluster = sim::kInvalidSymbol;
-        net::NodeId instance_node;
-        std::uint16_t instance_port = 0;
+        FlowTarget target;
         sim::SimTime created;
         sim::SimTime last_used;
         /// Expiry bucket this flow is currently filed under (0 = unfiled).
@@ -203,7 +233,6 @@ private:
     };
     static_assert(sizeof(Entry) == 56, "pool entry grew: re-check the layout");
 
-    [[nodiscard]] std::uint32_t intern_address(const net::ServiceAddress& address);
     [[nodiscard]] std::optional<std::uint32_t>
     find_address(const net::ServiceAddress& address) const;
 
@@ -216,7 +245,9 @@ private:
     void client_index_add(Key64 key);
     void client_index_remove(Key64 key);
 
-    void bump_counters(const FlowRec& rec, std::int64_t delta);
+    void bump_counters(const FlowTarget& target, std::int64_t delta);
+    /// Live flows of a (service, cluster) pair packed by pack_pair().
+    [[nodiscard]] std::size_t pair_count(Key64 pair) const;
     [[nodiscard]] MemorizedFlow materialize(Key64 key, const FlowRec& rec) const;
 
     /// Quantized expiry bucket whose firing instant (bucket * scan_period)
@@ -291,10 +322,11 @@ private:
     std::vector<Entry> pool_;
     std::size_t tombstones_ = 0;
 
-    // One-entry miss cache: the packet-in hot path is recall() miss followed
+    // One-entry probe cache: the packet-in hot path is recall() followed
     // immediately by memorize() of the same key, so recall() remembers the
-    // insertion slot its probe already found and insert() reuses it instead
-    // of walking the chain again. Invalidated by every probe-array mutation.
+    // slot its probe already found -- the key's, or the insertion slot on a
+    // miss -- and insert() reuses it instead of walking the chain again.
+    // Invalidated by every probe-array mutation.
     Key64 pending_key_ = 0;
     std::size_t pending_slot_ = kNpos;
 
@@ -305,13 +337,14 @@ private:
     std::vector<net::ServiceAddress> addresses_;
 
     // Live-flow counters maintained on every insert/erase; the O(1) answers
-    // behind flows_for_service() and expire()'s idle detection.
+    // behind flows_for_service() and expire()'s idle detection. A count
+    // that drops to zero keeps its entry, so a pair, service or client whose
+    // flows come back allocates nothing.
     std::unordered_map<Key64, std::size_t> pair_counts_;
-    std::unordered_map<sim::SymbolId, std::size_t> service_counts_;
+    std::vector<std::size_t> service_counts_;  ///< by service SymbolId
 
     /// Per-client live keys (track_clients only): client ip value -> keys.
-    /// Entries are swap-removed; the map drops a client when its last flow
-    /// goes.
+    /// Entries are swap-removed.
     std::unordered_map<std::uint32_t, std::vector<Key64>> client_keys_;
 
     /// Flow keys awaiting expiry, grouped by quantized deadline, in filing

@@ -3,34 +3,22 @@
 #include <algorithm>
 
 namespace tedge::sdn {
-namespace {
-
-/// States sorted by client->cluster latency (ascending); unreachable
-/// clusters are dropped.
-std::vector<const ScheduleContext::ClusterState*>
-sorted_by_latency(const ScheduleContext& ctx) {
-    std::vector<std::pair<sim::SimTime, const ScheduleContext::ClusterState*>> scored;
-    for (const auto& state : ctx.states) {
-        const auto path = ctx.topo->path(ctx.client, state.cluster->location());
-        if (!path) continue;
-        scored.emplace_back(path->latency, &state);
-    }
-    std::stable_sort(scored.begin(), scored.end(),
-                     [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::vector<const ScheduleContext::ClusterState*> out;
-    out.reserve(scored.size());
-    for (const auto& [latency, state] : scored) out.push_back(state);
-    return out;
-}
-
-} // namespace
 
 ScheduleResult ProximityScheduler::decide(const ScheduleContext& ctx) {
     ScheduleResult result;
-    const auto ordered = sorted_by_latency(ctx);
-    if (ordered.empty()) return result; // no reachable edge -> cloud
+    // States by client->cluster latency (ascending); unreachable clusters
+    // are dropped. Equal latencies keep context order, as a stable sort
+    // would: the states are one array, so their addresses are that order.
+    by_latency_.clear();
+    for (const auto& state : ctx.states) {
+        const auto path = ctx.topo->path(ctx.client, state.cluster->location());
+        if (!path) continue;
+        by_latency_.emplace_back(path->latency, &state);
+    }
+    std::sort(by_latency_.begin(), by_latency_.end());
+    if (by_latency_.empty()) return result; // no reachable edge -> cloud
 
-    const auto* optimal = ordered.front();
+    const auto* optimal = by_latency_.front().second;
 
     // Instance already running (or starting) in the optimal edge: FAST=BEST.
     if (const auto ready = optimal->first_ready()) {
@@ -51,7 +39,7 @@ ScheduleResult ProximityScheduler::decide(const ScheduleContext& ctx) {
 
     // Without waiting: serve the request from the nearest ready instance
     // (or the cloud) while deploying in the optimal edge in parallel.
-    for (const auto* state : ordered) {
+    for (const auto& [latency, state] : by_latency_) {
         if (const auto ready = state->first_ready()) {
             result.fast = Choice{state->cluster, ready};
             break;

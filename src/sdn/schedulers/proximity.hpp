@@ -9,6 +9,9 @@
 //    BEST is deployed to in parallel.
 #pragma once
 
+#include <utility>
+#include <vector>
+
 #include "sdn/scheduler.hpp"
 
 namespace tedge::sdn {
@@ -26,6 +29,9 @@ public:
 private:
     bool wait_;
     std::string name_ = kProximityScheduler;
+    /// Reachable states by client->cluster latency, rebuilt by each decide()
+    /// in place, so a warm decision allocates nothing.
+    std::vector<std::pair<sim::SimTime, const ScheduleContext::ClusterState*>> by_latency_;
 };
 
 } // namespace tedge::sdn

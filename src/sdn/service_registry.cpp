@@ -4,15 +4,17 @@ namespace tedge::sdn {
 
 const AnnotatedService& ServiceRegistry::store(const net::ServiceAddress& address,
                                                AnnotatedService service) {
-    auto& slot = services_[address];
-    if (!slot.spec.name.empty() && slot.spec.name != service.spec.name) {
+    Entry& entry = services_[address];
+    const std::string& old_name = entry.service.spec.name;
+    if (!old_name.empty() && old_name != service.spec.name) {
         // Re-registration under a new name: drop the old index entry.
-        const auto it = by_name_.find(slot.spec.name);
+        const auto it = by_name_.find(old_name);
         if (it != by_name_.end() && it->second == address) by_name_.erase(it);
     }
-    slot = std::move(service);
-    by_name_[slot.spec.name] = address;
-    return slot;
+    entry.service = std::move(service);
+    entry.flow_keys = {};
+    by_name_[entry.service.spec.name] = address;
+    return entry.service;
 }
 
 void ServiceRegistry::register_service(const net::ServiceAddress& address,
@@ -30,6 +32,11 @@ ServiceRegistry::register_yaml(const net::ServiceAddress& address,
 const AnnotatedService*
 ServiceRegistry::lookup(const net::ServiceAddress& address) const {
     const auto it = services_.find(address);
+    return it == services_.end() ? nullptr : &it->second.service;
+}
+
+ServiceRegistry::Entry* ServiceRegistry::find(const net::ServiceAddress& address) {
+    const auto it = services_.find(address);
     return it == services_.end() ? nullptr : &it->second;
 }
 
@@ -46,7 +53,7 @@ bool ServiceRegistry::contains(const net::ServiceAddress& address) const {
 bool ServiceRegistry::unregister(const net::ServiceAddress& address) {
     const auto it = services_.find(address);
     if (it == services_.end()) return false;
-    const auto name_it = by_name_.find(it->second.spec.name);
+    const auto name_it = by_name_.find(it->second.service.spec.name);
     if (name_it != by_name_.end() && name_it->second == address) {
         by_name_.erase(name_it);
     }

@@ -4,6 +4,7 @@
 // addresses at the network ingress.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -16,8 +17,27 @@
 
 namespace tedge::sdn {
 
+class FlowMemory;
+
+/// The ids a packet-in keys a registered service by, resolved against one
+/// FlowMemory by the Dispatcher at the service's first packet-in.
+struct ServiceFlowKeys {
+    const FlowMemory* memory = nullptr;  ///< whose ids these are; null until resolved
+    sim::SymbolId service = sim::kInvalidSymbol;  ///< the service's name
+    std::uint32_t address = 0;                    ///< the registered address
+    std::uint64_t cookie = 0;                     ///< cookie of its steering entries
+};
+
 class ServiceRegistry {
 public:
+    /// A registered service and its packet-in keys. Registering anything at
+    /// the address resets the keys, so they never outlive the name they were
+    /// resolved from.
+    struct Entry {
+        AnnotatedService service;
+        ServiceFlowKeys flow_keys;
+    };
+
     /// Register (or replace) a service under its cloud address.
     void register_service(const net::ServiceAddress& address,
                           AnnotatedService service);
@@ -28,6 +48,8 @@ public:
                                           const Annotator& annotator);
 
     [[nodiscard]] const AnnotatedService* lookup(const net::ServiceAddress& address) const;
+    /// The entry registered at `address`, keys included, or null.
+    [[nodiscard]] Entry* find(const net::ServiceAddress& address);
 
     /// O(1) through the maintained name index; accepts string_view so hot
     /// callers do not build a temporary std::string.
@@ -42,7 +64,7 @@ private:
     const AnnotatedService& store(const net::ServiceAddress& address,
                                   AnnotatedService service);
 
-    std::unordered_map<net::ServiceAddress, AnnotatedService> services_;
+    std::unordered_map<net::ServiceAddress, Entry> services_;
     /// Annotated names are worldwide-unique, so name -> address is a
     /// bijection onto the registered services (heterogeneous lookup).
     std::unordered_map<std::string, net::ServiceAddress, sim::StringHash,

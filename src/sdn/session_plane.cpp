@@ -85,9 +85,8 @@ void SessionPlane::observe_packet(net::Ipv4 ip, net::NodeId ingress_node) {
     ++s->epoch;
 }
 
-void SessionPlane::note_served_by(net::Ipv4 ip, const std::string& cluster) {
-    UeSession* s = find(ip);
-    if (s != nullptr && s->serving_cluster != cluster) s->serving_cluster = cluster;
+void SessionPlane::note_served_by(net::Ipv4 ip, sim::InternedName cluster) {
+    if (UeSession* s = find(ip)) s->serving_cluster = cluster;
 }
 
 const UeSession* SessionPlane::by_ip(net::Ipv4 ip) const {

@@ -31,6 +31,7 @@
 #include "net/ovs_switch.hpp"
 #include "net/tcp.hpp"
 #include "simcore/simulation.hpp"
+#include "simcore/symbol_table.hpp"
 
 namespace tedge::sdn {
 
@@ -42,7 +43,9 @@ struct UeSession {
     net::Ipv4 ip;
     net::NodeId ingress;             ///< current attachment point (gNB node)
     net::OvsSwitch* ingress_switch = nullptr;
-    std::string serving_cluster;     ///< last cluster a flow was installed toward
+    /// Last cluster a flow was installed toward, as interned by the
+    /// dispatcher's FlowMemory (str() reads it while that memory lives).
+    sim::InternedName serving_cluster;
     std::uint64_t epoch = 0;         ///< bumped on every re-home
     sim::SimTime attached_at;        ///< when the current attachment began
     std::uint32_t handovers = 0;
@@ -88,7 +91,7 @@ public:
     void observe_packet(net::Ipv4 ip, net::NodeId ingress_node);
 
     /// Record the cluster whose instance a flow was just installed toward.
-    void note_served_by(net::Ipv4 ip, const std::string& cluster);
+    void note_served_by(net::Ipv4 ip, sim::InternedName cluster);
 
     [[nodiscard]] const UeSession* by_ip(net::Ipv4 ip) const;
     [[nodiscard]] const UeSession* by_node(net::NodeId ue) const;

@@ -145,17 +145,15 @@ void FaasCluster::delete_image(const orchestrator::ServiceSpec& spec) {
     store_.gc();
 }
 
-std::vector<orchestrator::InstanceInfo>
-FaasCluster::instances(const std::string& name) const {
-    std::vector<orchestrator::InstanceInfo> out;
+void FaasCluster::append_instances(const std::string& name,
+                                   std::vector<orchestrator::InstanceInfo>& out) const {
     const auto it = gateway_ports_.find(name);
-    if (it == gateway_ports_.end() || !runtime_.deployed(name)) return out;
+    if (it == gateway_ports_.end() || !runtime_.deployed(name)) return;
     orchestrator::InstanceInfo info;
     info.node = node_;
     info.port = it->second;
     info.ready = topo_.port_open(node_, it->second);
     out.push_back(info);
-    return out;
 }
 
 std::size_t FaasCluster::total_instances() const {

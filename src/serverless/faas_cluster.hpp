@@ -50,8 +50,8 @@ public:
     void scale_down(const std::string& name, BoolCallback done) override;
     void remove_service(const std::string& name, BoolCallback done) override;
     void delete_image(const orchestrator::ServiceSpec& spec) override;
-    [[nodiscard]] std::vector<orchestrator::InstanceInfo>
-    instances(const std::string& name) const override;
+    void append_instances(const std::string& name,
+                          std::vector<orchestrator::InstanceInfo>& out) const override;
     [[nodiscard]] std::size_t total_instances() const override;
     [[nodiscard]] orchestrator::ClusterUtilization utilization() const override;
     [[nodiscard]] orchestrator::AdmissionReason

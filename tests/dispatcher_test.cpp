@@ -182,6 +182,36 @@ TEST_F(DispatcherFixture, OnBestReadyEvictsFlowsByCookie) {
     EXPECT_EQ(platform.controller().flow_memory().size(), 0u);
 }
 
+TEST_F(DispatcherFixture, ReRegistrationRefreshesTheServiceKeys) {
+    // The first packet-in resolves the service's keys (FlowMemory ids, flow
+    // cookie) and caches them in its registry entry. A different service
+    // registered at the same address must not inherit them.
+    ControllerConfig config;
+    config.flow_memory.idle_timeout = seconds(300);
+    config.scale_down_idle = false;
+    start(config);
+    request_and_wait(client, address);
+
+    AnnotatedService renamed = *platform.service_registry().lookup(address);
+    renamed.spec.name = "renamed-web";
+    platform.service_registry().register_service(address, renamed);
+    platform.ingress().table().clear();
+
+    // Answered from FlowMemory (the address's instance still serves), and
+    // installed under the new name's cookie ...
+    ASSERT_TRUE(request_and_wait(client, address).ok);
+    EXPECT_EQ(platform.controller().dispatcher().stats().memory_hits, 1u);
+    ASSERT_EQ(platform.ingress().table().size(), 1u);
+    EXPECT_EQ(platform.controller().flow_memory().flows_for_service("renamed-web"), 1u);
+
+    // ... so the new service's BEST-ready eviction removes it.
+    platform.controller().dispatcher().on_best_ready(
+        platform.service_registry().lookup(address)->spec);
+    platform.simulation().run_until(platform.simulation().now() + seconds(1));
+    EXPECT_EQ(platform.ingress().table().size(), 0u);
+    EXPECT_EQ(platform.controller().flow_memory().size(), 0u);
+}
+
 TEST_F(DispatcherFixture, ConcurrentFirstRequestsShareOneDeployment) {
     start();
     int done = 0;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -39,7 +41,7 @@ TEST_F(FlowMemoryFixture, RecallReturnsMemorizedFlow) {
     const auto recalled =
         memory.recall(net::Ipv4{10, 0, 1, 1}, {net::Ipv4{203, 0, 113, 1}, 80});
     ASSERT_TRUE(recalled);
-    EXPECT_EQ(recalled->service_name, "svc");
+    EXPECT_EQ(memory.symbols().name(recalled->service), "svc");
     EXPECT_EQ(recalled->instance_port, 8080);
     EXPECT_EQ(memory.hits(), 1u);
 }
@@ -281,6 +283,107 @@ TEST(FlowMemoryPropertyTest, CountersAgreeWithBruteForceRecount) {
         if (step % 100 == 0) recount();
     }
     recount();
+}
+
+TEST(FlowMemoryPropertyTest, IdPathMatchesNamedPath) {
+    // The packet-in path memorizes and recalls by id; cold callers go through
+    // MemorizedFlow. Under one randomized operation sequence both must leave
+    // the same flows, in the same order, and fire the same idle callbacks.
+    sim::Simulation simulation;
+    const FlowMemory::Config config{.idle_timeout = sim::seconds(30),
+                                    .scan_period = sim::seconds(7),
+                                    .track_clients = true};
+    FlowMemory named(simulation, config);
+    FlowMemory by_id(simulation, config);
+    using Idle = std::vector<std::pair<std::string, std::string>>;
+    Idle named_idle;
+    Idle by_id_idle;
+    named.set_idle_service_callback([&](const std::string& s, const std::string& c) {
+        named_idle.emplace_back(s, c);
+    });
+    by_id.set_idle_service_callback([&](const std::string& s, const std::string& c) {
+        by_id_idle.emplace_back(s, c);
+    });
+    sim::Rng rng(7);
+
+    const std::vector<std::string> services = {"alpha", "beta", "gamma"};
+    const std::vector<std::string> clusters = {"edge", "k8s"};
+    const auto random_flow = [&] {
+        MemorizedFlow flow;
+        flow.client_ip = net::Ipv4{static_cast<std::uint32_t>(rng.uniform_int(1, 30))};
+        flow.service_address = {
+            net::Ipv4{static_cast<std::uint32_t>(rng.uniform_int(1, 12))}, 80};
+        flow.service_name = services[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+        flow.cluster = clusters[static_cast<std::size_t>(rng.uniform_int(0, 1))];
+        flow.instance_node = net::NodeId{static_cast<std::uint32_t>(rng.uniform_int(1, 3))};
+        flow.instance_port = static_cast<std::uint16_t>(rng.uniform_int(8000, 8003));
+        // Now and then an adopted flow that keeps its creation time.
+        if (rng.uniform_int(0, 9) == 0) flow.created = sim::SimTime{simulation.now().ns() / 2 + 1};
+        return flow;
+    };
+    const auto view = [](const MemorizedFlow& f) {
+        return std::make_tuple(f.client_ip.value(), f.service_address.ip.value(),
+                               f.service_address.port, f.service_name,
+                               f.instance_node.value, f.instance_port, f.cluster,
+                               f.created.ns(), f.last_used.ns());
+    };
+    using View = decltype(view(MemorizedFlow{}));
+    const auto all = [&](const FlowMemory& memory) {
+        std::vector<View> out;
+        memory.for_each([&](const MemorizedFlow& f) { out.push_back(view(f)); });
+        return out;
+    };
+    const auto of_client = [&](const FlowMemory& memory, std::uint32_t client) {
+        std::vector<View> out;
+        for (const auto& f : memory.flows_of_client(net::Ipv4{client})) {
+            out.push_back(view(f));
+        }
+        return out;
+    };
+    const auto compare = [&] {
+        ASSERT_EQ(all(named), all(by_id));
+        for (std::uint32_t client = 1; client <= 30; ++client) {
+            ASSERT_EQ(of_client(named, client), of_client(by_id, client)) << client;
+        }
+        ASSERT_EQ(named_idle, by_id_idle);
+        ASSERT_EQ(named.hits(), by_id.hits());
+        ASSERT_EQ(named.misses(), by_id.misses());
+    };
+
+    for (int step = 0; step < 4000; ++step) {
+        const auto op = rng.uniform_int(0, 11);
+        const MemorizedFlow flow = random_flow();
+        if (op < 6) {
+            named.memorize(flow);
+            const FlowTarget target{by_id.intern(flow.service_name),
+                                    by_id.intern(flow.cluster), flow.instance_node,
+                                    flow.instance_port};
+            by_id.memorize(flow.client_ip, by_id.address_id(flow.service_address),
+                           target, flow.created);
+        } else if (op < 9) {
+            const auto a = named.recall(flow.client_ip, flow.service_address);
+            const auto b = by_id.recall(flow.client_ip,
+                                        by_id.address_id(flow.service_address));
+            ASSERT_EQ(a.has_value(), b.has_value());
+            if (a) {
+                EXPECT_EQ(named.symbols().name(a->service), by_id.symbols().name(b->service));
+                EXPECT_EQ(named.symbols().name(a->cluster), by_id.symbols().name(b->cluster));
+                EXPECT_EQ(a->instance_node, b->instance_node);
+                EXPECT_EQ(a->instance_port, b->instance_port);
+            }
+        } else if (op == 9) {
+            EXPECT_EQ(named.forget_service(flow.service_name),
+                      by_id.forget_service(by_id.intern(flow.service_name)));
+        } else if (op == 10) {
+            EXPECT_EQ(named.forget_flow(flow.client_ip, flow.service_address, true),
+                      by_id.forget_flow(flow.client_ip, flow.service_address, true));
+        } else {
+            simulation.run_until(simulation.now() + sim::seconds(rng.uniform_int(1, 20)));
+        }
+        if (step % 50 == 0) compare();
+    }
+    compare();
+    EXPECT_FALSE(named_idle.empty());
 }
 
 } // namespace

@@ -1,9 +1,11 @@
 // Heap allocations on the warm request path: TraceRunner -> HttpClient ->
-// TcpNet -> OvsSwitch flow-table hit -> Docker endpoint -> response, with a
-// MetricsRegistry attached. Each layer keeps its per-request state in a slot
-// pool and its events capture only (owner, slot), so once the pools are warm
-// a request allocates nothing; what a replay allocates at all is per-replay
-// set-up (its client, tag list and record reserve).
+// TcpNet -> OvsSwitch -> Docker endpoint -> response, with a MetricsRegistry
+// attached. Each layer keeps its per-request state in a slot pool and its
+// events capture only (owner, slot), so once the pools are warm a request
+// allocates nothing; what a replay allocates at all is per-replay set-up
+// (its client, tag list and record reserve). That holds on the switch's
+// flow-table hit and on the packet-in path behind a miss: the dispatcher,
+// FlowMemory, the scheduler and the flow install.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,14 +18,15 @@
 namespace tedge {
 namespace {
 
+constexpr std::size_t kRequests = 12'000;
+
 struct WarmDockerService : ::testing::Test {
-    void SetUp() override {
+    /// Build the testbed with these idle timeouts and deploy the service.
+    void start(sim::SimTime switch_idle, sim::SimTime memory_idle) {
         testbed::C3Options options;
         options.with_k8s = false;
-        // Long idle timeouts: every request after a client's first one is a
-        // switch-table hit, and nothing scales down mid-replay.
-        options.controller.dispatcher.switch_idle_timeout = sim::seconds(3600);
-        options.controller.flow_memory.idle_timeout = sim::seconds(3600);
+        options.controller.dispatcher.switch_idle_timeout = switch_idle;
+        options.controller.flow_memory.idle_timeout = memory_idle;
         tb = testbed::build_c3(options);
         auto& platform = tb->platform;
         platform.simulation().set_metrics(&registry);
@@ -40,7 +43,8 @@ struct WarmDockerService : ::testing::Test {
         ASSERT_TRUE(ready);
     }
 
-    /// `requests` arrivals 1 ms apart, cycling over the clients.
+    /// `requests` arrivals 1 ms apart, cycling over the 20 clients: a client
+    /// comes back every 20 ms.
     [[nodiscard]] workload::Trace make_trace(std::size_t requests) const {
         workload::Trace trace;
         for (std::size_t i = 0; i < requests; ++i) {
@@ -61,6 +65,31 @@ struct WarmDockerService : ::testing::Test {
         return runner.replay(trace, options).failures();
     }
 
+    /// Warm-up: every path the replay takes runs, and the slot pools and
+    /// tables reach their working size.
+    void warm_up() { EXPECT_EQ(replay(make_trace(2'000)), 0u); }
+
+    /// Replay kRequests requests; returns their allocations per request.
+    double allocations_per_request(const char* what) {
+        const workload::Trace trace = make_trace(kRequests);
+        const std::uint64_t before = testkit::allocations();
+        const std::size_t failed = replay(trace);
+        const std::uint64_t allocations = testkit::allocations() - before;
+        EXPECT_EQ(failed, 0u);
+        const double per_request =
+            static_cast<double>(allocations) / static_cast<double>(kRequests);
+        std::printf("allocations per %s: %.4f (%llu over %zu)\n", what, per_request,
+                    static_cast<unsigned long long>(allocations), kRequests);
+        return per_request;
+    }
+
+    [[nodiscard]] std::uint64_t packet_ins() const {
+        return tb->platform.ingress().packet_in_count();
+    }
+    [[nodiscard]] const sdn::FlowMemory& memory() {
+        return tb->platform.controller().flow_memory();
+    }
+
     // Declared before the testbed so it outlives every component holding
     // the simulation's pointer to it.
     sim::MetricsRegistry registry;
@@ -70,24 +99,38 @@ struct WarmDockerService : ::testing::Test {
 };
 
 TEST_F(WarmDockerService, WarmRequestsDoNotAllocate) {
-    // Warm-up: every client's first request takes the packet-in path and
-    // installs its switch entry; the slot pools reach their working size.
-    ASSERT_EQ(replay(make_trace(2'000)), 0u);
-
-    constexpr std::size_t kRequests = 12'000;
-    const workload::Trace trace = make_trace(kRequests);
-    const std::uint64_t before = testkit::allocations();
-    const std::size_t failed = replay(trace);
-    const std::uint64_t allocations = testkit::allocations() - before;
-    ASSERT_EQ(failed, 0u);
-
-    const double per_request =
-        static_cast<double>(allocations) / static_cast<double>(kRequests);
-    std::printf("allocations per warm request: %.4f (%llu over %zu)\n", per_request,
-                static_cast<unsigned long long>(allocations), kRequests);
-    EXPECT_LE(per_request, 3.0);
+    // Long idle timeouts: every request after a client's first one is a
+    // switch-table hit, and nothing scales down mid-replay.
+    start(sim::seconds(3600), sim::seconds(3600));
+    warm_up();
+    EXPECT_LE(allocations_per_request("warm request"), 3.0);
     EXPECT_EQ(registry.find_counter("workload.requests_ok")->value(),
               2'000u + kRequests);
+}
+
+TEST_F(WarmDockerService, PacketInWithFlowMemoryHitDoesNotAllocate) {
+    // The switch entry idles out between a client's requests, FlowMemory's
+    // does not: every request is a packet-in answered from memory.
+    start(sim::milliseconds(5), sim::seconds(3600));
+    warm_up();
+    const std::uint64_t packet_ins_before = packet_ins();
+    const std::uint64_t hits_before = memory().hits();
+    EXPECT_LE(allocations_per_request("packet-in with a FlowMemory hit"), 0.5);
+    EXPECT_EQ(packet_ins() - packet_ins_before, kRequests);
+    EXPECT_EQ(memory().hits() - hits_before, kRequests);
+}
+
+TEST_F(WarmDockerService, PacketInWithFlowMemoryMissDoesNotAllocate) {
+    // Both entries idle out between a client's requests: every request is a
+    // packet-in that misses FlowMemory, gathers the scheduling context and
+    // asks the scheduler.
+    start(sim::milliseconds(5), sim::milliseconds(5));
+    warm_up();
+    const std::uint64_t packet_ins_before = packet_ins();
+    const std::uint64_t misses_before = memory().misses();
+    EXPECT_LE(allocations_per_request("packet-in with a FlowMemory miss"), 0.5);
+    EXPECT_EQ(packet_ins() - packet_ins_before, kRequests);
+    EXPECT_EQ(memory().misses() - misses_before, kRequests);
 }
 
 } // namespace

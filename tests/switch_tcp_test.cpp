@@ -97,6 +97,63 @@ TEST_F(SwitchFixture, MissBuffersAndRaisesPacketIn) {
     EXPECT_EQ(ovs->buffered_packets(), 0u);
 }
 
+// The buffer maps ids to packets however they are answered: out of order,
+// around a packet held while ids wrap the index many times, and with stale
+// or unknown ids ignored.
+TEST_F(SwitchFixture, BufferIdsReleaseTheirOwnPacketsInAnyOrder) {
+    std::vector<PacketIn> ins;
+    ovs->set_controller([&](const PacketIn& in) { ins.push_back(in); });
+    std::vector<int> resolved;
+    const auto submit = [&](std::uint16_t src_port) {
+        Packet p = packet_to(topo.node(cloud).ip, 80);
+        p.src_port = src_port;
+        ovs->submit(p, [&resolved, src_port](const Resolution& r) {
+            EXPECT_FALSE(r.dropped);
+            resolved.push_back(src_port);
+        });
+    };
+
+    submit(1);  // held until the end
+    simulation.run();
+    ASSERT_EQ(ins.size(), 1u);
+    const PacketIn held = ins.front();
+
+    for (int round = 0; round < 4; ++round) {
+        ins.clear();
+        resolved.clear();
+        for (std::uint16_t i = 0; i < 300; ++i) submit(static_cast<std::uint16_t>(1000 + i));
+        simulation.run();
+        ASSERT_EQ(ins.size(), 300u);
+        EXPECT_EQ(ovs->buffered_packets(), 301u);
+        // Answer newest first, each with its own id.
+        for (auto it = ins.rbegin(); it != ins.rend(); ++it) {
+            ovs->packet_out(PacketOut{it->buffer_id, false, false});
+        }
+        simulation.run();
+        ASSERT_EQ(resolved.size(), 300u);
+        for (std::size_t k = 0; k < 300; ++k) {
+            EXPECT_EQ(resolved[k], ins[299 - k].packet.src_port);
+        }
+        EXPECT_EQ(ovs->buffered_packets(), 1u);
+    }
+
+    // Stale and never-issued ids change nothing.
+    resolved.clear();
+    ovs->packet_out(PacketOut{ins.front().buffer_id, false, false});
+    ovs->packet_out(PacketOut{0, false, false});
+    ovs->packet_out(PacketOut{held.buffer_id + 1'000'000, false, false});
+    simulation.run();
+    EXPECT_TRUE(resolved.empty());
+    EXPECT_EQ(ovs->buffered_packets(), 1u);
+
+    ovs->packet_out(PacketOut{held.buffer_id, false, false});
+    simulation.run();
+    ASSERT_EQ(resolved.size(), 1u);
+    EXPECT_EQ(resolved.front(), 1);
+    EXPECT_EQ(held.packet.src_port, 1);
+    EXPECT_EQ(ovs->buffered_packets(), 0u);
+}
+
 // A miss that finds the packet-in buffer full never reaches the controller:
 // it is dropped and counted as an overflow, not as a packet-in.
 TEST_F(SwitchFixture, FullPacketInBufferCountsOverflow) {

@@ -49,13 +49,11 @@ public:
         done(true);
     }
     void delete_image(const orchestrator::ServiceSpec&) override { ++deletes; }
-    [[nodiscard]] std::vector<orchestrator::InstanceInfo>
-    instances(const std::string& name) const override {
-        std::vector<orchestrator::InstanceInfo> out;
+    void append_instances(const std::string& name,
+                          std::vector<orchestrator::InstanceInfo>& out) const override {
         for (const auto& i : instance_list) {
             if (i.service == name) out.push_back(i);
         }
-        return out;
     }
     [[nodiscard]] std::size_t total_instances() const override {
         return instance_list.size();
