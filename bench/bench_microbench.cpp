@@ -77,7 +77,8 @@ void BM_EventQueueSteadyChurn(benchmark::State& state) {
 BENCHMARK(BM_EventQueueSteadyChurn)->Arg(1024)->Arg(65536)->Arg(1 << 20);
 
 /// Growth-stall delta of EventQueue::reserve(): filling a fresh queue with n
-/// events, with and without pre-sizing the slab and heap array.
+/// events, with and without pre-sizing the heap array (slab chunks are
+/// allocated as slots are first needed either way).
 void BM_EventQueueFill(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
     const bool reserved = state.range(1) != 0;
@@ -109,6 +110,25 @@ void BM_SimulationNestedEvents(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1000);
 }
 BENCHMARK(BM_SimulationNestedEvents);
+
+/// One callback on a fresh Simulation schedules 4,096 events, which then
+/// run: the slab grows by chunks while that callback runs in its slot.
+void BM_ScheduleFanOut(benchmark::State& state) {
+    constexpr int kFanOut = 4096;
+    for (auto _ : state) {
+        sim::Simulation simulation;
+        std::int64_t sum = 0;
+        simulation.schedule(sim::microseconds(1), [&simulation, &sum] {
+            for (int i = 0; i < kFanOut; ++i) {
+                simulation.schedule(sim::microseconds(1 + i % 64), [&sum, i] { sum += i; });
+            }
+        });
+        simulation.run();
+        benchmark::DoNotOptimize(sum);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * (kFanOut + 1));
+}
+BENCHMARK(BM_ScheduleFanOut);
 
 // --------------------------------------------------------------------------
 // Flow table: exact-match index and wildcard fallback.
@@ -289,8 +309,7 @@ struct NginxClient {
 
     /// One request, run to completion.
     void request() {
-        client->request(tb->clients.front(), 0, nginx.address, nginx.request_size,
-                        "svc0");
+        client->request(tb->clients.front(), 0, nginx.address, nginx.request_size, tag);
         tb->platform.simulation().run();
     }
 
@@ -310,6 +329,7 @@ struct NginxClient {
     const testbed::TestService& nginx = testbed::service_by_key("nginx");
     bool ready = false;
     workload::MetricsCollector collector;
+    workload::RequestTag tag{"svc0"};
     std::unique_ptr<workload::HttpClient> client;
 };
 

@@ -85,12 +85,17 @@ std::optional<PathInfo> Topology::path(NodeId from, NodeId to) const {
         throw std::out_of_range("path: unknown node id");
     }
     if (cache_version_ != topology_version_) {
-        path_cache_.clear(); // the graph changed since these were computed
+        path_rows_.clear(); // the graph changed since these were computed
         cache_version_ = topology_version_;
     }
-    const std::uint64_t key = (std::uint64_t{from.value} << 32) | to.value;
-    if (const auto it = path_cache_.find(key); it != path_cache_.end()) {
-        return it->second;
+    if (path_rows_.empty()) path_rows_.resize(nodes_.size());
+    auto& row = path_rows_[from.value];
+    if (row.empty()) row.resize(nodes_.size());
+    CachedPath& cached = row[to.value];
+    switch (cached.state) {
+        case CachedPath::State::kFound: return cached.info;
+        case CachedPath::State::kDisconnected: return std::nullopt;
+        case CachedPath::State::kUnknown: break;
     }
 
     // Dijkstra over one-way latency; tracks bottleneck bandwidth and hops
@@ -122,13 +127,14 @@ std::optional<PathInfo> Topology::path(NodeId from, NodeId to) const {
         }
     }
 
-    std::optional<PathInfo> result;
-    if (dist[to.value] != kInf) {
-        result = PathInfo{sim::SimTime{dist[to.value]},
-                          sim::DataRate{bottleneck[to.value]}, hops[to.value]};
+    if (dist[to.value] == kInf) {
+        cached.state = CachedPath::State::kDisconnected;
+        return std::nullopt;
     }
-    path_cache_.emplace(key, result);
-    return result;
+    cached.state = CachedPath::State::kFound;
+    cached.info = PathInfo{sim::SimTime{dist[to.value]},
+                           sim::DataRate{bottleneck[to.value]}, hops[to.value]};
+    return cached.info;
 }
 
 sim::SimTime Topology::latency(NodeId from, NodeId to) const {

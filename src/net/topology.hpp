@@ -71,10 +71,12 @@ public:
                                  sim::DataRate rate)>& fn) const;
 
     /// Lowest-latency path between two nodes, or nullopt if disconnected.
-    /// Results are memoized; adding nodes/links invalidates the cache (the
-    /// cache is versioned: mutations bump the topology version and stale
-    /// entries are discarded lazily on the next query, so building a large
-    /// topology does not pay a cache clear per added link).
+    /// Results are memoized in a table indexed by (from, to), one row per
+    /// source allocated at that source's first query, so a repeat query is
+    /// two array reads. Adding nodes/links invalidates the table (it is
+    /// versioned: mutations bump the topology version and the rows are
+    /// dropped lazily on the next query, so building a large topology does
+    /// not pay a clear per added link).
     [[nodiscard]] std::optional<PathInfo> path(NodeId from, NodeId to) const;
 
     /// Convenience: path latency, throwing if disconnected.
@@ -121,13 +123,21 @@ private:
     std::unordered_set<std::uint64_t> open_ports_;
     PortClosedCallback port_closed_cb_;
 
+    /// One (from, to) cell of the path table.
+    struct CachedPath {
+        enum class State : std::uint8_t { kUnknown, kDisconnected, kFound };
+        State state = State::kUnknown;
+        PathInfo info;
+    };
+
     /// Bumped by every routing-relevant mutation (add_host/add_switch/
-    /// add_link). The cache remembers which version it was filled at and
+    /// add_link). The table remembers which version it was filled at and
     /// empties itself when they diverge -- a lookup after a mutation can
     /// never return a route computed on the old graph.
     std::uint64_t topology_version_ = 0;
     mutable std::uint64_t cache_version_ = 0;
-    mutable std::unordered_map<std::uint64_t, std::optional<PathInfo>> path_cache_;
+    /// path_rows_[from][to]; a row is empty until `from` is first queried.
+    mutable std::vector<std::vector<CachedPath>> path_rows_;
 };
 
 } // namespace tedge::net

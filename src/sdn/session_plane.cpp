@@ -1,10 +1,18 @@
 #include "sdn/session_plane.hpp"
 
+#include <algorithm>
+
 namespace tedge::sdn {
 
 UeSession* SessionPlane::find(net::Ipv4 ip) {
     const auto it = by_ip_.find(ip.value());
     return it == by_ip_.end() ? nullptr : &it->second;
+}
+
+void SessionPlane::bind(net::NodeId ue, UeSession* session) {
+    if (!ue.valid()) return;
+    if (ue.value >= by_node_.size()) by_node_.resize(ue.value + 1, nullptr);
+    by_node_[ue.value] = session;
 }
 
 const UeSession& SessionPlane::attach(net::NodeId ue, net::Ipv4 ip,
@@ -21,13 +29,13 @@ const UeSession& SessionPlane::attach(net::NodeId ue, net::Ipv4 ip,
         session.explicit_attachment = true;
         ++stats_.attaches;
         auto [it, _] = by_ip_.emplace(ip.value(), std::move(session));
-        ip_by_node_[ue.value] = ip.value();
+        bind(ue, &it->second);
         return it->second;
     }
     // An implicit session being claimed, or a re-attach. Bind the node
     // either way: implicit sessions have no node mapping yet.
     s->ue = ue;
-    ip_by_node_[ue.value] = ip.value();
+    bind(ue, s);
     if (s->ingress == ingress.node()) {
         // Same cell: upgrade to explicit (first claim counts as an attach),
         // refresh the switch pointer; no epoch bump, no callbacks.
@@ -53,7 +61,11 @@ const UeSession& SessionPlane::attach(net::NodeId ue, net::Ipv4 ip,
 bool SessionPlane::detach(net::Ipv4 ip) {
     const auto it = by_ip_.find(ip.value());
     if (it == by_ip_.end()) return false;
-    if (it->second.ue.valid()) ip_by_node_.erase(it->second.ue.value);
+    // Unbind only the nodes bound to this session: its node may have moved
+    // on to another session, and a node whose address was claimed by
+    // another node still points here.
+    std::replace(by_node_.begin(), by_node_.end(), &it->second,
+                 static_cast<UeSession*>(nullptr));
     by_ip_.erase(it);
     ++stats_.detaches;
     return true;
@@ -92,13 +104,6 @@ void SessionPlane::note_served_by(net::Ipv4 ip, sim::InternedName cluster) {
 const UeSession* SessionPlane::by_ip(net::Ipv4 ip) const {
     const auto it = by_ip_.find(ip.value());
     return it == by_ip_.end() ? nullptr : &it->second;
-}
-
-const UeSession* SessionPlane::by_node(net::NodeId ue) const {
-    const auto it = ip_by_node_.find(ue.value);
-    if (it == ip_by_node_.end()) return nullptr;
-    const auto sit = by_ip_.find(it->second);
-    return sit == by_ip_.end() ? nullptr : &sit->second;
 }
 
 std::optional<net::NodeId> SessionPlane::location(net::Ipv4 ip) const {

@@ -78,7 +78,9 @@ public:
     /// an explicit one. Returns the (updated) session.
     const UeSession& attach(net::NodeId ue, net::Ipv4 ip, net::OvsSwitch& ingress);
 
-    /// Remove a session entirely (UE powered off / left coverage).
+    /// Remove a session entirely (UE powered off / left coverage). A node
+    /// stays bound to any other session it holds: after attach(ue, A),
+    /// attach(ue, B) and detach(A), `ue` is still found at B.
     bool detach(net::Ipv4 ip);
 
     void on_handover(HandoverCallback cb) { callbacks_.push_back(std::move(cb)); }
@@ -94,7 +96,10 @@ public:
     void note_served_by(net::Ipv4 ip, sim::InternedName cluster);
 
     [[nodiscard]] const UeSession* by_ip(net::Ipv4 ip) const;
-    [[nodiscard]] const UeSession* by_node(net::NodeId ue) const;
+    /// The session `ue` was last attached with; one array read.
+    [[nodiscard]] const UeSession* by_node(net::NodeId ue) const {
+        return ue.value < by_node_.size() ? by_node_[ue.value] : nullptr;
+    }
     [[nodiscard]] std::optional<net::NodeId> location(net::Ipv4 ip) const;
 
     // net::IngressResolver: the transport asks per request.
@@ -105,10 +110,14 @@ public:
 
 private:
     UeSession* find(net::Ipv4 ip);
+    void bind(net::NodeId ue, UeSession* session);
 
     sim::Simulation& sim_;
-    std::unordered_map<std::uint32_t, UeSession> by_ip_;       ///< keyed by ip value
-    std::unordered_map<std::uint32_t, std::uint32_t> ip_by_node_; ///< node value -> ip value
+    /// Keyed by ip value. Its nodes never move, so by_node_ may point at them.
+    std::unordered_map<std::uint32_t, UeSession> by_ip_;
+    /// Node value -> the session that node was last attached with; null
+    /// for nodes never attached and after their session is detached.
+    std::vector<UeSession*> by_node_;
     std::vector<HandoverCallback> callbacks_;
     SessionPlaneStats stats_;
 };

@@ -9,8 +9,15 @@
 // EventHandle is a (slot, generation) pair: cancellation is O(1) — a
 // generation-checked flag write, no allocation, no shared_ptr traffic — and a
 // handle held across slot reuse can never cancel the wrong event because the
-// generation is bumped when the slot is recycled. Cancelled events stay in
-// the heap as tombstones and are discarded lazily when they surface.
+// generation is bumped when the event leaves the heap. Cancelled events stay
+// in the heap as tombstones and are discarded lazily when they surface.
+//
+// An event costs one construction and one call: push() builds the callable
+// directly in its slot, and run_next() calls it there. A running callback may
+// schedule more events, so slots never move: the slab is a list of chunks,
+// each allocated when its first slot is needed, and a slot is constructed
+// when it is first handed out. The running event's slot stays off the free
+// list until its callback has returned (or thrown) and been destroyed.
 //
 // Events may be marked `daemon` (housekeeping periodics such as cache
 // sweeps): they execute normally while user events are pending, but
@@ -21,8 +28,10 @@
 // components already outlive by construction order).
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
-#include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -39,11 +48,12 @@ public:
     EventHandle() = default;
 
     /// Cancel the event. Safe to call multiple times, on an empty handle, or
-    /// after the event has fired (the generation check makes it a no-op).
+    /// once the event has started running (the generation check makes it a
+    /// no-op).
     void cancel();
 
-    /// True if the handle refers to an event that has neither fired nor been
-    /// cancelled yet.
+    /// True if the handle refers to an event that has neither started
+    /// running nor been cancelled yet.
     [[nodiscard]] bool pending() const;
 
 private:
@@ -64,10 +74,18 @@ public:
     EventQueue() {
         store_.heap.resize(kRoot); // physical pad before the heap root
     }
+    ~EventQueue();
 
-    /// Schedule `cb` to fire at absolute time `at`. Daemon events run like
-    /// any other but do not keep Simulation::run() alive on their own.
-    EventHandle push(SimTime at, Callback cb, bool daemon = false);
+    // Handles and running callbacks point into the slab.
+    EventQueue(const EventQueue&) = delete;
+    EventQueue& operator=(const EventQueue&) = delete;
+
+    /// Schedule `fn` to fire at absolute time `at`. The callable is
+    /// constructed directly in the event's slot; a Callback is moved in
+    /// once. Daemon events run like any other but do not keep
+    /// Simulation::run() alive on their own.
+    template <typename F>
+    EventHandle push(SimTime at, F&& fn, bool daemon = false);
 
     /// True when no live events remain (cancelled tombstones do not count).
     [[nodiscard]] bool empty() const { return live_ == 0; }
@@ -89,11 +107,21 @@ public:
     /// housekeeping without disturbing later message insertion.
     [[nodiscard]] bool next_is_daemon() const;
 
-    /// Remove and return the earliest live event. Requires !empty().
+    /// Run the earliest live event in its slot. Requires !empty(). `clock`
+    /// is set to the event's timestamp before the callback runs. From then
+    /// on the event's handle reports not pending and cancel() does nothing;
+    /// the callback is destroyed and its slot freed once it returns or
+    /// throws.
+    void run_next(SimTime& clock);
+
+    /// Remove and return the earliest live event without running it: the
+    /// same take as run_next(), with the callback moved out before the slot
+    /// is freed. Requires !empty(). For queue tests and microbenchmarks.
     std::pair<SimTime, Callback> pop();
 
-    /// Pre-size the slot slab and the heap array for `events` concurrently
-    /// pending events, avoiding vector-growth stalls mid-run.
+    /// Pre-size the heap array for `events` concurrently pending events,
+    /// avoiding vector-growth stalls mid-run. Slots are not touched: their
+    /// chunks never move, so the slab has no growth stall to avoid.
     void reserve(std::size_t events);
 
     /// Total number of events ever scheduled (for diagnostics/determinism checks).
@@ -102,53 +130,86 @@ public:
 private:
     friend class EventHandle;
 
-    static constexpr std::uint32_t kInvalid = 0xFFFFFFFFu;
-
     struct Slot {
         Callback cb;
         std::uint64_t seq = 0;  ///< insertion sequence; ordering tie-break key
+        Slot* next_free = nullptr;
+        std::uint32_t id = 0;   ///< what a handle names the slot by
         std::uint32_t generation = 0;
-        std::uint32_t next_free = kInvalid;
         bool daemon = false;
         bool cancelled = false;
-        bool in_use = false;
     };
     // The timestamp lives in the heap entry itself so sift operations compare
     // contiguous 16-byte records; the insertion-sequence tie-break is fetched
-    // from the slab only when two timestamps are equal. The heap is rooted at
-    // physical index kRoot = 3 so every 4-child group starts at an index
-    // divisible by 4 -- with 16-byte entries that is one 64-byte cache line
-    // per sift level instead of two.
+    // from the slot only when two timestamps are equal. Since slots never
+    // move, heap entries and the free list hold slot pointers, and only a
+    // handle (cancel, pending) maps a slot id to its slot. The heap is
+    // rooted at physical index kRoot = 3 so every 4-child group starts at an
+    // index divisible by 4 -- with 16-byte entries that is one 64-byte cache
+    // line per sift level instead of two.
     struct HeapEntry {
         SimTime at;
-        std::uint32_t slot;
+        Slot* slot;
     };
+    static_assert(sizeof(HeapEntry) == 16);
     static constexpr std::size_t kRoot = 3;
     static std::size_t heap_parent(std::size_t i) { return i / 4 + 2; }
     static std::size_t heap_child(std::size_t i) { return 4 * i - 8; }
+
+    // Chunk k holds kFirstChunk << k slots and starts at slot id
+    // kFirstChunk * (2^k - 1), so an id finds its chunk with one bit_width.
+    // 27 chunks cover every 32-bit slot id.
+    static constexpr unsigned kFirstChunkLog2 = 6;
+    static constexpr std::uint32_t kFirstChunk = 1u << kFirstChunkLog2;
+    static constexpr unsigned kChunks = 32 - kFirstChunkLog2 + 1;
+    static unsigned chunk_of(std::uint32_t id) {
+        return static_cast<unsigned>(std::bit_width((id >> kFirstChunkLog2) + 1)) - 1;
+    }
+    static std::uint32_t chunk_start(unsigned chunk) {
+        return ((1u << chunk) - 1) << kFirstChunkLog2;
+    }
+    static std::size_t chunk_size(unsigned chunk) {
+        return std::size_t{kFirstChunk} << chunk;
+    }
 
     // Event storage. Const accessors (next_time, next_is_daemon) lazily
     // discard cancelled tombstones as they surface; that housekeeping
     // changes no observable state (live counts, next live event), so the
     // store is mutable and the accessors stay honest const — no const_cast.
     struct Store {
-        std::vector<Slot> slots;
+        std::array<Slot*, kChunks> chunks{};  ///< allocated on first use
+        std::uint32_t constructed = 0;        ///< slot ids [0, constructed) exist
         std::vector<HeapEntry> heap;  ///< physical indices kRoot.. hold entries
-        std::uint32_t free_head = kInvalid;
+        Slot* free_head = nullptr;
         std::size_t dead = 0;  ///< cancelled tombstones still in the heap
     };
 
+    [[nodiscard]] Slot& slot(std::uint32_t id) const {
+        const unsigned chunk = chunk_of(id);
+        return store_.chunks[chunk][id - chunk_start(chunk)];
+    }
+
     [[nodiscard]] bool entry_earlier(const HeapEntry& a, const HeapEntry& b) const {
         if (a.at != b.at) return a.at < b.at;
-        return store_.slots[a.slot].seq < store_.slots[b.slot].seq;
+        return a.slot->seq < b.slot->seq;
     }
     [[nodiscard]] bool heap_empty() const { return store_.heap.size() <= kRoot; }
 
-    void cancel_slot(std::uint32_t slot, std::uint32_t generation);
-    [[nodiscard]] bool slot_pending(std::uint32_t slot, std::uint32_t generation) const;
+    void cancel_slot(std::uint32_t id, std::uint32_t generation);
+    [[nodiscard]] bool slot_pending(std::uint32_t id, std::uint32_t generation) const;
 
-    std::uint32_t acquire_slot();
-    void release_slot(std::uint32_t slot) const;
+    Slot& acquire_slot();
+    // Construct the next never-used slot, allocating its chunk on first use.
+    Slot& fresh_slot();
+    // Give a filled slot its sequence number and heap entry; push()'s
+    // non-template half, out of line.
+    EventHandle file(Slot& s, SimTime at, bool daemon);
+    [[noreturn]] static void throw_empty(const char* what);
+    // Destroy the slot's callback and put it on the free list.
+    void free_slot(Slot& s) const;
+    // Take the earliest live event off the heap and bump its slot's
+    // generation; the slot keeps its callback until free_slot().
+    HeapEntry take();
 
     void sift_up(std::size_t i) const;
     void sift_down(std::size_t i) const;
@@ -163,30 +224,23 @@ private:
 };
 
 // ---------------------------------------------------------------------------
-// Hot-path definitions, kept in the header so the simulation loop inlines
-// them: push/pop run once per scheduled event, millions of times per
-// experiment replay.
+// Hot-path definitions, kept in the header so callers inline them: a
+// callable is constructed in its slot where it is scheduled. The rest of a
+// push (file) and run_next are one out-of-line call each.
 
-inline std::uint32_t EventQueue::acquire_slot() {
-    if (store_.free_head != kInvalid) {
-        const std::uint32_t slot = store_.free_head;
-        store_.free_head = store_.slots[slot].next_free;
-        return slot;
+inline EventQueue::Slot& EventQueue::acquire_slot() {
+    if (Slot* s = store_.free_head) {
+        store_.free_head = s->next_free;
+        return *s;
     }
-    store_.slots.emplace_back();
-    return static_cast<std::uint32_t>(store_.slots.size() - 1);
+    return fresh_slot();
 }
 
-inline void EventQueue::release_slot(std::uint32_t slot) const {
-    Slot& s = store_.slots[slot];
+inline void EventQueue::free_slot(Slot& s) const {
     s.cb = nullptr;
-    s.in_use = false;
     s.cancelled = false;
-    // Bump the generation so stale handles to the old occupant can neither
-    // cancel nor observe the slot's next tenant.
-    ++s.generation;
     s.next_free = store_.free_head;
-    store_.free_head = slot;
+    store_.free_head = &s;
 }
 
 inline void EventQueue::sift_up(std::size_t i) const {
@@ -228,54 +282,63 @@ inline void EventQueue::pop_top() const {
 
 inline void EventQueue::drop_dead() const {
     if (store_.dead == 0) return; // common case: no tombstones, no slab probe
-    while (!heap_empty() && store_.slots[store_.heap[kRoot].slot].cancelled) {
-        release_slot(store_.heap[kRoot].slot);
+    while (!heap_empty() && store_.heap[kRoot].slot->cancelled) {
+        Slot& s = *store_.heap[kRoot].slot;
+        // Bump the generation so stale handles to the old occupant can
+        // neither cancel nor observe the slot's next tenant.
+        ++s.generation;
+        free_slot(s);
         pop_top();
         --store_.dead;
     }
 }
 
-inline EventHandle EventQueue::push(SimTime at, Callback cb, bool daemon) {
-    const std::uint32_t slot = acquire_slot();
-    Slot& s = store_.slots[slot];
-    s.cb = std::move(cb);
-    s.seq = seq_++;
-    s.daemon = daemon;
-    s.cancelled = false;
-    s.in_use = true;
-    store_.heap.push_back(HeapEntry{at, slot});
-    sift_up(store_.heap.size() - 1);
-    ++live_;
-    if (!daemon) ++live_user_;
-    return EventHandle{this, slot, s.generation};
+template <typename F>
+EventHandle EventQueue::push(SimTime at, F&& fn, bool daemon) {
+    using D = std::decay_t<F>;
+    static_assert(std::is_invocable_r_v<void, D&>, "EventQueue::push: not a void() callable");
+    Slot& s = acquire_slot();
+    if constexpr (std::is_same_v<D, Callback>) {
+        s.cb = std::forward<F>(fn);
+    } else {
+        try {
+            s.cb.template emplace<D>(std::forward<F>(fn));
+        } catch (...) {
+            free_slot(s);
+            throw;
+        }
+    }
+    return file(s, at, daemon);
+}
+
+inline EventQueue::HeapEntry EventQueue::take() {
+    drop_dead();
+    if (heap_empty()) throw_empty("EventQueue: no live event to take");
+    const HeapEntry top = store_.heap[kRoot];
+    Slot& s = *top.slot;
+    ++s.generation; // the handle now reports "not pending"; cancel() is a no-op
+    --live_;
+    if (!s.daemon) --live_user_;
+    pop_top();
+    return top;
 }
 
 inline std::pair<SimTime, EventQueue::Callback> EventQueue::pop() {
-    drop_dead();
-    if (heap_empty()) throw std::logic_error("EventQueue::pop on empty queue");
-    const std::uint32_t slot = store_.heap[kRoot].slot;
-    Slot& s = store_.slots[slot];
-    std::pair<SimTime, Callback> out{store_.heap[kRoot].at, std::move(s.cb)};
-    --live_;
-    if (!s.daemon) --live_user_;
-    release_slot(slot); // handle now reports "not pending"
-    pop_top();
-    return out; // NRVO: no extra callback relocation
+    const HeapEntry top = take();
+    std::pair<SimTime, Callback> out{top.at, std::move(top.slot->cb)};
+    free_slot(*top.slot);
+    return out;
 }
 
 inline bool EventQueue::next_is_daemon() const {
     drop_dead();
-    if (heap_empty()) {
-        throw std::logic_error("EventQueue::next_is_daemon on empty queue");
-    }
-    return store_.slots[store_.heap[kRoot].slot].daemon;
+    if (heap_empty()) throw_empty("EventQueue::next_is_daemon on empty queue");
+    return store_.heap[kRoot].slot->daemon;
 }
 
 inline SimTime EventQueue::next_time() const {
     drop_dead();
-    if (heap_empty()) {
-        throw std::logic_error("EventQueue::next_time on empty queue");
-    }
+    if (heap_empty()) throw_empty("EventQueue::next_time on empty queue");
     return store_.heap[kRoot].at;
 }
 

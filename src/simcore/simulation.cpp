@@ -6,19 +6,11 @@
 
 namespace tedge::sim {
 
-EventHandle Simulation::schedule(SimTime delay, EventQueue::Callback cb, bool daemon) {
-    if (delay < SimTime::zero()) throw std::invalid_argument("negative delay");
-    if (tracer_ != nullptr) cb = tracer_->propagate(std::move(cb));
-    note_scheduled(now_ + delay, daemon);
-    return queue_.push(now_ + delay, std::move(cb), daemon);
+EventHandle Simulation::insert_traced(SimTime at, EventQueue::Callback cb, bool daemon) {
+    return queue_.push(at, tracer_->propagate(std::move(cb)), daemon);
 }
 
-EventHandle Simulation::schedule_at(SimTime at, EventQueue::Callback cb, bool daemon) {
-    if (at < now_) throw std::invalid_argument("schedule_at in the past");
-    if (tracer_ != nullptr) cb = tracer_->propagate(std::move(cb));
-    note_scheduled(at, daemon);
-    return queue_.push(at, std::move(cb), daemon);
-}
+void Simulation::throw_invalid(const char* what) { throw std::invalid_argument(what); }
 
 // Self-rescheduling tick: each firing moves the shared state into the next
 // event, 16 bytes that fit UniqueFunction's inline buffer. The state does not
@@ -47,13 +39,6 @@ Simulation::PeriodicHandle Simulation::schedule_periodic(SimTime period,
     return handle;
 }
 
-void Simulation::execute_next() {
-    auto [at, cb] = queue_.pop();
-    now_ = at;
-    cb();
-    ++executed_;
-}
-
 std::uint64_t Simulation::run() {
     stop_requested_ = false;
     std::uint64_t n = 0;
@@ -72,16 +57,6 @@ std::uint64_t Simulation::run_until(SimTime deadline) {
         ++n;
     }
     if (!stop_requested_ && now_ < deadline) now_ = deadline;
-    return n;
-}
-
-std::uint64_t Simulation::run_while(const std::function<bool()>& pred) {
-    stop_requested_ = false;
-    std::uint64_t n = 0;
-    while (!stop_requested_ && queue_.has_user_events() && pred()) {
-        execute_next();
-        ++n;
-    }
     return n;
 }
 

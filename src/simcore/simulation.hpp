@@ -40,11 +40,20 @@ public:
     /// Current virtual time.
     [[nodiscard]] SimTime now() const { return now_; }
 
-    /// Schedule `cb` to run `delay` after the current time.
-    EventHandle schedule(SimTime delay, EventQueue::Callback cb, bool daemon = false);
+    /// Schedule `fn` to run `delay` after the current time. The callable is
+    /// built directly in its event slot (see EventQueue::push).
+    template <typename F>
+    EventHandle schedule(SimTime delay, F&& fn, bool daemon = false) {
+        if (delay < SimTime::zero()) throw_invalid("negative delay");
+        return insert(now_ + delay, std::forward<F>(fn), daemon);
+    }
 
-    /// Schedule `cb` at absolute time `at` (must be >= now()).
-    EventHandle schedule_at(SimTime at, EventQueue::Callback cb, bool daemon = false);
+    /// Schedule `fn` at absolute time `at` (must be >= now()).
+    template <typename F>
+    EventHandle schedule_at(SimTime at, F&& fn, bool daemon = false) {
+        if (at < now_) throw_invalid("schedule_at in the past");
+        return insert(at, std::forward<F>(fn), daemon);
+    }
 
 private:
     struct PeriodicState;
@@ -84,7 +93,16 @@ public:
     /// called. The clock is left at the last executed event. Returns the
     /// number of events executed. Replaces drain loops of the form
     /// `while (!cond) run_until(now() + slice)`.
-    std::uint64_t run_while(const std::function<bool()>& pred);
+    template <typename Pred>
+    std::uint64_t run_while(Pred&& pred) {
+        stop_requested_ = false;
+        std::uint64_t n = 0;
+        while (!stop_requested_ && queue_.has_user_events() && pred()) {
+            execute_next();
+            ++n;
+        }
+        return n;
+    }
 
     /// Like run_until(deadline), but returns as soon as no user events
     /// remain — without advancing the clock to the deadline — instead of
@@ -172,7 +190,24 @@ private:
     };
     struct PeriodicTick;
 
-    void execute_next();
+    // Every run loop executes through here: the event runs in its slot.
+    void execute_next() {
+        queue_.run_next(now_);
+        ++executed_;
+    }
+
+    template <typename F>
+    EventHandle insert(SimTime at, F&& fn, bool daemon) {
+        note_scheduled(at, daemon);
+        if (tracer_ != nullptr) {
+            return insert_traced(at, EventQueue::Callback(std::forward<F>(fn)), daemon);
+        }
+        return queue_.push(at, std::forward<F>(fn), daemon);
+    }
+    // With a tracer attached the callable is type-erased and wrapped by
+    // Tracer::propagate; kept out of line so this header needs no tracer.
+    EventHandle insert_traced(SimTime at, EventQueue::Callback cb, bool daemon);
+    [[noreturn]] static void throw_invalid(const char* what);
 
     void note_scheduled(SimTime at, bool daemon) {
         if (track_user_horizon_ && !daemon && at > user_horizon_) {

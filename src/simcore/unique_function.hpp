@@ -36,13 +36,19 @@ public:
               typename = std::enable_if_t<!std::is_same_v<D, UniqueFunction> &&
                                           std::is_invocable_r_v<R, D&, Args...>>>
     UniqueFunction(F&& f) {
-        if constexpr (fits_inline<D>()) {
-            ::new (static_cast<void*>(&storage_)) D(std::forward<F>(f));
-            ops_ = &inline_ops<D>;
-        } else {
-            ::new (static_cast<void*>(&storage_)) D*(new D(std::forward<F>(f)));
-            ops_ = &heap_ops<D>;
-        }
+        construct<D>(std::forward<F>(f));
+    }
+
+    /// Destroy the held callable, if any, and construct a `D` from `args`
+    /// directly in this object's storage: an owner that keeps its
+    /// UniqueFunction in place (an event-queue slot) builds the callable
+    /// there once instead of building it elsewhere and relocating it in.
+    template <typename D, typename... CArgs>
+    void emplace(CArgs&&... args) {
+        static_assert(std::is_invocable_r_v<R, D&, Args...>,
+                      "UniqueFunction::emplace: D is not callable with this signature");
+        reset();
+        construct<D>(std::forward<CArgs>(args)...);
     }
 
     UniqueFunction(UniqueFunction&& other) noexcept : ops_(other.ops_) {
@@ -87,6 +93,17 @@ private:
         void (*relocate)(void* dst, void* src) noexcept;
         void (*destroy)(void*) noexcept;
     };
+
+    template <typename D, typename... CArgs>
+    void construct(CArgs&&... args) {
+        if constexpr (fits_inline<D>()) {
+            ::new (static_cast<void*>(&storage_)) D(std::forward<CArgs>(args)...);
+            ops_ = &inline_ops<D>;
+        } else {
+            ::new (static_cast<void*>(&storage_)) D*(new D(std::forward<CArgs>(args)...));
+            ops_ = &heap_ops<D>;
+        }
+    }
 
     template <typename D>
     static constexpr bool fits_inline() {

@@ -14,11 +14,12 @@ HttpClient::Handles& HttpClient::handles(sim::MetricsRegistry& registry) {
 
 void HttpClient::request(net::NodeId client_node, std::uint32_t client_index,
                          const net::ServiceAddress& address,
-                         sim::Bytes request_size, std::string_view tag) {
+                         sim::Bytes request_size, RequestTag& tag) {
     sim::Simulation& sim = net_.simulation();
     const std::uint32_t slot = pending_.acquire();
     Pending& pending = pending_[slot];
-    pending.record.service.assign(tag);
+    pending.record.service.assign(tag.name);
+    pending.tag = &tag;
     pending.record.client = client_index;
     pending.record.sent = sim.now();
     pending.span = 0;
@@ -30,7 +31,7 @@ void HttpClient::request(net::NodeId client_node, std::uint32_t client_index,
     if (tr != nullptr) {
         const sim::RequestId req = tr->new_request();
         pending.span = tr->begin("request", sim::TraceContext{req, 0});
-        tr->arg(pending.span, "service", std::string(tag));
+        tr->arg(pending.span, "service", tag.name);
         tr->arg(pending.span, "client", std::to_string(client_index));
     }
     const sim::Tracer::Scope scope(tr, pending.span);
@@ -69,7 +70,11 @@ void HttpClient::complete(std::uint32_t slot, const net::HttpResult& result) {
     record.time_total = result.time_total;
     record.served_by = result.server_node;
     metrics_.add(record);
-    if (result.ok) metrics_.series(record.service).add_time(result.time_total);
+    if (result.ok) {
+        RequestTag& tag = *pending.tag;
+        if (tag.series == nullptr) tag.series = &metrics_.series(tag.name);
+        tag.series->add_time(result.time_total);
+    }
     pending_.release(slot);
 }
 

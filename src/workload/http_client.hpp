@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 #include "net/tcp.hpp"
@@ -14,22 +15,35 @@
 
 namespace tedge::workload {
 
+/// What a request is recorded under: the record's service string, and the
+/// collector series its successful completions feed. The series is looked
+/// up at the tag's first successful completion and kept, so no request
+/// hashes its tag and a tag whose requests all fail has no series. A tag
+/// serves one collector and must outlive its requests and stay put while
+/// they are in flight; clearing the collector invalidates its series.
+struct RequestTag {
+    std::string name;
+    sim::SampleSet* series = nullptr;
+};
+
 class HttpClient {
 public:
     HttpClient(net::TcpNet& net, MetricsCollector& metrics);
 
     /// GET/POST `request_size` bytes from `client` to the registered
-    /// address; the record lands in the collector under `tag` and is also
-    /// added to the collector's series(tag) in milliseconds.
+    /// address; the record lands in the collector under `tag.name` and a
+    /// success is also added to the collector's series(tag.name) in
+    /// milliseconds.
     void request(net::NodeId client_node, std::uint32_t client_index,
                  const net::ServiceAddress& address, sim::Bytes request_size,
-                 std::string_view tag);
+                 RequestTag& tag);
 
 private:
     /// A request in flight: its record's request-side fields are filled at
     /// send time, the rest on completion.
     struct Pending {
         RequestRecord record;
+        RequestTag* tag = nullptr;
         sim::SpanId span = 0;
     };
 

@@ -26,20 +26,22 @@ MetricsCollector& TraceRunner::replay(RequestStream& stream,
     auto& sim = platform_.simulation();
     HttpClient client(platform_.network(), metrics_);
 
-    // Pre-size the kernel slab when the stream announces its length. The
-    // pump holds one pending arrival, but each issued request fans out into
-    // a burst of in-flight network/deployment events; cap the hint so a
-    // million-request stream does not reserve slots it will never use
-    // concurrently. The collector keeps every record, so it is reserved in
+    // Pre-size the kernel's heap array when the stream announces its
+    // length. The pump holds one pending arrival, but each issued request
+    // fans out into a burst of in-flight network/deployment events; cap the
+    // hint so a million-request stream does not reserve entries it will
+    // never use concurrently. The collector keeps every record, so it is reserved in
     // full: growing it by doubling copies the records and briefly holds
     // both copies, which sets the replay's peak memory.
     if (const auto announced = stream.total()) {
         sim.reserve_events(std::min<std::uint64_t>(*announced, 65536));
         metrics_.reserve(metrics_.count() + *announced);
     }
-    std::vector<std::string> tags(stream.service_count());
+    // One tag per service index: each resolves its collector series once,
+    // at that service's first successful completion.
+    std::vector<RequestTag> tags(stream.service_count());
     for (std::uint32_t service = 0; service < tags.size(); ++service) {
-        tags[service] = "svc" + std::to_string(service);
+        tags[service].name = "svc" + std::to_string(service);
     }
 
     // Trace times are relative to the start of the replay, not to the

@@ -1,19 +1,23 @@
 // Regression tests for the fast-path kernel rework: slab event queue
 // determinism, generation-checked handles across slot reuse, a randomized
-// differential of the queue against an ordered-map oracle, the flow-table
-// exact-match index vs. the reference scan, and the predicate-driven drain
-// API.
+// differential of the queue against an ordered-map oracle, events built and
+// run in their slot (stable slots, throwing callbacks, allocation-free
+// scheduling), the flow-table exact-match index vs. the reference scan, and
+// the predicate-driven drain API.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <random>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "net/flow_table.hpp"
 #include "simcore/event_queue.hpp"
 #include "simcore/random.hpp"
@@ -163,9 +167,10 @@ struct OracleRun {
         oracle.erase(key);
     }
 
+    /// Runs the earliest event through the production path, run_next().
     void pop() {
-        auto [at, cb] = queue.pop();
-        cb();
+        SimTime at;
+        queue.run_next(at);
         const auto expected = oracle.begin();
         ASSERT_EQ(at.ns(), expected->first.first);
         ASSERT_EQ(fired, expected->first.second);
@@ -227,6 +232,133 @@ TEST(KernelFastPath, RandomizedQueueMatchesOrderedMapOracle) {
         }
         EXPECT_TRUE(run.oracle.empty());
     }
+}
+
+// ---------------------------------------------------------------------------
+// Events built and run in their slot.
+
+// A running callback grows the slab by several chunks, then reads its own
+// captures: slots must not move while a callback runs (under ASan a slab
+// that relocates its slots fails here with a use after free).
+TEST(KernelInSlot, CallbackSchedulingManyEventsKeepsItsCaptures) {
+    Simulation simulation;
+    std::uint64_t sum = 0;
+    int ran = 0;
+    const std::array<std::uint64_t, 4> marks = {0x1111, 0x2222, 0x3333, 0x4444};
+    simulation.schedule(sim::seconds(1), [&simulation, &sum, marks] {
+        for (int i = 0; i < 5000; ++i) {
+            simulation.schedule(sim::milliseconds(1 + i % 7), [&sum] { ++sum; });
+        }
+        for (const std::uint64_t mark : marks) sum += mark;
+    });
+    simulation.schedule(sim::seconds(2), [&ran] { ++ran; });
+    simulation.run();
+    EXPECT_EQ(sum, 5000u + 0x1111 + 0x2222 + 0x3333 + 0x4444);
+    EXPECT_EQ(ran, 1);
+    EXPECT_EQ(simulation.events_executed(), 5002u);
+}
+
+struct Boom {};
+
+// A callback that throws: the exception leaves run(), the live counts stay
+// consistent, the callback's captures are released, later events still run,
+// and its slot is reused (10,000 throws allocate nothing).
+TEST(KernelInSlot, ThrowingCallbackFreesItsSlot) {
+    Simulation simulation;
+    auto capture = std::make_shared<int>(0);
+    int later = 0;
+    const auto thrower = simulation.schedule(sim::seconds(1), [capture] { throw Boom{}; });
+    simulation.schedule(sim::seconds(2), [&later] { ++later; });
+    simulation.schedule(sim::seconds(3), [] {}, /*daemon=*/true);
+    EXPECT_EQ(capture.use_count(), 2);
+    EXPECT_THROW(simulation.run(), Boom);
+    EXPECT_EQ(simulation.now(), sim::seconds(1));
+    EXPECT_EQ(capture.use_count(), 1); // destroyed with its slot
+    EXPECT_FALSE(thrower.pending());
+    EXPECT_TRUE(simulation.has_user_events());
+    EXPECT_TRUE(simulation.has_pending_events());
+    EXPECT_EQ(simulation.events_executed(), 0u);
+    simulation.run();
+    EXPECT_EQ(later, 1);
+    EXPECT_FALSE(simulation.has_user_events());
+
+    EventQueue queue;
+    SimTime clock;
+    const auto throw_once = [&] {
+        queue.push(sim::seconds(1), [] { throw Boom{}; });
+        EXPECT_THROW(queue.run_next(clock), Boom);
+    };
+    throw_once(); // warm-up: the first chunk
+    const std::uint64_t before = testkit::allocations();
+    for (int i = 0; i < 10'000; ++i) throw_once();
+    EXPECT_EQ(testkit::allocations() - before, 0u);
+    EXPECT_TRUE(queue.empty());
+    EXPECT_FALSE(queue.has_user_events());
+}
+
+// Inside its own callback an event is no longer pending, and cancelling it
+// changes nothing.
+TEST(KernelInSlot, HandleInsideOwnCallbackIsNotPending) {
+    EventQueue queue;
+    sim::EventHandle self;
+    bool checked = false;
+    int other_ran = 0;
+    self = queue.push(sim::seconds(1), [&] {
+        EXPECT_FALSE(self.pending());
+        self.cancel();
+        EXPECT_EQ(queue.size(), 1u);
+        EXPECT_TRUE(queue.has_user_events());
+        checked = true;
+    });
+    const auto other = queue.push(sim::seconds(2), [&other_ran] { ++other_ran; });
+    EXPECT_TRUE(self.pending());
+    SimTime clock;
+    queue.run_next(clock);
+    EXPECT_TRUE(checked);
+    EXPECT_EQ(clock, sim::seconds(1));
+    EXPECT_TRUE(other.pending());
+    EXPECT_EQ(queue.size(), 1u);
+    queue.run_next(clock);
+    EXPECT_EQ(other_ran, 1);
+    EXPECT_TRUE(queue.empty());
+}
+
+// Scheduling a 48-byte lambda allocates nothing once the slab is warm:
+// through schedule(), through schedule_at(), and from a running callback.
+TEST(KernelInSlot, InlineLambdaSchedulingAllocatesNothingAfterWarmUp) {
+    Simulation simulation;
+    std::uint64_t sum = 0;
+    const std::array<std::uint64_t, 5> payload = {1, 2, 3, 4, 5};
+    const auto event = [&sum, payload] { sum += payload[0]; };
+    static_assert(sizeof(event) == 48);
+    const auto via_schedule = [&] {
+        for (int i = 0; i < 1000; ++i) simulation.schedule(sim::microseconds(i), event);
+        simulation.run();
+    };
+    const auto via_schedule_at = [&] {
+        for (int i = 0; i < 1000; ++i) {
+            simulation.schedule_at(simulation.now() + sim::microseconds(i), event);
+        }
+        simulation.run();
+    };
+    const auto nested = [&] {
+        for (int i = 0; i < 100; ++i) {
+            simulation.schedule(sim::microseconds(i), [&simulation, &event] {
+                for (int j = 0; j < 10; ++j) simulation.schedule(sim::microseconds(j), event);
+            });
+        }
+        simulation.run();
+    };
+    const auto allocations_of = [](const auto& round) {
+        round(); // warm-up: slab chunks and heap array reach their size
+        const std::uint64_t before = testkit::allocations();
+        round();
+        return testkit::allocations() - before;
+    };
+    EXPECT_EQ(allocations_of(via_schedule), 0u);
+    EXPECT_EQ(allocations_of(via_schedule_at), 0u);
+    EXPECT_EQ(allocations_of(nested), 0u);
+    EXPECT_EQ(sum, 6000u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 // Network substrate tests: addresses, flow tables, topology, shared links.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -379,6 +381,78 @@ TEST(Topology, PathCacheInvalidatedByPostLookupMutation) {
     const auto path = topo.path(a, c);
     ASSERT_TRUE(path);
     EXPECT_EQ(path->latency, milliseconds(8));
+}
+
+// The path table against a reference that has never answered a query: a
+// fresh topology built from the same mutation log. Between rounds of
+// queries the graph gains hosts, switches and links; every round asks
+// sources queried before and sources seen for the first time.
+TEST(Topology, PathTableMatchesFreshTopologyAcrossMutations) {
+    struct Link {
+        std::uint32_t a;
+        std::uint32_t b;
+        std::int64_t latency_us;
+        std::int64_t rate_mbps;
+    };
+    std::vector<bool> is_switch;
+    std::vector<Link> links;
+    Topology cached;
+    const auto add_node = [&](Topology& topo, std::uint32_t i) {
+        if (is_switch[i]) {
+            topo.add_switch("n" + std::to_string(i));
+        } else {
+            topo.add_host("n" + std::to_string(i), Ipv4{10, 1, 0, static_cast<std::uint8_t>(i + 1)});
+        }
+    };
+    const auto add_link = [](Topology& topo, const Link& l) {
+        topo.add_link(NodeId{l.a}, NodeId{l.b}, microseconds(l.latency_us),
+                      sim::mbit_per_sec(l.rate_mbps));
+    };
+    std::mt19937 rng(11);
+    const auto grow = [&](bool node) {
+        if (node || is_switch.size() < 2) {
+            is_switch.push_back(rng() % 3 == 0);
+            add_node(cached, static_cast<std::uint32_t>(is_switch.size() - 1));
+            return;
+        }
+        const auto n = static_cast<std::uint32_t>(is_switch.size());
+        Link l{static_cast<std::uint32_t>(rng() % n), static_cast<std::uint32_t>(rng() % n),
+               static_cast<std::int64_t>(1 + rng() % 50), static_cast<std::int64_t>(10 + rng() % 990)};
+        if (l.a == l.b) l.b = (l.b + 1) % n;
+        links.push_back(l);
+        add_link(cached, l);
+    };
+    for (int i = 0; i < 4; ++i) grow(true);
+
+    for (int round = 0; round < 40; ++round) {
+        grow(rng() % 3 == 0);
+        Topology fresh;
+        for (std::uint32_t i = 0; i < is_switch.size(); ++i) add_node(fresh, i);
+        for (const Link& l : links) add_link(fresh, l);
+
+        const auto n = static_cast<std::uint32_t>(is_switch.size());
+        // Source 0 is asked every round; the newest node is a new source.
+        std::vector<std::pair<std::uint32_t, std::uint32_t>> queries = {
+            {0, n - 1}, {n - 1, 0}, {0, static_cast<std::uint32_t>(rng() % n)}};
+        for (int q = 0; q < 6; ++q) {
+            queries.emplace_back(static_cast<std::uint32_t>(rng() % n),
+                                 static_cast<std::uint32_t>(rng() % n));
+        }
+        for (const auto& [from, to] : queries) {
+            SCOPED_TRACE("round " + std::to_string(round) + " path " +
+                         std::to_string(from) + "->" + std::to_string(to));
+            // Asked twice: the second answer comes from the table.
+            for (int repeat = 0; repeat < 2; ++repeat) {
+                const auto got = cached.path(NodeId{from}, NodeId{to});
+                const auto want = fresh.path(NodeId{from}, NodeId{to});
+                ASSERT_EQ(got.has_value(), want.has_value());
+                if (!want) continue;
+                EXPECT_EQ(got->latency, want->latency);
+                EXPECT_EQ(got->bottleneck.bps(), want->bottleneck.bps());
+                EXPECT_EQ(got->hops, want->hops);
+            }
+        }
+    }
 }
 
 TEST(Topology, PortBookkeeping) {

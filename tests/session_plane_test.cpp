@@ -174,6 +174,56 @@ TEST_F(SessionPlaneFixture, DetachRemovesSession) {
     EXPECT_EQ(sessions.stats().detaches, 1u);
 }
 
+// A node that moved to a second address keeps that binding when the first
+// address is detached (by_node and current_ingress both went null).
+TEST_F(SessionPlaneFixture, DetachOfOldAddressKeepsNodeBoundToItsNewSession) {
+    auto& sessions = platform.sessions();
+    const net::Ipv4 second{10, 0, 1, 2};
+    const UeSession& moved = sessions.attach(client, second, *gnb2);
+    EXPECT_EQ(sessions.by_node(client), &moved);
+    EXPECT_TRUE(sessions.detach(ip));
+    EXPECT_EQ(sessions.by_node(client), &moved);
+    EXPECT_EQ(sessions.current_ingress(client), gnb2);
+    EXPECT_TRUE(sessions.detach(second));
+    EXPECT_EQ(sessions.by_node(client), nullptr);
+    EXPECT_EQ(sessions.current_ingress(client), nullptr);
+}
+
+// The node index follows every way a session gains or loses its node.
+TEST_F(SessionPlaneFixture, NodeIndexFollowsAttachReattachDetachAndClaim) {
+    auto& sessions = platform.sessions();
+    const UeSession* s = sessions.by_ip(ip);
+    // Re-attach to another cell: same session, new ingress.
+    sessions.attach(client, ip, *gnb2);
+    EXPECT_EQ(sessions.by_node(client), s);
+    EXPECT_EQ(sessions.current_ingress(client), gnb2);
+    sessions.attach(client, ip, platform.ingress());
+    EXPECT_EQ(sessions.current_ingress(client), &platform.ingress());
+
+    // Detach, then an implicit session for the same address: no node yet.
+    EXPECT_TRUE(sessions.detach(ip));
+    EXPECT_EQ(sessions.by_node(client), nullptr);
+    sessions.observe_packet(ip, gnb2->node());
+    const UeSession* implicit = sessions.by_ip(ip);
+    ASSERT_NE(implicit, nullptr);
+    EXPECT_FALSE(implicit->explicit_attachment);
+    EXPECT_EQ(sessions.by_node(client), nullptr);
+    EXPECT_EQ(sessions.current_ingress(client), nullptr);
+
+    // Claiming the implicit session binds the node to it.
+    sessions.attach(client, ip, *gnb2);
+    EXPECT_EQ(sessions.by_node(client), implicit);
+    EXPECT_TRUE(implicit->explicit_attachment);
+    EXPECT_EQ(sessions.current_ingress(client), gnb2);
+
+    // A newly added client is bound; an id past every attached one and the
+    // invalid id have no session.
+    const net::NodeId stranger = platform.add_client("ue2", net::Ipv4{10, 0, 1, 3});
+    EXPECT_NE(sessions.by_node(stranger), nullptr); // add_client attaches
+    EXPECT_EQ(sessions.by_node(net::NodeId{stranger.value + 1}), nullptr);
+    EXPECT_EQ(sessions.by_node(net::NodeId{}), nullptr);
+}
+
 // -------------------------------------------- client-scoped flow memory
 
 MemorizedFlow client_flow(std::uint32_t client_octet, std::uint8_t service_octet,

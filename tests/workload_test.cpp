@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 #include <vector>
 
+#include "testbed/c3.hpp"
 #include "workload/bigflows.hpp"
 #include "workload/metrics.hpp"
+#include "workload/runner.hpp"
 #include "workload/stream.hpp"
 #include "workload/trace.hpp"
 
@@ -230,6 +233,84 @@ TEST(MetricsCollector, RecordsAndSeries) {
     EXPECT_EQ(metrics.tags().size(), 1u);
     metrics.clear();
     EXPECT_EQ(metrics.count(), 0u);
+}
+
+// A replay binds each service's series at that service's first successful
+// completion: service 1's address is registered only 5 s into the replay,
+// so its first requests fail and its series appears with its first success.
+TEST(TraceRunnerSeries, ServiceSeriesStartsAtFirstSuccessInCompletionOrder) {
+    testbed::C3Options options;
+    options.with_k8s = false;
+    options.controller.scale_down_idle = false;
+    auto tb = testbed::build_c3(options);
+    auto& platform = tb->platform;
+    const auto& nginx = testbed::service_by_key("nginx");
+    platform.register_service(nginx.address, nginx.yaml);
+    const net::ServiceAddress late{net::Ipv4{203, 0, 113, 77}, nginx.address.port};
+
+    Trace trace;
+    for (int i = 0; i < 40; ++i) {
+        trace.add({.at = sim::milliseconds(500 * i),
+                   .client = static_cast<std::uint32_t>(i % 3),
+                   .service = static_cast<std::uint32_t>(i % 2)});
+    }
+    trace.finalize();
+    auto& sim = platform.simulation();
+    sim.schedule_at(sim.now() + sim::seconds(5),
+                    [&] { platform.register_service(late, nginx.yaml); });
+
+    TraceRunner runner(platform, tb->clients);
+    TraceReplayOptions replay;
+    replay.addresses = {nginx.address, late};
+    replay.request_sizes = {nginx.request_size};
+    const MetricsCollector& metrics = runner.replay(trace, replay);
+
+    std::vector<double> expected0;
+    std::vector<double> expected1;
+    std::size_t failed1 = 0;
+    for (const RequestRecord& record : metrics.records()) {
+        if (record.service == "svc1" && !record.ok) {
+            ++failed1;
+            // Nothing succeeded for svc1 before this failure.
+            EXPECT_TRUE(expected1.empty());
+        }
+        if (!record.ok) continue;
+        (record.service == "svc0" ? expected0 : expected1)
+            .push_back(record.time_total.ms());
+    }
+    ASSERT_EQ(metrics.count(), 40u);
+    EXPECT_GT(failed1, 0u);
+    ASSERT_FALSE(expected1.empty());
+    ASSERT_NE(metrics.find_series("svc0"), nullptr);
+    ASSERT_NE(metrics.find_series("svc1"), nullptr);
+    // Samples in completion order, one per success.
+    EXPECT_EQ(metrics.find_series("svc0")->samples(), expected0);
+    EXPECT_EQ(metrics.find_series("svc1")->samples(), expected1);
+    EXPECT_EQ(metrics.tags(), (std::vector<std::string>{"svc0", "svc1"}));
+}
+
+// A tag whose requests all fail has no series.
+TEST(TraceRunnerSeries, ServiceThatNeverSucceedsHasNoSeries) {
+    testbed::C3Options options;
+    options.with_k8s = false;
+    auto tb = testbed::build_c3(options);
+    const auto& nginx = testbed::service_by_key("nginx");
+    const net::ServiceAddress nowhere{net::Ipv4{203, 0, 113, 78}, nginx.address.port};
+
+    Trace trace;
+    for (int i = 0; i < 4; ++i) {
+        trace.add({.at = sim::milliseconds(100 * i), .client = 0, .service = 0});
+    }
+    trace.finalize();
+    TraceRunner runner(tb->platform, tb->clients);
+    TraceReplayOptions replay;
+    replay.addresses = {nowhere};
+    replay.drain_slack = sim::seconds(30);
+    const MetricsCollector& metrics = runner.replay(trace, replay);
+    EXPECT_EQ(metrics.count(), 4u);
+    EXPECT_EQ(metrics.failures(), 4u);
+    EXPECT_EQ(metrics.find_series("svc0"), nullptr);
+    EXPECT_TRUE(metrics.tags().empty());
 }
 
 TEST(TextTable, AlignsColumns) {
