@@ -28,6 +28,7 @@ const std::string* unkeyed_selector(const ServiceObj& svc) {
 }
 
 constexpr auto by_name = StoreIndex<ServiceObj>::by_name;
+constexpr auto by_rs_name = StoreIndex<ReplicaSetObj>::by_name;
 } // namespace
 
 ControllerManager::ControllerManager(sim::Simulation& sim, ApiServer& api,
@@ -39,9 +40,21 @@ ControllerManager::ControllerManager(sim::Simulation& sim, ApiServer& api,
       unkeyed_services_(api.services(), unkeyed_selector),
       next_pod_port_(config.pod_port_base) {
     // Every stored service starts dirty; a pod write marks its old and new
-    // label groups, a service write marks the service itself.
-    api_.pods().add_write_hook({[this](const PodItem& item) { mark_dirty_for(item.second); },
-                                [this](const PodItem& item) { mark_dirty_for(item.second); }});
+    // label groups, a service write marks the service itself. A pod write
+    // also re-places its owner replicaset: this hook runs after the owner
+    // index's, so an erased pod is already out of its owner's group.
+    const auto on_pod = [this](const PodItem& item) {
+        mark_dirty_for(item.second);
+        place(item.second.owner_rs);
+    };
+    api_.pods().add_write_hook({on_pod, on_pod});
+    api_.replicasets().add_write_hook(
+        {[this](const ReplicaSetItem& item) {
+             const auto it =
+                 std::lower_bound(unsettled_.begin(), unsettled_.end(), &item, by_rs_name);
+             if (it != unsettled_.end() && *it == &item) unsettled_.erase(it);
+         },
+         [this](const ReplicaSetItem& item) { place(item); }});
     api_.services().add_write_hook(
         {[this](const ServiceItem& item) {
              const auto it = std::lower_bound(dirty_.begin(), dirty_.end(), &item, by_name);
@@ -60,6 +73,36 @@ void ControllerManager::mark_dirty_for(const PodObj& pod) {
         for (const ServiceItem* svc : services_by_selector_.group(*label)) mark_dirty(svc);
     }
     for (const ServiceItem* svc : unkeyed_services_.group(kNoServiceKey)) mark_dirty(svc);
+}
+
+bool ControllerManager::counts(const PodItem& pod) const {
+    return pod.second.phase != PodPhase::kTerminating &&
+           !pending_terminations_.contains(pod.first);
+}
+
+bool ControllerManager::unsettled(const ReplicaSetItem& rs) const {
+    const auto& [name, obj] = rs;
+    const auto& group = pods_by_owner_.group(name);
+    const auto counted = std::count_if(group.begin(), group.end(),
+                                       [this](const PodItem* pod) { return counts(*pod); });
+    const auto pending = pending_creates_.find(name);
+    return counted + (pending == pending_creates_.end() ? 0 : pending->second) != obj.replicas;
+}
+
+void ControllerManager::place(const ReplicaSetItem& rs) {
+    const auto it = std::lower_bound(unsettled_.begin(), unsettled_.end(), &rs, by_rs_name);
+    const bool listed = it != unsettled_.end() && *it == &rs;
+    if (unsettled(rs) == listed) return;
+    if (listed) {
+        unsettled_.erase(it);
+    } else {
+        unsettled_.insert(it, &rs);
+    }
+}
+
+void ControllerManager::place(const std::string& name) {
+    const auto& items = api_.replicasets().items();
+    if (const auto it = items.find(name); it != items.end()) place(*it);
 }
 
 void ControllerManager::start() {
@@ -82,7 +125,7 @@ void ControllerManager::start() {
         sim_.schedule(config_.endpoints_sync, [this] { sync_endpoints(); });
         if (event.type == WatchEventType::kDeleted) {
             // The owner RS may need a replacement pod.
-            sim_.schedule(config_.replicaset_sync, [this] { sync_all_replicasets(); });
+            sim_.schedule(config_.replicaset_sync, [this] { sync_unsettled_replicasets(); });
         }
     });
     api_.services().watch([this](const WatchEvent& event) {
@@ -118,8 +161,12 @@ void ControllerManager::sync_deployment(const std::string& name) {
     }
 }
 
-void ControllerManager::sync_all_replicasets() {
-    for (const auto& [name, rs] : api_.replicasets().items()) sync_replicaset(name);
+void ControllerManager::sync_unsettled_replicasets() {
+    // A sync changes no other replicaset's counts, so the replicasets a
+    // sync of every replicaset would act on are the unsettled ones as they
+    // stand when the sweep starts.
+    const std::vector<const ReplicaSetItem*> sweep = unsettled_;
+    for (const ReplicaSetItem* rs : sweep) sync_replicaset(rs->first);
 }
 
 void ControllerManager::sync_replicaset(const std::string& name) {
@@ -133,11 +180,7 @@ void ControllerManager::sync_replicaset(const std::string& name) {
     // racing within one API round-trip from both acting on stale counts.
     std::vector<const PodObj*> owned;
     for (const PodItem* item : pods_by_owner_.group(name)) {
-        const auto& [pod_name, pod] = *item;
-        if (pod.phase != PodPhase::kTerminating &&
-            pending_terminations_.count(pod_name) == 0) {
-            owned.push_back(&pod);
-        }
+        if (counts(*item)) owned.push_back(&item->second);
     }
 
     const int want = rs->replicas;
@@ -165,12 +208,15 @@ void ControllerManager::sync_replicaset(const std::string& name) {
         }
     } else if (have > want) {
         // Terminate the newest pods first (Kubernetes' default preference is
-        // similar: not-ready and youngest first).
+        // similar: not-ready and youngest first). Pending creates cannot be
+        // terminated yet: a replicaset scaled below them keeps the excess
+        // until its pods exist and a later sync removes them.
         std::sort(owned.begin(), owned.end(), [](const PodObj* a, const PodObj* b) {
             if (a->ready != b->ready) return !a->ready; // not-ready first
             return a->phase_since > b->phase_since;     // youngest first
         });
-        for (int i = 0; i < have - want; ++i) {
+        const int excess = std::min(have - want, static_cast<int>(owned.size()));
+        for (int i = 0; i < excess; ++i) {
             PodObj updated = *owned[static_cast<std::size_t>(i)];
             updated.phase = PodPhase::kTerminating;
             updated.ready = false;
@@ -182,6 +228,9 @@ void ControllerManager::sync_replicaset(const std::string& name) {
             });
         }
     }
+    // The expectations just changed; the writes that settle them re-place
+    // the replicaset through the pod hook.
+    place(name);
 }
 
 void ControllerManager::sync_endpoints() {

@@ -14,7 +14,11 @@
 // visits the dirty services in name order and clears one only when its
 // computed endpoints equal its stored ones, so it makes exactly the writes
 // a sync of every service would. The replicaset loop takes each
-// replicaset's pods from an owner index.
+// replicaset's pods from an owner index. After a pod deletion it syncs, in
+// name order, only the replicasets whose sync would act -- those whose live
+// pods plus pending creates differ from their replicas -- which write hooks
+// and the expectation updates keep in a name-ordered set; the writes are
+// those of a sync of every replicaset.
 #pragma once
 
 #include <cstdint>
@@ -48,13 +52,24 @@ public:
 
 private:
     using PodItem = ObjectStore<PodObj>::Item;
+    using ReplicaSetItem = ObjectStore<ReplicaSetObj>::Item;
     using ServiceItem = ObjectStore<ServiceObj>::Item;
 
     void sync_deployment(const std::string& name);
     /// Sync one replicaset against the pods it owns.
     void sync_replicaset(const std::string& name);
-    /// Sync every replicaset in name order (after a pod deletion).
-    void sync_all_replicasets();
+    /// Sync the unsettled replicasets in name order (after a pod deletion).
+    void sync_unsettled_replicasets();
+    /// Whether a pod of a replicaset counts toward its replicas: neither
+    /// terminating nor pending termination.
+    [[nodiscard]] bool counts(const PodItem& pod) const;
+    /// Whether a sync of `rs` would act: its counted pods plus its pending
+    /// creates differ from its replicas.
+    [[nodiscard]] bool unsettled(const ReplicaSetItem& rs) const;
+    /// Bring `rs`'s place in unsettled_ up to date.
+    void place(const ReplicaSetItem& rs);
+    /// place() the replicaset named `name`, if it is stored.
+    void place(const std::string& name);
     /// Recompute the dirty services' endpoints, in name order.
     void sync_endpoints();
     /// Write `svc`'s endpoints if they differ from the computed ones;
@@ -74,6 +89,8 @@ private:
     /// Services whose stored endpoints may differ from the computed ones,
     /// in name order.
     std::vector<const ServiceItem*> dirty_;
+    /// Replicasets whose sync would act, in name order.
+    std::vector<const ReplicaSetItem*> unsettled_;
     // Expectations (as in kube-controller-manager): pod writes requested but
     // not yet observable through the API server. Without them, two syncs of
     // the same replicaset racing within one API round-trip both see the old

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "simcore/random.hpp"
 #include "workload/stream.hpp"
@@ -27,19 +29,24 @@ struct BigFlowsOptions {
 };
 
 /// Streaming bigFlows generator: emits the exact same event sequence as
-/// `synthesize_bigflows` (same seed, same draw order, same sort) through the
-/// RequestStream interface, so the runner pulls events one at a time instead
-/// of pre-scheduling the whole trace.
+/// `synthesize_bigflows` (same seed, same draw order, same order by
+/// (at, client, service)) through the RequestStream interface, so the
+/// runner pulls events one at a time instead of pre-scheduling the trace.
 ///
 /// The sequence is globally sorted over iid per-service draws from one
-/// shared RNG, so an O(1)-memory exact replay is mathematically impossible:
-/// the first emitted event can depend on the last draw. The stream therefore
-/// buffers compact 16-byte records internally -- what it eliminates is the
-/// Trace copy and, far more importantly, the per-event scheduled closure the
-/// old replay path materialized. Workloads that need truly flat memory at
-/// 10^6 flows use PoissonStream (O(services) state) instead.
+/// shared RNG, so the first emitted event can depend on the last draw: the
+/// stream must hold the sorted trace, 16 bytes per event. It holds it in
+/// 1 MiB chunks and frees each chunk as soon as next() has emitted its last
+/// event, so a replay's memory for the trace falls as the replay advances.
+/// Each chunk is allocated on its own and is large enough for glibc to map
+/// it separately, which is what makes a freed chunk go back to the OS; the
+/// chunks are all allocated before the stream frees anything large, since a
+/// freed mapping raises glibc's mapping threshold.
 class BigFlowsStream final : public RequestStream {
 public:
+    /// Events per storage chunk: 65,536 events of 16 bytes, 1 MiB.
+    static constexpr std::size_t kChunkEvents = std::size_t{1} << 16;
+
     explicit BigFlowsStream(const BigFlowsOptions& options = {});
 
     std::optional<TraceEvent> next() override;
@@ -49,19 +56,32 @@ public:
     [[nodiscard]] std::uint32_t client_count() const override {
         return options_.clients;
     }
-    [[nodiscard]] std::optional<std::size_t> total() const override {
-        return events_.size();
-    }
-    /// Timestamp of the last event (mirrors Trace::horizon()).
+    /// The trace's length; still answers after events have been emitted.
+    [[nodiscard]] std::optional<std::size_t> total() const override { return total_; }
+    /// Timestamp of the last event (mirrors Trace::horizon()); still answers
+    /// after events have been emitted.
     [[nodiscard]] std::optional<sim::SimTime> horizon() const override {
-        return events_.empty() ? sim::SimTime{} : events_.back().at;
+        return horizon_;
+    }
+    /// Events the stream still holds in memory: the unemitted ones, rounded
+    /// out to the start of their chunk. 0 once the last event is out.
+    [[nodiscard]] std::size_t held() const {
+        return cursor_ == total_ ? 0 : total_ - (cursor_ & ~(kChunkEvents - 1));
     }
 
 private:
     BigFlowsOptions options_;
-    std::vector<TraceEvent> events_;
+    std::vector<std::unique_ptr<TraceEvent[]>> chunks_;
+    std::size_t total_ = 0;
+    sim::SimTime horizon_{};
     std::size_t cursor_ = 0;
 };
+
+/// The trace's events in draw order: service by service, each service's
+/// arrivals in the order they were drawn. BigFlowsStream emits exactly
+/// these, sorted by (at, client, service); tests sort them with std::sort
+/// as the stream's oracle.
+[[nodiscard]] std::vector<TraceEvent> bigflows_draws(const BigFlowsOptions& options);
 
 /// Generate a trace with the given marginals. Deterministic per seed.
 /// Guarantees: exactly `requests` events, every service receives at least

@@ -18,7 +18,7 @@ void HttpClient::request(net::NodeId client_node, std::uint32_t client_index,
     sim::Simulation& sim = net_.simulation();
     const std::uint32_t slot = pending_.acquire();
     Pending& pending = pending_[slot];
-    pending.record.service.assign(tag.name);
+    pending.record.service = tag.name;
     pending.tag = &tag;
     pending.record.client = client_index;
     pending.record.sent = sim.now();
@@ -31,7 +31,7 @@ void HttpClient::request(net::NodeId client_node, std::uint32_t client_index,
     if (tr != nullptr) {
         const sim::RequestId req = tr->new_request();
         pending.span = tr->begin("request", sim::TraceContext{req, 0});
-        tr->arg(pending.span, "service", tag.name);
+        tr->arg(pending.span, "service", tag.name.str());
         tr->arg(pending.span, "client", std::to_string(client_index));
     }
     const sim::Tracer::Scope scope(tr, pending.span);
@@ -72,7 +72,7 @@ void HttpClient::complete(std::uint32_t slot, const net::HttpResult& result) {
     metrics_.add(record);
     if (result.ok) {
         RequestTag& tag = *pending.tag;
-        if (tag.series == nullptr) tag.series = &metrics_.series(tag.name);
+        if (tag.series == nullptr) tag.series = &metrics_.series(tag.name.str());
         tag.series->add_time(result.time_total);
     }
     pending_.release(slot);

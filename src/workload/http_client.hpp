@@ -15,14 +15,18 @@
 
 namespace tedge::workload {
 
-/// What a request is recorded under: the record's service string, and the
-/// collector series its successful completions feed. The series is looked
-/// up at the tag's first successful completion and kept, so no request
-/// hashes its tag and a tag whose requests all fail has no series. A tag
-/// serves one collector and must outlive its requests and stay put while
-/// they are in flight; clearing the collector invalidates its series.
+/// What a request is recorded under: the record's service name, interned
+/// once when the tag is made so each request copies an 8-byte handle, and
+/// the collector series its successful completions feed. The series is
+/// looked up at the tag's first successful completion and kept, so no
+/// request hashes its tag and a tag whose requests all fail has no series.
+/// A tag serves one collector and must outlive its requests and stay put
+/// while they are in flight; clearing the collector invalidates its series.
 struct RequestTag {
-    std::string name;
+    RequestTag() = default;
+    explicit RequestTag(std::string_view service) : name(service) {}
+
+    ServiceName name;
     sim::SampleSet* series = nullptr;
 };
 

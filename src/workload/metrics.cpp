@@ -2,13 +2,28 @@
 
 #include <algorithm>
 #include <iomanip>
+#include <mutex>
 #include <sstream>
+#include <unordered_set>
 
 namespace tedge::workload {
 
-void MetricsCollector::add(RequestRecord record) {
+const std::string ServiceName::kEmpty;
+
+const std::string* ServiceName::intern(std::string_view name) {
+    if (name.empty()) return &kEmpty;
+    // Nodes of an unordered_set never move, so the strings stay put while
+    // the table grows.
+    static std::mutex mutex;
+    static std::unordered_set<std::string, sim::StringHash, std::equal_to<>> names;
+    const std::lock_guard lock(mutex);
+    const auto it = names.find(name);
+    return it != names.end() ? &*it : &*names.emplace(name).first;
+}
+
+void MetricsCollector::add(const RequestRecord& record) {
     if (!record.ok) ++failures_;
-    records_.push_back(std::move(record));
+    records_.push_back(record);
 }
 
 sim::SampleSet& MetricsCollector::series(std::string_view tag) {

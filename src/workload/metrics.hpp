@@ -18,8 +18,38 @@
 
 namespace tedge::workload {
 
+/// A service name interned in one process-wide table: an 8-byte handle to
+/// the table's copy of the spelling. Equal spellings share one handle, and
+/// the table never drops a name, so a handle stays valid as long as the
+/// process runs, whatever becomes of the record or collector that holds it.
+/// Interning takes a lock (replicas run on a ThreadPool); reading a handle's
+/// name does not, because an interned string never changes or moves.
+class ServiceName {
+public:
+    /// The empty name.
+    ServiceName() = default;
+    explicit ServiceName(std::string_view name) : name_(intern(name)) {}
+    ServiceName& operator=(std::string_view name) {
+        name_ = intern(name);
+        return *this;
+    }
+
+    [[nodiscard]] const std::string& str() const { return *name_; }
+    /// Implicit, so a handle reads as the name it holds.
+    operator const std::string&() const { return *name_; }
+
+    friend bool operator==(ServiceName a, ServiceName b) { return a.name_ == b.name_; }
+    friend bool operator==(ServiceName a, std::string_view b) { return *a.name_ == b; }
+
+private:
+    [[nodiscard]] static const std::string* intern(std::string_view name);
+
+    static const std::string kEmpty;
+    const std::string* name_ = &kEmpty;
+};
+
 struct RequestRecord {
-    std::string service;     ///< service key or name
+    ServiceName service;     ///< service key or name
     sim::SimTime sent;
     sim::SimTime time_total; ///< curl time_total equivalent
     std::uint32_t client = 0;
@@ -27,13 +57,14 @@ struct RequestRecord {
     bool ok = false;
 };
 
-// The collector holds one record per replayed request; this field order
-// packs a record into one 64-byte cache line.
-static_assert(sizeof(RequestRecord) == 64);
+// The collector holds one record per replayed request, so the record's size
+// sets most of a long replay's memory: an 8-byte name handle and this field
+// order make it 40 bytes.
+static_assert(sizeof(RequestRecord) == 40);
 
 class MetricsCollector {
 public:
-    void add(RequestRecord record);
+    void add(const RequestRecord& record);
     /// Pre-size the record storage for `records` records in total.
     void reserve(std::size_t records) { records_.reserve(records); }
 

@@ -1,14 +1,12 @@
 // Experiment runner: replays a request stream against a platform and
-// collects per-request metrics; also provides a thread-pooled replica runner
-// so benches can average independent simulations across CPU cores (the
-// simulation kernel itself stays single-threaded and deterministic).
+// collects per-request metrics. Benches that average independent
+// simulations run one replay per seed on a sim::ThreadPool; the simulation
+// kernel itself stays single-threaded and deterministic.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "core/edge_platform.hpp"
-#include "simcore/thread_pool.hpp"
 #include "workload/http_client.hpp"
 #include "workload/stream.hpp"
 #include "workload/trace.hpp"
@@ -31,8 +29,10 @@ public:
     /// Replay a request stream; returns when every request completed (or the
     /// drain deadline passed). The stream is pulled one event at a time --
     /// exactly one workload arrival is pending in the event queue at any
-    /// moment, so replay memory is O(1) in the number of requests. The
-    /// collector holds one record per request.
+    /// moment, so the kernel holds no per-request closures. What a replay
+    /// keeps per request is the collector's 40-byte record, one per request,
+    /// plus whatever the stream still buffers (BigFlowsStream frees its
+    /// trace as it is emitted).
     MetricsCollector& replay(RequestStream& stream, const TraceReplayOptions& options);
 
     /// Compatibility wrapper: replay a materialized trace (streams it
@@ -46,19 +46,5 @@ private:
     std::vector<net::NodeId> clients_;
     MetricsCollector metrics_;
 };
-
-/// Run `fn(seed)` for `replicas` different seeds on a thread pool and
-/// collect the results in seed order.
-template <typename R>
-std::vector<R> run_replicas(std::size_t replicas,
-                            const std::function<R(std::uint64_t seed)>& fn,
-                            std::uint64_t base_seed = 1, std::size_t threads = 0) {
-    std::vector<R> results(replicas);
-    sim::ThreadPool pool(threads == 0 ? std::min<std::size_t>(replicas, 16) : threads);
-    pool.parallel_for(replicas, [&](std::size_t i) {
-        results[i] = fn(base_seed + i);
-    });
-    return results;
-}
 
 } // namespace tedge::workload

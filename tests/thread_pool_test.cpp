@@ -3,9 +3,13 @@
 
 #include <atomic>
 #include <numeric>
+#include <string>
+#include <vector>
 
+#include "simcore/random.hpp"
+#include "simcore/simulation.hpp"
 #include "simcore/thread_pool.hpp"
-#include "workload/runner.hpp"
+#include "workload/metrics.hpp"
 
 namespace tedge::sim {
 namespace {
@@ -49,16 +53,18 @@ TEST(ThreadPool, DefaultSizeIsPositive) {
     EXPECT_GE(pool.size(), 1u);
 }
 
-TEST(RunReplicas, CollectsResultsInSeedOrder) {
-    const auto results = workload::run_replicas<std::uint64_t>(
-        8, [](std::uint64_t seed) { return seed * 10; }, /*base_seed=*/5);
-    ASSERT_EQ(results.size(), 8u);
+// Replicas the way the bench drivers run them (bench/common.cpp): one
+// result slot per seed, filled by parallel_for.
+TEST(Replicas, ParallelForCollectsResultsInSeedOrder) {
+    ThreadPool pool(4);
+    std::vector<std::uint64_t> results(8);
+    pool.parallel_for(results.size(), [&](std::size_t i) { results[i] = (5 + i) * 10; });
     for (std::size_t i = 0; i < results.size(); ++i) {
         EXPECT_EQ(results[i], (5 + i) * 10);
     }
 }
 
-TEST(RunReplicas, ReplicatedSimulationsAreIndependent) {
+TEST(Replicas, ReplicatedSimulationsAreIndependent) {
     // Each replica runs its own Simulation on a pool thread; results must be
     // deterministic per seed regardless of scheduling.
     auto one = [](std::uint64_t seed) {
@@ -72,10 +78,35 @@ TEST(RunReplicas, ReplicatedSimulationsAreIndependent) {
         sim.run();
         return total;
     };
-    const auto a = workload::run_replicas<double>(6, one, 1);
-    const auto b = workload::run_replicas<double>(6, one, 1);
+    const auto replicate = [&] {
+        ThreadPool pool(4);
+        std::vector<double> results(6);
+        pool.parallel_for(results.size(), [&](std::size_t i) { results[i] = one(1 + i); });
+        return results;
+    };
+    const auto a = replicate();
+    const auto b = replicate();
     EXPECT_EQ(a, b);
     EXPECT_NE(a[0], a[1]); // different seeds -> different runs
+}
+
+// Replicas intern request names into one process-wide table at once: every
+// thread gets the same handle for the same name (run under TSan in CI).
+TEST(Replicas, ServiceNamesInternAcrossThreads) {
+    ThreadPool pool(4);
+    std::vector<std::vector<workload::ServiceName>> names(8);
+    pool.parallel_for(names.size(), [&](std::size_t i) {
+        for (int s = 0; s < 64; ++s) {
+            names[i].emplace_back("replica-svc" + std::to_string((s + i) % 64));
+        }
+    });
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        for (int s = 0; s < 64; ++s) {
+            const workload::ServiceName& name = names[i][static_cast<std::size_t>(s)];
+            EXPECT_EQ(name, "replica-svc" + std::to_string((s + i) % 64));
+            EXPECT_EQ(name, names[0][(s + i) % 64]);
+        }
+    }
 }
 
 } // namespace

@@ -154,6 +154,120 @@ TEST(RequestStream, BigFlowsStreamMatchesMaterializedTrace) {
     EXPECT_FALSE(stream.next().has_value());
 }
 
+/// The stream's oracle: the same draws, sorted by std::sort under
+/// Trace::finalize's comparator.
+std::vector<TraceEvent> sorted_draws(const BigFlowsOptions& options) {
+    std::vector<TraceEvent> events = bigflows_draws(options);
+    std::sort(events.begin(), events.end(), [](const TraceEvent& a, const TraceEvent& b) {
+        if (a.at != b.at) return a.at < b.at;
+        if (a.client != b.client) return a.client < b.client;
+        return a.service < b.service;
+    });
+    return events;
+}
+
+void expect_oracle_order(const BigFlowsOptions& options) {
+    SCOPED_TRACE(::testing::Message() << options.requests << " requests, " << options.services
+                                      << " services, seed " << options.seed);
+    const std::vector<TraceEvent> expected = sorted_draws(options);
+    ASSERT_EQ(expected.size(), options.requests);
+    BigFlowsStream stream(options);
+    ASSERT_EQ(stream.total(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        const auto event = stream.next();
+        ASSERT_TRUE(event.has_value()) << "stream ended early at " << i;
+        ASSERT_EQ(event->at, expected[i].at) << "index " << i;
+        ASSERT_EQ(event->client, expected[i].client) << "index " << i;
+        ASSERT_EQ(event->service, expected[i].service) << "index " << i;
+    }
+    EXPECT_FALSE(stream.next().has_value());
+}
+
+TEST(BigFlowsStreamOracle, SizesAroundAChunk) {
+    const std::size_t chunk = BigFlowsStream::kChunkEvents;
+    for (const std::uint64_t seed : {1, 2, 3, 17}) {
+        for (const std::size_t requests : {std::size_t{0}, std::size_t{1}, chunk - 1, chunk,
+                                           chunk + 1}) {
+            BigFlowsOptions options;
+            options.services = requests < 42 ? 1 : 42;
+            options.min_requests = requests < 42 ? requests : 20;
+            options.requests = requests;
+            options.seed = seed;
+            expect_oracle_order(options);
+        }
+    }
+}
+
+// Ties: with a zero horizon every event arrives at 0, so the order comes
+// from the client and then the service; with one client, from the service
+// alone.
+TEST(BigFlowsStreamOracle, TiesInTimeAndClient) {
+    for (const std::uint32_t clients : {1u, 3u, 20u}) {
+        BigFlowsOptions options;
+        options.services = 5;
+        options.requests = 400;
+        options.min_requests = 10;
+        options.horizon = sim::SimTime{};
+        options.clients = clients;
+        expect_oracle_order(options);
+    }
+}
+
+// The three e2ebench workloads' traces at two trace seeds each.
+TEST(BigFlowsStreamOracle, WorkloadSizes) {
+    struct Shape {
+        std::uint32_t services;
+        std::size_t requests;
+        std::int64_t horizon_s;
+    };
+    for (const Shape shape : {Shape{42, 600'000, 300}, Shape{420, 56'933, 1000},
+                              Shape{126, 25'620, 1500}}) {
+        for (const std::uint64_t seed : {4, 24}) {
+            BigFlowsOptions options;
+            options.services = shape.services;
+            options.requests = shape.requests;
+            options.horizon = sim::seconds(shape.horizon_s);
+            options.seed = seed;
+            expect_oracle_order(options);
+        }
+    }
+}
+
+// The stream frees each chunk once its last event is out, while total()
+// and horizon() keep answering.
+TEST(RequestStream, BigFlowsStreamFreesWhatItHasEmitted) {
+    const std::size_t chunk = BigFlowsStream::kChunkEvents;
+    BigFlowsOptions options;
+    options.requests = 3 * chunk + 100;
+    options.seed = 5;
+    BigFlowsStream stream(options);
+    const auto total = stream.total();
+    const auto horizon = stream.horizon();
+    ASSERT_EQ(total, options.requests);
+    EXPECT_EQ(stream.held(), options.requests);
+
+    std::size_t emitted = 0;
+    std::size_t held = stream.held();
+    sim::SimTime last{};
+    while (const auto event = stream.next()) {
+        ++emitted;
+        last = event->at;
+        ASSERT_LE(stream.held(), held) << "after " << emitted << " events";
+        ASSERT_GE(stream.held(), options.requests - emitted);
+        ASSERT_LT(stream.held(), options.requests - emitted + chunk);
+        if (emitted % chunk == 0) {
+            ASSERT_EQ(stream.held(), options.requests - emitted);
+        }
+        held = stream.held();
+    }
+    EXPECT_EQ(emitted, options.requests);
+    EXPECT_EQ(stream.held(), 0u);
+    EXPECT_EQ(stream.total(), total);
+    EXPECT_EQ(stream.horizon(), horizon);
+    EXPECT_EQ(horizon, last);
+    EXPECT_FALSE(stream.next().has_value());
+}
+
 TEST(RequestStream, TraceViewStreamsEveryEventInOrder) {
     Trace trace;
     trace.add({sim::seconds(2), 1, 0});
@@ -231,8 +345,31 @@ TEST(MetricsCollector, RecordsAndSeries) {
     EXPECT_DOUBLE_EQ(metrics.find_series("svc0")->median(), 10.0);
     EXPECT_EQ(metrics.find_series("nope"), nullptr);
     EXPECT_EQ(metrics.tags().size(), 1u);
+    // A record's name outlives the collector's records.
+    const RequestRecord kept = metrics.records().front();
     metrics.clear();
     EXPECT_EQ(metrics.count(), 0u);
+    EXPECT_EQ(kept.service, "svc0");
+}
+
+TEST(ServiceName, OneNameOneHandle) {
+    static_assert(sizeof(ServiceName) == 8);
+    const ServiceName a("service-name-test");
+    ServiceName b;
+    EXPECT_TRUE(b.str().empty());
+    EXPECT_EQ(b, ServiceName(""));
+    b = std::string("service-name-") + "test";
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(&a.str(), &b.str());
+    EXPECT_EQ(a, "service-name-test");
+    EXPECT_EQ(a, std::string("service-name-test"));
+    const std::string& spelling = a;
+    EXPECT_EQ(spelling, "service-name-test");
+    EXPECT_FALSE(a == ServiceName("service-name-other"));
+    EXPECT_FALSE(a == "service-name-tes");
+    // A tag interns its name once; its records carry that handle.
+    const RequestTag tag("service-name-test");
+    EXPECT_EQ(tag.name, a);
 }
 
 // A replay binds each service's series at that service's first successful
@@ -268,7 +405,11 @@ TEST(TraceRunnerSeries, ServiceSeriesStartsAtFirstSuccessInCompletionOrder) {
     std::vector<double> expected0;
     std::vector<double> expected1;
     std::size_t failed1 = 0;
+    const ServiceName svc0("svc0");
+    const ServiceName svc1("svc1");
     for (const RequestRecord& record : metrics.records()) {
+        // Every record carries its tag's one handle.
+        EXPECT_TRUE(record.service == svc0 || record.service == svc1);
         if (record.service == "svc1" && !record.ok) {
             ++failed1;
             // Nothing succeeded for svc1 before this failure.
