@@ -117,6 +117,9 @@ TEST(BigFlows, RejectsImpossibleOptions) {
     EXPECT_THROW(synthesize_bigflows(options), std::invalid_argument);
     options.services = 0;
     EXPECT_THROW(synthesize_bigflows(options), std::invalid_argument);
+    options = BigFlowsOptions{};
+    options.horizon = sim::seconds(-1);
+    EXPECT_THROW(synthesize_bigflows(options), std::invalid_argument);
 }
 
 TEST(BigFlows, CustomShapes) {
